@@ -10,7 +10,7 @@ flows are visible.
 
 from insured_agents import (
     AccountId,
-    ClaimValidityTag,
+    ClaimValidity,
     Ledger,
     Role,
     format_units,
@@ -49,7 +49,7 @@ print(f"  coverage credential verifies: "
 
 # The agent misbehaves off-ledger and the user files for the full loss.
 claim = ledger.file_claim(
-    "pol-1", "user", units(100), ClaimValidityTag.VALID,
+    "pol-1", "user", units(100), ClaimValidity.VALID,
     incident_tick=1, tick=2,
 )
 ledger.respond_claim(claim.id, accept=False, tick=3)

@@ -443,8 +443,10 @@ def predict_honest_equilibrium(params: MechanismParams) -> bool:
     """True iff the equilibrium conditions hold and honesty beats deviation.
 
     Requires all three conditions plus Pi_honest strictly above the
-    caught-misbehavior payoff G - S_A - V_future.
+    caught-misbehavior payoff G - S_A - V_future. Always False at L = 0:
+    a harmed user then gains nothing by claiming, so misbehavior is never
+    caught and deterrence never binds.
     """
-    if not check_conditions(params).all_hold:
+    if params.L == 0 or not check_conditions(params).all_hold:
         return False
     return params.Pi_honest > params.G - params.S_A - params.V_future

@@ -3,7 +3,9 @@
 Money only ever moves between accounts (wallets, escrows, the verifier
 fee sink), so the total supply is invariant under every operation. All
 operations are atomic: a failed precondition raises before the first
-transfer and leaves the ledger untouched.
+transfer and leaves the ledger untouched. That includes settlements: a
+claim larger than its policy's remaining escrowed stake is refused, so the
+stake never goes negative and never eats into the agent's deductible.
 
 Lifecycle: underwrite -> (verify_coverage) -> file_claim ->
 respond_claim -> [escalate -> adjudicate] -> expire_policy.
@@ -15,8 +17,9 @@ import hashlib
 import hmac
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
+from .game import ClaimValidity
 from .money import check_amount
 
 
@@ -125,13 +128,6 @@ _CLAIM_TRANSITIONS = {
 }
 
 
-class ClaimValidityTag(Enum):
-    """Ground truth of a claim, visible only to the verifier / audit access."""
-
-    VALID = "valid"
-    INVALID = "invalid"
-
-
 @dataclass
 class PolicyRecord:
     id: str
@@ -143,7 +139,6 @@ class PolicyRecord:
     bond: int
     claim_deadline: int
     expiry_tick: int
-    exclusions: frozenset[str] = frozenset()
     status: PolicyStatus = PolicyStatus.ACTIVE
     issued_tick: int = 0
     escrowed_stake: int = 0
@@ -165,7 +160,7 @@ class ClaimRecord:
     policy_id: str
     claimant: str
     amount: int
-    validity: ClaimValidityTag
+    validity: ClaimValidity  # ground truth: visible to the verifier and audit access
     state: ClaimState = ClaimState.FILED
     filed_tick: int = 0
     resolved_tick: int | None = None
@@ -315,7 +310,6 @@ class Ledger:
         claim_deadline: int,
         expiry_tick: int,
         tick: int,
-        exclusions: Iterable[str] = (),
     ) -> tuple[PolicyRecord, CoverageCredential]:
         """Issue a policy: escrow insurer stake and agent deductible, pay premium.
 
@@ -348,7 +342,6 @@ class Ledger:
             bond=bond,
             claim_deadline=claim_deadline,
             expiry_tick=expiry_tick,
-            exclusions=frozenset(exclusions),
             issued_tick=tick,
             escrowed_stake=coverage,
             escrowed_deductible=deductible,
@@ -361,7 +354,7 @@ class Ledger:
         policy_id: str,
         claimant: str,
         amount: int,
-        validity: ClaimValidityTag,
+        validity: ClaimValidity,
         *,
         claim_bond: int = 0,
         incident_tick: int = 0,
@@ -403,7 +396,8 @@ class Ledger:
 
         On settlement of a valid claim the agent's deductible is seized by
         the insurer; settling an invalid claim leaves the deductible alone
-        since no misbehavior occurred.
+        since no misbehavior occurred. Settling more than the remaining
+        stake raises OverCoverage.
         """
         claim = self._claim(claim_id)
         target = ClaimState.ACCEPTED if accept else ClaimState.DENIED
@@ -412,12 +406,13 @@ class Ledger:
             claim.state = ClaimState.DENIED
             return claim
         policy = self._policy(claim.policy_id)
+        self._check_stake(policy, claim)
         escrow = AccountId(Role.STAKE_ESCROW, policy.id)
         user_wallet = AccountId(Role.USER_WALLET, claim.claimant)
         insurer_wallet = AccountId(Role.INSURER_WALLET, policy.insurer)
         self._transfer(escrow, user_wallet, claim.amount, tick, Memo.COMPENSATION)
         policy.escrowed_stake -= claim.amount
-        if claim.validity is ClaimValidityTag.VALID and policy.escrowed_deductible > 0:
+        if claim.validity is ClaimValidity.VALID and policy.escrowed_deductible > 0:
             self._transfer(
                 escrow, insurer_wallet, policy.escrowed_deductible, tick,
                 Memo.DEDUCTIBLE_SEIZE,
@@ -459,15 +454,18 @@ class Ledger:
         insurer bears the reputation penalty.
         Invalid: the user forfeits its bonds to the insurer and both pay
         the fee. Fees and penalties that cannot be paid are clamped with a
-        recorded shortfall.
+        recorded shortfall. A valid claim above the remaining stake raises
+        OverCoverage.
         """
         check_amount(fee)
         check_amount(reputation_cost)
         claim = self._claim(claim_id)
-        valid = claim.validity is ClaimValidityTag.VALID
+        valid = claim.validity is ClaimValidity.VALID
         target = ClaimState.UPHELD_VALID if valid else ClaimState.UPHELD_INVALID
         self._check_transition(claim, target)
         policy = self._policy(claim.policy_id)
+        if valid:
+            self._check_stake(policy, claim)
         escrow = AccountId(Role.STAKE_ESCROW, policy.id)
         bond_escrow = AccountId(Role.BOND_ESCROW, claim.id)
         user_wallet = AccountId(Role.USER_WALLET, claim.claimant)
@@ -511,7 +509,6 @@ class Ledger:
         """User abandons a denied claim; the filing bond is forfeited."""
         claim = self._claim(claim_id)
         self._check_transition(claim, ClaimState.DROPPED)
-        policy = self._policy(claim.policy_id)
         self._return_claim_bond(claim, to_claimant=False, tick=tick)
         claim.state = ClaimState.DROPPED
         claim.resolved_tick = tick
@@ -561,6 +558,14 @@ class Ledger:
         if target not in allowed:
             raise WrongState(
                 f"claim {claim.id} cannot go {claim.state.value} -> {target.value}"
+            )
+
+    @staticmethod
+    def _check_stake(policy: PolicyRecord, claim: ClaimRecord) -> None:
+        if claim.amount > policy.escrowed_stake:
+            raise OverCoverage(
+                f"claim {claim.id} for {claim.amount} exceeds the remaining "
+                f"stake {policy.escrowed_stake}"
             )
 
     def _return_claim_bond(self, claim: ClaimRecord, *, to_claimant: bool,

@@ -69,7 +69,6 @@ class AgentProfile:
     id: str
     theta: float = 0.0  # true misbehavior propensity
     gain: GainModel = GainModel()
-    safeguards: frozenset[str] = frozenset()
     audit_access_granted: bool = True
 
     def __post_init__(self) -> None:
@@ -77,27 +76,20 @@ class AgentProfile:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
 
 
-def _round_half_up(x: Fraction) -> int:
-    if x < 0:
-        raise ValueError("premiums cannot be negative")
-    return int(x + Fraction(1, 2))
-
-
-def price_premium(posterior: RiskPosterior, coverage: int, loading: float) -> int:
-    """Expected-loss premium with a proportional loading, rounded half-up.
-
-    P = posterior mean x coverage x (1 + loading), in micro-units; any
-    strictly positive expected loss prices at one micro-unit or more.
-    """
+def _loaded_premium(risk: Fraction, coverage: int, loading: float) -> int:
+    """risk x coverage x (1 + loading) in micro-units, rounded half-up; any
+    strictly positive expected loss prices at one micro-unit or more."""
     check_amount(coverage)
     if loading < 0:
         raise ValueError(f"loading must be non-negative, got {loading}")
+    raw = risk * coverage * (1 + Fraction(loading))
+    return max(int(raw + Fraction(1, 2)), 1) if raw > 0 else 0
+
+
+def price_premium(posterior: RiskPosterior, coverage: int, loading: float) -> int:
+    """Expected-loss premium at the posterior mean, with a proportional loading."""
     mean = Fraction(posterior.alpha) / (Fraction(posterior.alpha) + Fraction(posterior.beta))
-    raw = mean * coverage * (1 + Fraction(loading))
-    premium = _round_half_up(raw)
-    if premium == 0 and raw > 0:
-        premium = 1
-    return premium
+    return _loaded_premium(mean, coverage, loading)
 
 
 def decide_purchase(agent: AgentProfile, quote: int, params: MechanismParams) -> bool:
@@ -188,15 +180,7 @@ def compose_stack(
 
 def stack_premium(stack: InsurerStack, coverage: int, loading: float) -> int:
     """Premium the master insurer quotes at the stack's residual risk."""
-    check_amount(coverage)
-    if loading < 0:
-        raise ValueError(f"loading must be non-negative, got {loading}")
-    residual = Fraction(str(stack.residual_risk))
-    raw = residual * coverage * (1 + Fraction(loading))
-    premium = _round_half_up(raw)
-    if premium == 0 and raw > 0:
-        premium = 1
-    return premium
+    return _loaded_premium(Fraction(str(stack.residual_risk)), coverage, loading)
 
 
 def underwrite_stack(

@@ -66,11 +66,6 @@ def units(x: int | str | Decimal) -> int:
     return check_amount(int(scaled), signed=True)
 
 
-def parse_decimal(text: str) -> int:
-    """Parse a decimal currency string to micro-units; inexact values are errors."""
-    return units(text)
-
-
 def format_units(amount: int) -> str:
     """Render micro-units as a decimal currency string (no trailing zeros)."""
     check_amount(amount, signed=True)

@@ -7,6 +7,11 @@ stream derived from (scenario seed, episode index), so results are
 independent of execution order and a (config, seed) pair fully determines
 every report field.
 
+An enforced episode first fixes the game path it will play: the solver's
+strategy profile with the behavior policies written over it. `play_path`
+then drives that path through the ledger; `replay_game_path`, which
+criterion 6 checks against the game tree, runs the same function.
+
 Payoff accounting: each party's episode payoff is its ledger balance
 delta plus the exogenous components the ledger cannot carry (the user's
 real-world harm L, the agent's misbehavior gain G or honest-path payoff,
@@ -21,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -39,10 +44,11 @@ from .game import (
 )
 from .ledger import (
     AccountId,
+    ClaimRecord,
     ClaimState,
-    ClaimValidityTag,
     Ledger,
     LedgerError,
+    PolicyRecord,
     PolicyStatus,
     Role,
 )
@@ -276,45 +282,46 @@ class _World:
         net = ep.G - ep.S_A - ep.V_future if enforced else ep.G
         return AgentAction.MALICIOUS if net > ep.Pi_honest else AgentAction.HONEST
 
-    def _user_claims(self, profile: StrategyProfile, harmed: bool) -> bool:
-        kind = self.config.policy.user
-        if kind is UserPolicy.ALWAYS_CLAIM:
-            return True
-        if kind is UserPolicy.NEVER_CLAIM:
-            return False
-        return profile.claims_when_harmed if harmed else profile.claims_when_unharmed
-
-    def _insurer_accepts(
+    def _episode_path(
         self,
         profile: StrategyProfile,
         agent: AgentProfile,
-        validity: ClaimValidity,
-        record: EpisodeRecord,
-    ) -> bool:
-        kind = self.config.policy.insurer
-        if kind is InsurerPolicy.ALWAYS_ACCEPT:
-            return True
-        if kind is InsurerPolicy.ALWAYS_DENY:
-            return False
-        if agent.audit_access_granted:
-            record.audit_access_event = True
-            believed = validity
-        else:
+        ep: MechanismParams,
+        rng: np.random.Generator,
+    ) -> TerminalPath:
+        """The solver's profile with the behavior policies written over it."""
+        policy = self.config.policy
+        changes: dict = {}
+        action = self._agent_action(profile, agent, ep, rng)
+        if action is not profile.agent:
+            changes["agent"] = action
+        if policy.user is not UserPolicy.RATIONAL_SPE:
+            claims = policy.user is UserPolicy.ALWAYS_CLAIM
+            escalation = EscalationChoice.ESCALATE if claims else EscalationChoice.DROP
+            changes.update(
+                claims_when_harmed=claims,
+                claims_when_unharmed=claims,
+                escalate_valid=escalation,
+                escalate_invalid=escalation,
+            )
+        response = None
+        if policy.insurer is InsurerPolicy.ALWAYS_ACCEPT:
+            response = InsurerResponse.ACCEPT
+        elif policy.insurer is InsurerPolicy.ALWAYS_DENY:
+            response = InsurerResponse.DENY
+        elif not agent.audit_access_granted:
             # Without audit access the insurer only has its posterior.
             believed = (
                 ClaimValidity.VALID
                 if self.posteriors[agent.id].mean >= 0.5
                 else ClaimValidity.INVALID
             )
-        return profile.insurer_response(believed) is InsurerResponse.ACCEPT
-
-    def _user_escalates(self, profile: StrategyProfile, validity: ClaimValidity) -> bool:
-        kind = self.config.policy.user
-        if kind is UserPolicy.ALWAYS_CLAIM:
-            return True
-        if kind is UserPolicy.NEVER_CLAIM:
-            return False
-        return profile.user_escalates(validity) is EscalationChoice.ESCALATE
+            response = profile.insurer_response(believed)
+        if response is not None:
+            changes.update(respond_valid=response, respond_invalid=response)
+        if changes:  # most episodes play the solver's own profile: no copy
+            profile = replace(profile, **changes)
+        return profile.outcome_path()
 
     # -- episode ----------------------------------------------------------
 
@@ -341,54 +348,65 @@ class _World:
             action = self._agent_action(profile, agent, ep, rng)
             record.action = action.value
             record.misbehaved = action is AgentAction.MALICIOUS
-            record.payoff_agent = gain if record.misbehaved else ep.Pi_honest
-            record.payoff_user = -ep.L if record.misbehaved else 0
+            record.payoff_agent, record.payoff_insurer, record.payoff_user = (
+                _payoffs(ep, TerminalPath(action, False), [0, 0, 0])
+            )
             return record
 
         if not decide_purchase(agent, premium, ep):
             record.excluded = True
             return record
 
-        wallets = {
-            "agent": AccountId(Role.AGENT_WALLET, agent.id),
-            "insurer": AccountId(Role.INSURER_WALLET, _INSURER_ID),
-            "user": AccountId(Role.USER_WALLET, _USER_ID),
-        }
-        before = {k: self.ledger.balance(v) for k, v in wallets.items()}
+        path = self._episode_path(profile, agent, ep, rng)
+        wallets = (
+            AccountId(Role.AGENT_WALLET, agent.id),
+            AccountId(Role.INSURER_WALLET, _INSURER_ID),
+            AccountId(Role.USER_WALLET, _USER_ID),
+        )
+        before = [self.ledger.balance(w) for w in wallets]
         n_transfers = len(self.ledger.transfers)
         policy_id = f"ep-{index}"
         try:
-            outcome = self._play(agent, ep, profile, policy_id, premium, tick0, rng, record)
+            policy = self._underwrite(agent, ep, policy_id, premium, tick0)
+            claim = play_path(
+                self.ledger, policy, path, _USER_ID, ep,
+                claim_bond=config.claim_bond, tick=tick0,
+            )
         except LedgerError:
             self._rollback(n_transfers, policy_id)
             record.aborted = True
             return record
 
-        caught, misbehaved = outcome
-        deltas = {k: self.ledger.balance(v) - before[k] for k, v in wallets.items()}
-        exo_agent = gain if misbehaved else ep.Pi_honest
-        if caught:
-            exo_agent -= ep.V_future
-        record.payoff_agent = deltas["agent"] + exo_agent
-        record.payoff_insurer = deltas["insurer"]
-        record.payoff_user = deltas["user"] - (ep.L if misbehaved else 0)
-        learned = agent.audit_access_granted or record.verifier_invoked or caught
-        observed = misbehaved if learned else False
+        record.action = path.agent.value
+        record.misbehaved = path.agent is AgentAction.MALICIOUS
+        record.premium_paid = policy.premium
+        if claim is not None:
+            record.claim_filed = True
+            record.claim_state = claim.state.value
+            record.escalated = record.verifier_invoked = bool(path.escalated)
+            record.audit_access_event = (
+                config.policy.insurer is InsurerPolicy.RATIONAL_SPE
+                and agent.audit_access_granted
+            )
+            if claim.state in (ClaimState.ACCEPTED, ClaimState.UPHELD_VALID):
+                record.compensation_paid = claim.amount
+            record.resolution_ticks = claim.resolved_tick - claim.filed_tick
+        deltas = [self.ledger.balance(w) - b for w, b in zip(wallets, before)]
+        record.payoff_agent, record.payoff_insurer, record.payoff_user = (
+            _payoffs(ep, path, deltas)
+        )
+        observed = _caught(path) or (record.misbehaved and agent.audit_access_granted)
         self.posteriors[agent.id] = update_posterior(self.posteriors[agent.id], observed)
         return record
 
-    def _play(
+    def _underwrite(
         self,
         agent: AgentProfile,
         ep: MechanismParams,
-        profile: StrategyProfile,
         policy_id: str,
         premium: int,
         tick0: int,
-        rng: np.random.Generator,
-        record: EpisodeRecord,
-    ) -> tuple[bool, bool]:
-        config = self.config
+    ) -> PolicyRecord:
         if self.stack is not None:
             policy, _ = underwrite_stack(
                 self.ledger,
@@ -398,11 +416,11 @@ class _World:
                 coverage=ep.L,
                 deductible=ep.S_A,
                 bond=ep.B,
-                loading=config.stack.loading,
+                loading=self.config.stack.loading,
                 claim_deadline=_TICKS_PER_EPISODE,
                 expiry_tick=tick0 + _TICKS_PER_EPISODE - 1,
                 tick=tick0,
-                layer1_cut=config.stack.layer1_cut,
+                layer1_cut=self.config.stack.layer1_cut,
             )
         else:
             policy, _ = self.ledger.underwrite(
@@ -417,51 +435,7 @@ class _World:
                 expiry_tick=tick0 + _TICKS_PER_EPISODE - 1,
                 tick=tick0,
             )
-        record.premium_paid = policy.premium
-
-        action = self._agent_action(profile, agent, ep, rng)
-        record.action = action.value
-        misbehaved = action is AgentAction.MALICIOUS
-        record.misbehaved = misbehaved
-        validity = ClaimValidity.VALID if misbehaved else ClaimValidity.INVALID
-        caught = False
-
-        if self._user_claims(profile, harmed=misbehaved):
-            record.claim_filed = True
-            claim = self.ledger.file_claim(
-                policy_id,
-                _USER_ID,
-                ep.L,
-                ClaimValidityTag.VALID if misbehaved else ClaimValidityTag.INVALID,
-                claim_bond=config.claim_bond,
-                incident_tick=tick0,
-                tick=tick0 + 1,
-            )
-            if self._insurer_accepts(profile, agent, validity, record):
-                self.ledger.respond_claim(claim.id, accept=True, tick=tick0 + 2)
-                record.compensation_paid = claim.amount
-                caught = misbehaved
-            else:
-                self.ledger.respond_claim(claim.id, accept=False, tick=tick0 + 2)
-                if self._user_escalates(profile, validity):
-                    record.escalated = True
-                    self.ledger.escalate(claim.id, tick=tick0 + 3)
-                    self.ledger.adjudicate(
-                        claim.id, fee=ep.F, reputation_cost=ep.R, tick=tick0 + 3
-                    )
-                    record.verifier_invoked = True
-                    if claim.state is ClaimState.UPHELD_VALID:
-                        record.compensation_paid = claim.amount
-                        caught = True
-                else:
-                    self.ledger.drop_claim(claim.id, tick=tick0 + 3)
-            record.claim_state = claim.state.value
-            if claim.resolved_tick is not None:
-                record.resolution_ticks = claim.resolved_tick - claim.filed_tick
-
-        if self.ledger.policies[policy_id].status is PolicyStatus.ACTIVE:
-            self.ledger.expire_policy(policy_id, tick=tick0 + _TICKS_PER_EPISODE - 1)
-        return caught, misbehaved
+        return policy
 
     def _rollback(self, n_transfers: int, policy_id: str) -> None:
         while len(self.ledger.transfers) > n_transfers:
@@ -528,7 +502,72 @@ def _aggregate(config: ScenarioConfig, records: list[EpisodeRecord]) -> MetricsR
     )
 
 
-# -- ledger/game replay ----------------------------------------------------
+# -- playing game paths on the ledger -------------------------------------
+
+
+def play_path(
+    ledger: Ledger,
+    policy: PolicyRecord,
+    path: TerminalPath,
+    claimant: str,
+    params: MechanismParams,
+    *,
+    claim_bond: int,
+    tick: int,
+) -> ClaimRecord | None:
+    """Play one terminal game path on an underwritten policy, then close it.
+
+    A claimed path files for the full loss L at `tick + 1`, the insurer
+    responds at `tick + 2`, and a denied claim is escalated and adjudicated
+    (fee F, reputation cost R) or dropped at `tick + 3`. A policy still
+    active afterwards expires at its expiry tick. Returns the claim, or
+    None on a no-claim path.
+    """
+    claim = None
+    if path.claimed:
+        claim = ledger.file_claim(
+            policy.id,
+            claimant,
+            params.L,
+            path.validity,
+            claim_bond=claim_bond,
+            incident_tick=tick,
+            tick=tick + 1,
+        )
+        accept = path.response is InsurerResponse.ACCEPT
+        ledger.respond_claim(claim.id, accept=accept, tick=tick + 2)
+        if path.escalated:
+            ledger.escalate(claim.id, tick=tick + 3)
+            ledger.adjudicate(
+                claim.id, fee=params.F, reputation_cost=params.R, tick=tick + 3
+            )
+        elif not accept:
+            ledger.drop_claim(claim.id, tick=tick + 3)
+    if policy.status is PolicyStatus.ACTIVE:
+        ledger.expire_policy(policy.id, tick=policy.expiry_tick)
+    return claim
+
+
+def _caught(path: TerminalPath) -> bool:
+    """A misbehaving agent is caught when its claim is settled or upheld."""
+    return (
+        path.agent is AgentAction.MALICIOUS
+        and path.claimed
+        and (path.response is InsurerResponse.ACCEPT or bool(path.escalated))
+    )
+
+
+def _payoffs(
+    params: MechanismParams, path: TerminalPath, deltas: list[int]
+) -> tuple[int, int, int]:
+    """(pi_A, pi_I, pi_U): the (agent, insurer, user) wallet deltas plus the
+    exogenous harm, gain or honest-path payoff, and future value lost."""
+    malicious = path.agent is AgentAction.MALICIOUS
+    d_agent, d_insurer, d_user = deltas
+    exo_agent = params.G if malicious else params.Pi_honest
+    if _caught(path):
+        exo_agent -= params.V_future
+    return d_agent + exo_agent, d_insurer, d_user - (params.L if malicious else 0)
 
 
 def replay_game_path(
@@ -544,14 +583,14 @@ def replay_game_path(
     fund = max(
         params.L + params.S_A + params.B + params.F + params.R + params.P, units(1)
     ) * 4 + claim_bond
-    agent_w = AccountId(Role.AGENT_WALLET, "agent")
-    insurer_w = AccountId(Role.INSURER_WALLET, "insurer")
-    user_w = AccountId(Role.USER_WALLET, "user")
-    for w in (agent_w, insurer_w, user_w):
+    wallets = (
+        AccountId(Role.AGENT_WALLET, "agent"),
+        AccountId(Role.INSURER_WALLET, "insurer"),
+        AccountId(Role.USER_WALLET, "user"),
+    )
+    for w in wallets:
         ledger.deposit(w, fund)
-    before = {w: ledger.balance(w) for w in (agent_w, insurer_w, user_w)}
-
-    ledger.underwrite(
+    policy, _ = ledger.underwrite(
         "policy",
         "agent",
         "insurer",
@@ -559,46 +598,12 @@ def replay_game_path(
         deductible=params.S_A,
         premium=params.P,
         bond=params.B,
-        claim_deadline=10,
-        expiry_tick=4,
+        claim_deadline=_TICKS_PER_EPISODE,
+        expiry_tick=_TICKS_PER_EPISODE - 1,
         tick=0,
     )
-    malicious = path.agent is AgentAction.MALICIOUS
-    caught = False
-    if path.claimed:
-        claim = ledger.file_claim(
-            "policy",
-            "user",
-            params.L,
-            ClaimValidityTag.VALID if malicious else ClaimValidityTag.INVALID,
-            claim_bond=claim_bond,
-            incident_tick=0,
-            tick=1,
-        )
-        if path.response is InsurerResponse.ACCEPT:
-            ledger.respond_claim(claim.id, accept=True, tick=2)
-            caught = malicious
-        else:
-            ledger.respond_claim(claim.id, accept=False, tick=2)
-            if path.escalated:
-                ledger.escalate(claim.id, tick=3)
-                ledger.adjudicate(
-                    claim.id, fee=params.F, reputation_cost=params.R, tick=3
-                )
-                caught = malicious
-            else:
-                ledger.drop_claim(claim.id, tick=3)
-    if ledger.policies["policy"].status is PolicyStatus.ACTIVE:
-        ledger.expire_policy("policy", tick=4)
-
-    delta = {w: ledger.balance(w) - before[w] for w in (agent_w, insurer_w, user_w)}
-    exo_agent = params.G if malicious else params.Pi_honest
-    if caught:
-        exo_agent -= params.V_future
-    pi_a = delta[agent_w] + exo_agent
-    pi_i = delta[insurer_w]
-    pi_u = delta[user_w] - (params.L if malicious else 0)
-    return pi_a, pi_i, pi_u
+    play_path(ledger, policy, path, "user", params, claim_bond=claim_bond, tick=0)
+    return _payoffs(params, path, [ledger.balance(w) - fund for w in wallets])
 
 
 # -- parameter sweeps ------------------------------------------------------
@@ -697,7 +702,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
                     id=str(entry["id"]),
                     theta=float(entry.get("theta", 0.0)),
                     gain=gain,
-                    safeguards=frozenset(entry.get("safeguards", ())),
                     audit_access_granted=bool(entry.get("audit_access", True)),
                 )
             )

@@ -186,6 +186,15 @@ class TestPredictHonestEquilibrium:
         p = make(G=100, S_A=30, V_future=20, Pi_honest=50)
         assert not predict_honest_equilibrium(p)
 
+    def test_no_honest_prediction_without_harm(self):
+        # At L=0 a harmed user gains nothing by claiming, so deterrence never
+        # binds and the solver picks deviation whenever G > Pi_honest.
+        p = make(L=0, G=10, S_A=30, S_I=0, B=5, F=1, R=0, V_future=20,
+                 P=0, Pi_honest=1)
+        profile, _ = solve_spe(build_game(p))
+        assert profile.agent is AgentAction.MALICIOUS
+        assert not predict_honest_equilibrium(p)
+
     def test_matches_solver_on_equilibrium_draws(self):
         rng = np.random.default_rng(18)
         for _ in range(300):

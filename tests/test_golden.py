@@ -1,7 +1,7 @@
 """Byte gate: simulator outputs must match files recorded from a known-good build.
 
 Each scenario below drives one branch of the episode engine (claims accepted,
-denied and escalated, denied and dropped, exclusions, stack and experience
+denied and escalated, denied and dropped, excluded agents, stack and experience
 pricing, enforcement off). The canonical report is compared byte for byte
 with `golden/reports/<name>.json`, and the `--episodes-log` output by its
 sha256 in `golden/episodes.sha256`. The sweep CSV of the criterion-11 grid

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from insured_agents.ledger import (
     AccountId,
     ClaimState,
-    ClaimValidityTag,
+    ClaimValidity,
     DeadlinePassed,
     DuplicatePolicy,
     InsufficientFunds,
@@ -105,7 +106,7 @@ class TestClaims:
     def file(self, ledger, amount=100, valid=True, **overrides):
         kwargs = dict(claim_bond=0, incident_tick=0, tick=1)
         kwargs.update(overrides)
-        tag = ClaimValidityTag.VALID if valid else ClaimValidityTag.INVALID
+        tag = ClaimValidity.VALID if valid else ClaimValidity.INVALID
         return ledger.file_claim("pol-1", "user", amount, tag, **kwargs)
 
     def test_file_within_limits(self):
@@ -151,6 +152,37 @@ class TestClaims:
         assert ledger.balances == before
         assert claim.state is ClaimState.DENIED
 
+    def test_accept_beyond_remaining_stake_is_refused(self):
+        # Two invalid claims of 80 and 40 against a stake of 100: settling
+        # the second would overdraw the stake into the agent's deductible.
+        ledger = funded_ledger()
+        underwrite(ledger, coverage=100, deductible=30)
+        first = self.file(ledger, amount=80, valid=False)
+        second = self.file(ledger, amount=40, valid=False)
+        ledger.respond_claim(first.id, accept=True, tick=2)
+        state = copy.deepcopy(vars(ledger))
+        with pytest.raises(OverCoverage):
+            ledger.respond_claim(second.id, accept=True, tick=2)
+        assert vars(ledger) == state
+        assert ledger.policies["pol-1"].escrowed_stake == 20
+        ledger.expire_policy("pol-1", tick=100)
+        assert ledger.balance(AccountId(Role.STAKE_ESCROW, "pol-1")) == 0
+        assert ledger.balance(AGENT) == 1000 - 8
+
+    def test_valid_verdict_beyond_remaining_stake_is_refused(self):
+        ledger = funded_ledger()
+        underwrite(ledger, coverage=100, deductible=30)
+        first = self.file(ledger, amount=80)
+        second = self.file(ledger, amount=40)
+        ledger.respond_claim(first.id, accept=True, tick=2)
+        ledger.respond_claim(second.id, accept=False, tick=2)
+        ledger.escalate(second.id, tick=3)
+        state = copy.deepcopy(vars(ledger))
+        with pytest.raises(OverCoverage):
+            ledger.adjudicate(second.id, fee=5, reputation_cost=1, tick=3)
+        assert vars(ledger) == state
+        assert ledger.policies["pol-1"].escrowed_stake == 20
+
     def test_respond_twice_is_wrong_state(self):
         ledger = funded_ledger()
         underwrite(ledger)
@@ -163,7 +195,7 @@ class TestClaims:
 class TestEscalation:
     def denied_claim(self, ledger, valid=True):
         underwrite(ledger)
-        tag = ClaimValidityTag.VALID if valid else ClaimValidityTag.INVALID
+        tag = ClaimValidity.VALID if valid else ClaimValidity.INVALID
         claim = ledger.file_claim("pol-1", "user", 100, tag, tick=1)
         ledger.respond_claim(claim.id, accept=False, tick=2)
         return claim
@@ -178,7 +210,7 @@ class TestEscalation:
         ledger = funded_ledger()
         underwrite(ledger)
         claim = ledger.file_claim(
-            "pol-1", "user", 100, ClaimValidityTag.VALID, tick=1
+            "pol-1", "user", 100, ClaimValidity.VALID, tick=1
         )
         with pytest.raises(WrongState):
             ledger.escalate(claim.id, tick=2)
@@ -214,7 +246,7 @@ class TestEscalation:
         ledger = funded_ledger()
         underwrite(ledger)
         claim = ledger.file_claim(
-            "pol-1", "user", 100, ClaimValidityTag.VALID, tick=1
+            "pol-1", "user", 100, ClaimValidity.VALID, tick=1
         )
         with pytest.raises(WrongState):
             ledger.adjudicate(claim.id, fee=50, reputation_cost=10, tick=2)
@@ -242,7 +274,7 @@ class TestExpiry:
     def test_partial_claim_then_expiry(self):
         ledger = funded_ledger()
         underwrite(ledger)
-        claim = ledger.file_claim("pol-1", "user", 100, ClaimValidityTag.VALID, tick=1)
+        claim = ledger.file_claim("pol-1", "user", 100, ClaimValidity.VALID, tick=1)
         ledger.respond_claim(claim.id, accept=True, tick=2)
         ledger.expire_policy("pol-1", tick=100)
         # 50 of the 150 stake remains and returns to the insurer
@@ -265,7 +297,7 @@ class TestExpiry:
         ledger = funded_ledger()
         underwrite(ledger)
         claim = ledger.file_claim(
-            "pol-1", "user", 150, ClaimValidityTag.INVALID, tick=1
+            "pol-1", "user", 150, ClaimValidity.INVALID, tick=1
         )
         ledger.respond_claim(claim.id, accept=True, tick=2)
         policy = ledger.policies["pol-1"]
@@ -300,8 +332,8 @@ def random_operations(ledger: Ledger, rng: np.random.Generator, steps: int) -> i
                 claim = ledger.file_claim(
                     pid, "user",
                     int(rng.integers(1, 250)),
-                    ClaimValidityTag.VALID if rng.random() < 0.5
-                    else ClaimValidityTag.INVALID,
+                    ClaimValidity.VALID if rng.random() < 0.5
+                    else ClaimValidity.INVALID,
                     claim_bond=int(rng.integers(0, 5)),
                     incident_tick=max(0, tick - int(rng.integers(0, 30))),
                     tick=tick,
@@ -356,7 +388,7 @@ class TestConservationAndAtomicity:
     def test_terminal_claim_states_are_frozen(self):
         ledger = funded_ledger()
         underwrite(ledger)
-        claim = ledger.file_claim("pol-1", "user", 100, ClaimValidityTag.VALID, tick=1)
+        claim = ledger.file_claim("pol-1", "user", 100, ClaimValidity.VALID, tick=1)
         ledger.respond_claim(claim.id, accept=False, tick=2)
         ledger.drop_claim(claim.id, tick=3)
         for action in (
@@ -374,7 +406,7 @@ class TestExportLog:
         ledger = funded_ledger()
         underwrite(ledger)
         claim = ledger.file_claim(
-            "pol-1", "user", 100, ClaimValidityTag.VALID, claim_bond=5, tick=1
+            "pol-1", "user", 100, ClaimValidity.VALID, claim_bond=5, tick=1
         )
         ledger.respond_claim(claim.id, accept=True, tick=2)
         ledger.expire_policy("pol-1", tick=100)
