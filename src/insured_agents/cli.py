@@ -241,7 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.set_defaults(func=_cmd_simulate)
 
-    default_jobs = int(os.environ.get(_JOBS_ENV, "1") or "1")
+    jobs_env = os.environ.get(_JOBS_ENV, "") or "1"
+    try:
+        default_jobs = int(jobs_env)
+    except ValueError:
+        raise UsageError(f"{_JOBS_ENV}: not an integer: {jobs_env!r}") from None
     p_sweep = sub.add_parser("sweep", help="run a parameter grid")
     p_sweep.add_argument("--grid", required=True,
                          help="grid spec: name=v1,v2;name2=v3,... (decimal units)")
@@ -264,7 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    try:
+        parser = build_parser()
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -9,6 +9,13 @@ Escalation invokes an error-free verifier: the losing side forfeits its
 bond, and both escalation parties pay the verifier fee F. A claim is
 valid exactly when the agent misbehaved, so validity is pinned by the
 Stage-1 action and the tree has eight terminal paths.
+
+`build_game` computes the eight leaves once, in `ALL_PATHS` order: the
+honest agent's (invalid-claim) subtree, then the malicious agent's
+(valid-claim) one, each as (no-claim, accept, deny+drop, deny+escalate).
+The backward-induction solver `solve_spe` and the brute-force oracle
+`brute_force_spe` both read that per-validity table by position; they share
+its layout and nothing of their decision logic.
 """
 
 from __future__ import annotations
@@ -152,12 +159,22 @@ def leaf_payoffs(params: MechanismParams, path: TerminalPath) -> LeafPayoffs:
 
 @dataclass(frozen=True)
 class GameTree:
+    """The payoffs at every terminal path, keyed in `ALL_PATHS` order.
+
+    The solver and the oracle read `leaves` by position, so any other key
+    order is rejected.
+    """
+
     params: MechanismParams
     leaves: Mapping[TerminalPath, LeafPayoffs]
 
+    def __post_init__(self) -> None:
+        if tuple(self.leaves) != ALL_PATHS:
+            raise ValueError("leaves must be keyed by ALL_PATHS, in that order")
+
 
 def build_game(params: MechanismParams) -> GameTree:
-    """Build the fixed tree with payoffs attached at every terminal path."""
+    """Build the fixed tree: each terminal path's payoffs, in `ALL_PATHS` order."""
     return GameTree(
         params=params, leaves={path: leaf_payoffs(params, path) for path in ALL_PATHS}
     )
@@ -232,107 +249,51 @@ COMPLIANT_PROFILE = StrategyProfile(
 )
 
 
-def _subtree_leaf(
-    tree: GameTree,
-    agent: AgentAction,
-    claimed: bool,
-    response: InsurerResponse | None,
-    escalated: bool | None,
-) -> LeafPayoffs:
-    return tree.leaves[TerminalPath(agent, claimed, response, escalated)]
+# Indexed by the solver's bool: accepts, escalates.
+_RESPONSE = (InsurerResponse.DENY, InsurerResponse.ACCEPT)
+_ESCALATION = (EscalationChoice.DROP, EscalationChoice.ESCALATE)
 
 
 def solve_spe(tree: GameTree) -> tuple[StrategyProfile, LeafPayoffs]:
     """Backward-induction SPE with deterministic compliant tie-breaking.
 
-    At every node the acting player maximizes its own continuation payoff
-    given downstream choices; indifference resolves toward the compliant
-    action (Honest, NoClaim, Accept-valid / Deny-invalid, Drop), so the
-    result is unique and deterministic.
+    Reads the leaves by position from the per-validity table (no-claim,
+    accept, deny+drop, deny+escalate) of `_leaf_table`, so no terminal path
+    is built or hashed. Each claim subgame is solved from Stage 4 up to
+    Stage 2, then the agent picks between the two at Stage 1. At every node
+    the acting player maximizes its own continuation payoff given
+    downstream choices; indifference resolves toward the compliant action
+    (Honest, NoClaim, Accept-valid / Deny-invalid, Drop), so the result is
+    unique and deterministic.
     """
-    agents = {
-        ClaimValidity.VALID: AgentAction.MALICIOUS,
-        ClaimValidity.INVALID: AgentAction.HONEST,
-    }
-
-    # Stage 4: user decides escalation after a denial, per validity.
-    escalate: dict[ClaimValidity, EscalationChoice] = {}
-    for validity, agent in agents.items():
-        esc = _subtree_leaf(tree, agent, True, InsurerResponse.DENY, True)
-        drop = _subtree_leaf(tree, agent, True, InsurerResponse.DENY, False)
-        escalate[validity] = (
-            EscalationChoice.ESCALATE
-            if esc.pi_U > drop.pi_U
-            else EscalationChoice.DROP
-        )
-
-    # Stage 3: insurer responds, anticipating Stage 4.
-    respond: dict[ClaimValidity, InsurerResponse] = {}
-    for validity, agent in agents.items():
-        accept = _subtree_leaf(tree, agent, True, InsurerResponse.ACCEPT, None)
-        deny = _subtree_leaf(
-            tree,
-            agent,
-            True,
-            InsurerResponse.DENY,
-            escalate[validity] is EscalationChoice.ESCALATE,
-        )
-        if validity is ClaimValidity.VALID:
-            # Tie goes to Accept: paying valid claims is compliant.
-            choice = (
-                InsurerResponse.ACCEPT
-                if accept.pi_I >= deny.pi_I
-                else InsurerResponse.DENY
-            )
-        else:
-            # Tie goes to Deny: rejecting invalid claims is compliant.
-            choice = (
-                InsurerResponse.DENY
-                if deny.pi_I >= accept.pi_I
-                else InsurerResponse.ACCEPT
-            )
-        respond[validity] = choice
-
-    def claim_continuation(validity: ClaimValidity) -> LeafPayoffs:
-        agent = agents[validity]
-        if respond[validity] is InsurerResponse.ACCEPT:
-            return _subtree_leaf(tree, agent, True, InsurerResponse.ACCEPT, None)
-        return _subtree_leaf(
-            tree,
-            agent,
-            True,
-            InsurerResponse.DENY,
-            escalate[validity] is EscalationChoice.ESCALATE,
-        )
-
-    # Stage 2: user decides whether to file, per harm state.
-    claims: dict[ClaimValidity, bool] = {}
-    for validity, agent in agents.items():
-        no_claim = _subtree_leaf(tree, agent, False, None, None)
-        claims[validity] = claim_continuation(validity).pi_U > no_claim.pi_U
-
-    def stage2_continuation(validity: ClaimValidity) -> LeafPayoffs:
-        if claims[validity]:
-            return claim_continuation(validity)
-        return _subtree_leaf(tree, agents[validity], False, None, None)
+    subgames = []
+    for (no_claim, accept, drop, esc), valid in zip(_leaf_table(tree), (False, True)):
+        # Stage 4: user decides escalation after a denial.
+        escalates = esc.pi_U > drop.pi_U
+        deny = esc if escalates else drop
+        # Stage 3: insurer responds, anticipating Stage 4. A tie goes to
+        # Accept on a valid claim and to Deny on an invalid one.
+        accepts = accept.pi_I >= deny.pi_I if valid else accept.pi_I > deny.pi_I
+        filed = accept if accepts else deny
+        # Stage 2: user decides whether to file.
+        claims = filed.pi_U > no_claim.pi_U
+        subgames.append((escalates, accepts, claims, filed if claims else no_claim))
+    (esc_invalid, acc_invalid, claims_unharmed, honest), (
+        esc_valid, acc_valid, claims_harmed, malicious
+    ) = subgames
 
     # Stage 1: agent compares full continuations.
-    honest = stage2_continuation(ClaimValidity.INVALID)
-    malicious = stage2_continuation(ClaimValidity.VALID)
-    agent_action = (
-        AgentAction.HONEST if honest.pi_A >= malicious.pi_A else AgentAction.MALICIOUS
-    )
-
+    stays_honest = honest.pi_A >= malicious.pi_A
     profile = StrategyProfile(
-        agent=agent_action,
-        claims_when_harmed=claims[ClaimValidity.VALID],
-        claims_when_unharmed=claims[ClaimValidity.INVALID],
-        respond_valid=respond[ClaimValidity.VALID],
-        respond_invalid=respond[ClaimValidity.INVALID],
-        escalate_valid=escalate[ClaimValidity.VALID],
-        escalate_invalid=escalate[ClaimValidity.INVALID],
+        agent=AgentAction.HONEST if stays_honest else AgentAction.MALICIOUS,
+        claims_when_harmed=claims_harmed,
+        claims_when_unharmed=claims_unharmed,
+        respond_valid=_RESPONSE[acc_valid],
+        respond_invalid=_RESPONSE[acc_invalid],
+        escalate_valid=_ESCALATION[esc_valid],
+        escalate_invalid=_ESCALATION[esc_invalid],
     )
-    return profile, tree.leaves[profile.outcome_path()]
+    return profile, honest if stays_honest else malicious
 
 
 def _all_profiles() -> tuple[StrategyProfile, ...]:
@@ -351,24 +312,16 @@ def _all_profiles() -> tuple[StrategyProfile, ...]:
 _ALL_PROFILES = _all_profiles()
 
 
-def _leaf_table(tree: GameTree) -> dict[ClaimValidity, tuple[LeafPayoffs, ...]]:
-    """Per-validity leaves: (no-claim, accept, deny+drop, deny+escalate)."""
-    table = {}
-    for validity, agent in (
-        (ClaimValidity.INVALID, AgentAction.HONEST),
-        (ClaimValidity.VALID, AgentAction.MALICIOUS),
-    ):
-        table[validity] = (
-            tree.leaves[TerminalPath(agent, False)],
-            tree.leaves[TerminalPath(agent, True, InsurerResponse.ACCEPT)],
-            tree.leaves[TerminalPath(agent, True, InsurerResponse.DENY, False)],
-            tree.leaves[TerminalPath(agent, True, InsurerResponse.DENY, True)],
-        )
-    return table
+def _leaf_table(tree: GameTree) -> tuple[tuple[LeafPayoffs, ...], ...]:
+    """The leaves by position: the invalid-claim (honest agent) subtree, then
+    the valid-claim (malicious agent) one, each (no-claim, accept, deny+drop,
+    deny+escalate), as `ALL_PATHS` lists them."""
+    leaves = tuple(tree.leaves.values())
+    return leaves[:4], leaves[4:]
 
 
 def _one_shot_ok(
-    table: dict[ClaimValidity, tuple[LeafPayoffs, ...]],
+    table: tuple[tuple[LeafPayoffs, ...], ...],
     malicious: bool,
     claims_harmed: bool,
     claims_unharmed: bool,
@@ -382,12 +335,12 @@ def _one_shot_ok(
     The game is finite with perfect information, so no node admitting a
     strictly profitable single deviation is exactly subgame perfection.
     """
-    continuation = {}
-    for validity, files, accepts, escalates in (
-        (ClaimValidity.VALID, claims_harmed, accepts_valid, escalates_valid),
-        (ClaimValidity.INVALID, claims_unharmed, accepts_invalid, escalates_invalid),
+    invalid, valid = table
+    continuation = []
+    for (no_claim, accept, drop, esc), files, accepts, escalates in (
+        (invalid, claims_unharmed, accepts_invalid, escalates_invalid),
+        (valid, claims_harmed, accepts_valid, escalates_valid),
     ):
-        no_claim, accept, drop, esc = table[validity]
         chosen4 = esc if escalates else drop
         if esc.pi_U > chosen4.pi_U or drop.pi_U > chosen4.pi_U:
             return False
@@ -397,9 +350,8 @@ def _one_shot_ok(
         chosen2 = chosen3 if files else no_claim
         if chosen3.pi_U > chosen2.pi_U or no_claim.pi_U > chosen2.pi_U:
             return False
-        continuation[validity] = chosen2
-    honest = continuation[ClaimValidity.INVALID].pi_A
-    deviant = continuation[ClaimValidity.VALID].pi_A
+        continuation.append(chosen2.pi_A)
+    honest, deviant = continuation
     chosen1 = deviant if malicious else honest
     return honest <= chosen1 and deviant <= chosen1
 

@@ -58,6 +58,8 @@ def units(x: int | str | Decimal) -> int:
         d = Decimal(str(x))
     except InvalidOperation as exc:
         raise MoneyError(f"not a decimal amount: {x!r}") from exc
+    if not d.is_finite():
+        raise MoneyError(f"not a finite amount: {x!r}")
     scaled = d * UNIT
     if scaled != scaled.to_integral_value():
         raise RoundingForbiddenError(

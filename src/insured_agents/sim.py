@@ -8,7 +8,9 @@ independent of execution order and a (config, seed) pair fully determines
 every report field.
 
 An enforced episode first fixes the game path it will play: the solver's
-strategy profile with the behavior policies written over it. `play_path`
+strategy profile with the behavior policies written over it. The profile
+is solved once per distinct episode parameter set and kept in a bounded
+memo (`_solved_profile`). `play_path`
 then drives that path through the ledger; `replay_game_path`, which
 criterion 6 checks against the game tree, runs the same function.
 
@@ -23,8 +25,10 @@ value (the game measures compensation from pre-harm wealth).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -140,6 +144,12 @@ class ScenarioConfig:
             raise ScenarioError("population", "must list at least one agent profile")
         if self.pricing not in ("flat", "experience"):
             raise ScenarioError("pricing", f"unknown pricing mode {self.pricing!r}")
+        loadings = [("loading", self.loading)]
+        if self.stack is not None:
+            loadings.append(("stack.loading", self.stack.loading))
+        for path, loading in loadings:
+            if not (math.isfinite(loading) and loading >= 0):
+                raise ScenarioError(path, f"must be finite and non-negative, got {loading}")
         check_amount(self.claim_bond)
 
 
@@ -212,6 +222,16 @@ _INSURER_ID = "insurer-0"
 
 def _episode_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([seed, index])
+
+
+@functools.lru_cache(maxsize=256)
+def _solved_profile(ep: MechanismParams) -> StrategyProfile:
+    """The SPE profile of `ep`'s game, solved once per distinct `ep`.
+
+    Episodes with one gain and a flat premium share one `ep`. The memo is
+    bounded because experience pricing gives most episodes their own.
+    """
+    return solve_spe(build_game(ep))[0]
 
 
 def _funding(config: ScenarioConfig) -> int:
@@ -342,7 +362,7 @@ class _World:
         else:
             premium = config.params.P
         ep = replace(config.params, G=gain, P=premium)
-        profile, _ = solve_spe(build_game(ep))
+        profile = _solved_profile(ep)
 
         if not config.enforcement_enabled:
             action = self._agent_action(profile, agent, ep, rng)
@@ -667,6 +687,17 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         except (ValueError, TypeError) as exc:
             raise ScenarioError(path, str(exc)) from None
 
+    def number(value, kind: type, path: str):
+        try:
+            return kind(value)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ScenarioError(path, str(exc)) from None
+
+    def flag(value, path: str) -> bool:
+        if not isinstance(value, bool):
+            raise ScenarioError(path, f"must be true or false, got {value!r}")
+        return value
+
     raw_params = need("params")
     if not isinstance(raw_params, dict):
         raise ScenarioError("params", "must be an object")
@@ -702,7 +733,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
                     id=str(entry["id"]),
                     theta=float(entry.get("theta", 0.0)),
                     gain=gain,
-                    audit_access_granted=bool(entry.get("audit_access", True)),
+                    audit_access_granted=flag(
+                        entry.get("audit_access", True), f"{path}.audit_access"
+                    ),
                 )
             )
         except ScenarioError:
@@ -751,23 +784,20 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         except (ValueError, TypeError) as exc:
             raise ScenarioError("stack", str(exc)) from None
 
-    try:
-        config = ScenarioConfig(
-            seed=int(need("seed")),
-            episodes=int(need("episodes")),
-            params=params,
-            population=tuple(population),
-            policy=policy,
-            enforcement_enabled=bool(doc.get("enforcement_enabled", True)),
-            claim_bond=money(doc.get("claim_bond", 0), "claim_bond"),
-            pricing=str(doc.get("pricing", "flat")),
-            loading=float(doc.get("loading", 0.0)),
-            stack=stack_spec,
-        )
-    except ScenarioError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ScenarioError("$", str(exc)) from None
+    config = ScenarioConfig(
+        seed=number(need("seed"), int, "seed"),
+        episodes=number(need("episodes"), int, "episodes"),
+        params=params,
+        population=tuple(population),
+        policy=policy,
+        enforcement_enabled=flag(
+            doc.get("enforcement_enabled", True), "enforcement_enabled"
+        ),
+        claim_bond=money(doc.get("claim_bond", 0), "claim_bond"),
+        pricing=str(doc.get("pricing", "flat")),
+        loading=number(doc.get("loading", 0.0), float, "loading"),
+        stack=stack_spec,
+    )
     config.validate()
     return config
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from insured_agents import cli
 from insured_agents.cli import main
 
 BASE_FLAGS = [
@@ -52,6 +53,12 @@ class TestCheck:
     def test_negative_amount_exits_two(self, capsys):
         flags = list(BASE_FLAGS)
         flags[1] = "-5"
+        assert main(["check", *flags]) == 2
+
+    @pytest.mark.parametrize("value", ["inf", "NaN"])
+    def test_non_finite_amount_exits_two(self, value, capsys):
+        flags = list(BASE_FLAGS)
+        flags[1] = value
         assert main(["check", *flags]) == 2
 
     def test_sub_unit_precision_rejected(self, capsys):
@@ -156,6 +163,21 @@ class TestSweep:
         ])
         assert code == 2
         assert "unknown grid parameter" in capsys.readouterr().err
+
+
+class TestJobsEnvironment:
+    def test_malformed_value_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("INSURED_AGENTS_JOBS", "abc")
+        assert main(["check", *BASE_FLAGS]) == 2
+        assert "error: INSURED_AGENTS_JOBS: " in capsys.readouterr().err
+
+    def test_value_sets_default_jobs(self, monkeypatch, scenario_file, tmp_path, capsys):
+        monkeypatch.setenv("INSURED_AGENTS_JOBS", "3")
+        seen = []
+        monkeypatch.setattr(cli, "sweep", lambda config, grid, jobs: seen.append(jobs) or [])
+        assert main(["sweep", "--scenario", str(scenario_file), "--grid", "G=40",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert seen == [3]
 
 
 class TestStack:

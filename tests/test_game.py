@@ -17,7 +17,7 @@ from insured_agents import (
     scale_params,
     solve_spe,
 )
-from insured_agents.game import is_subgame_perfect
+from insured_agents.game import GameTree, _leaf_table, is_subgame_perfect
 
 from conftest import random_params, equilibrium_params
 
@@ -83,6 +83,27 @@ class TestBuildGame:
         differing = [path for path in ALL_PATHS if a[path] != b[path]]
         assert differing == [M_ESC]
         assert a[M_ESC].pi_I != b[M_ESC].pi_I
+
+    def test_leaf_table_slots(self):
+        # The solver and the oracle read these slots by position.
+        tree = build_game(make())
+        for agent, subtree in zip(
+            (AgentAction.HONEST, AgentAction.MALICIOUS), _leaf_table(tree)
+        ):
+            paths = (
+                TerminalPath(agent, False),
+                TerminalPath(agent, True, InsurerResponse.ACCEPT),
+                TerminalPath(agent, True, InsurerResponse.DENY, False),
+                TerminalPath(agent, True, InsurerResponse.DENY, True),
+            )
+            assert len(subtree) == len(paths)
+            for slot, path in zip(subtree, paths):
+                assert slot is tree.leaves[path]
+
+    def test_leaves_out_of_order_rejected(self):
+        leaves = build_game(make()).leaves
+        with pytest.raises(ValueError):
+            GameTree(make(), dict(reversed(leaves.items())))
 
     def test_invalid_path_shapes_rejected(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,9 @@ denied and escalated, denied and dropped, excluded agents, stack and experience
 pricing, enforcement off). The canonical report is compared byte for byte
 with `golden/reports/<name>.json`, and the `--episodes-log` output by its
 sha256 in `golden/episodes.sha256`. The sweep CSV of the criterion-11 grid
-must equal `golden/sweep_criterion11.csv` at one and at two jobs.
+must equal `golden/sweep_criterion11.csv` at one and at two jobs. The solver's
+and the oracle's answers on a small-integer parameter grid, where payoff ties
+are common, must hash to `golden/solver_grid.sha256`.
 
 To record the files from the current build (only when a change is meant to
 alter the outputs, and say so in the change log):
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
@@ -25,6 +28,8 @@ from pathlib import Path
 import pytest
 
 from insured_agents.cli import main as cli_main
+from insured_agents.game import brute_force_spe, build_game, solve_spe
+from insured_agents.mechanism import MechanismParams
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -129,6 +134,22 @@ def sweep_csv(jobs: int, workdir: Path) -> bytes:
     return out.read_bytes()
 
 
+def solver_grid_digest() -> str:
+    """sha256 over repr of the solver's and the oracle's result at every grid point.
+
+    Every unsigned field takes 0 or 1 micro-units and Pi_honest takes -1, 0
+    or 1, so most comparisons the solver makes are ties and each compliant
+    tie-break decides part of the result.
+    """
+    digest = hashlib.sha256()
+    for values in itertools.product((0, 1), repeat=9):
+        for pi_honest in (-1, 0, 1):
+            tree = build_game(MechanismParams(*values, Pi_honest=pi_honest))
+            digest.update(repr(solve_spe(tree)).encode())
+            digest.update(repr(brute_force_spe(tree)).encode())
+    return digest.hexdigest()
+
+
 def _recorded_episode_digests() -> dict[str, str]:
     lines = (GOLDEN / "episodes.sha256").read_text().splitlines()
     return {name: digest for digest, name in (line.split() for line in lines)}
@@ -146,6 +167,10 @@ def test_sweep_csv_matches_golden(jobs, tmp_path):
     assert sweep_csv(jobs, tmp_path) == (GOLDEN / "sweep_criterion11.csv").read_bytes()
 
 
+def test_solver_grid_matches_golden():
+    assert solver_grid_digest() == (GOLDEN / "solver_grid.sha256").read_text().strip()
+
+
 def write_golden() -> None:
     (GOLDEN / "reports").mkdir(parents=True, exist_ok=True)
     digests = []
@@ -159,6 +184,7 @@ def write_golden() -> None:
         assert sweep_csv(2, workdir) == csv
         (GOLDEN / "sweep_criterion11.csv").write_bytes(csv)
     (GOLDEN / "episodes.sha256").write_text("".join(digests))
+    (GOLDEN / "solver_grid.sha256").write_text(solver_grid_digest() + "\n")
 
 
 if __name__ == "__main__":

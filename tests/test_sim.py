@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import pytest
@@ -24,6 +25,7 @@ from insured_agents.sim import (
     ScenarioConfig,
     ScenarioError,
     UserPolicy,
+    _solved_profile,
     scenario_from_dict,
 )
 
@@ -272,6 +274,51 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="policies"):
             scenario_from_dict(scenario_doc(policies={"agent": "chaotic"}))
 
+    @pytest.mark.parametrize("field, value, path", [
+        ("episodes", "ten", "episodes"),
+        ("seed", "x", "seed"),
+        ("seed", float("inf"), "seed"),
+        ("loading", "high", "loading"),
+        ("loading", -5, "loading"),
+        ("loading", float("nan"), "loading"),
+        ("enforcement_enabled", "false", "enforcement_enabled"),
+        ("enforcement_enabled", 0, "enforcement_enabled"),
+    ])
+    def test_bad_top_level_field_has_its_path(self, field, value, path):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(scenario_doc(**{field: value}))
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("value", ["no", "false", 1, None])
+    def test_non_boolean_audit_access_rejected(self, value):
+        doc = scenario_doc(population=[{"id": "a0", "audit_access": value}])
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.path == "population[0].audit_access"
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), "Infinity"])
+    def test_non_finite_amount_rejected(self, value):
+        doc = scenario_doc()
+        doc["params"]["L"] = value
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.path == "params.L"
+
+    def test_boolean_flags_round_trip(self):
+        doc = scenario_doc(
+            enforcement_enabled=False,
+            population=[{"id": "a0", "audit_access": False}],
+        )
+        config = scenario_from_dict(doc)
+        assert config.enforcement_enabled is False
+        assert config.population[0].audit_access_granted is False
+
+    def test_negative_stack_loading_has_its_path(self):
+        doc = scenario_doc(stack={"base_risk": 0.05, "loading": -1})
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.path == "stack.loading"
+
     def test_stack_round_trip(self):
         doc = scenario_doc(stack={
             "base_risk": 0.05,
@@ -283,6 +330,49 @@ class TestScenarioParsing:
         assert config.stack is not None
         report = run_scenario(replace(config, episodes=5))
         assert report.completed == 5
+
+
+class TestSolvedProfileMemo:
+    def test_memo_stays_bounded(self):
+        # Experience pricing gives each episode its own premium, so this
+        # scenario has more distinct MechanismParams than the memo holds.
+        _solved_profile.cache_clear()
+        config = scenario_from_dict(scenario_doc(
+            episodes=600, pricing="experience", loading=0.2,
+            params={**scenario_doc()["params"], "Pi_honest": 200},
+        ))
+        run_scenario(config)
+        info = _solved_profile.cache_info()
+        assert info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
+
+    def test_cold_and_warm_memo_give_the_same_report(self):
+        config = make_config(
+            episodes=200,
+            population=(
+                AgentProfile(id="a0", gain=GainModel("geometric", units(60))),
+                AgentProfile(id="a1", theta=0.4),
+            ),
+            policy=BehaviorPolicy(agent=AgentPolicy.OPPORTUNISTIC, opportunistic_p=0.5),
+        )
+        _solved_profile.cache_clear()
+        cold = run_scenario(config).to_json()
+        assert _solved_profile.cache_info().hits > 0
+        assert run_scenario(config).to_json() == cold
+
+    def test_threads_sharing_the_memo_agree_with_one_thread(self):
+        config = make_config(episodes=40)
+        grid = [("G", [units(10), units(40), units(200)]), ("F", [units(50), units(500)])]
+        _solved_profile.cache_clear()
+        serial = sweep(config, grid, jobs=1)
+        _solved_profile.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = sweep(config, grid, jobs=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
 
 
 class TestConservation:
