@@ -16,7 +16,6 @@ fixed column order, so runs are byte-reproducible.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .game import build_game, brute_force_spe, solve_spe
@@ -24,8 +23,6 @@ from .market import Certificate, compose_stack, stack_premium
 from .mechanism import MechanismParams, check_conditions
 from .money import MoneyError, format_units, units
 from .sim import ScenarioError, load_scenario, run_scenario_with_records, sweep
-
-_JOBS_ENV = "INSURED_AGENTS_JOBS"
 
 
 class UsageError(Exception):
@@ -241,19 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.set_defaults(func=_cmd_simulate)
 
-    jobs_env = os.environ.get(_JOBS_ENV, "") or "1"
-    try:
-        default_jobs = int(jobs_env)
-    except ValueError:
-        raise UsageError(f"{_JOBS_ENV}: not an integer: {jobs_env!r}") from None
     p_sweep = sub.add_parser("sweep", help="run a parameter grid")
     p_sweep.add_argument("--grid", required=True,
                          help="grid spec: name=v1,v2;name2=v3,... (decimal units)")
     p_sweep.add_argument("--scenario", required=True,
                          help="base scenario file for every cell")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
-    p_sweep.add_argument("--jobs", type=int, default=default_jobs,
-                         help=f"parallel cells (default ${_JOBS_ENV} or 1)")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="parallel cells (default 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_stack = sub.add_parser("stack", help="compose an underwriting stack")
@@ -269,12 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_parser()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep that contract.
         return int(exc.code or 0)

@@ -1,11 +1,12 @@
 """Double-entry ledger and the policy/claim lifecycle state machine.
 
 Money only ever moves between accounts (wallets, escrows, the verifier
-fee sink), so the total supply is invariant under every operation. All
-operations are atomic: a failed precondition raises before the first
-transfer and leaves the ledger untouched. That includes settlements: a
-claim larger than its policy's remaining escrowed stake is refused, so the
-stake never goes negative and never eats into the agent's deductible.
+fee sink), so the total supply is invariant under every operation. A
+single operation validates before its first transfer: a failed precondition
+raises and leaves the ledger untouched. That includes settlements: a claim
+larger than its policy's remaining escrowed stake is refused, so the stake
+never goes negative and never eats into the agent's deductible. Several
+operations that must succeed or fail as one run in `with ledger.atomic():`.
 
 Lifecycle: underwrite -> (verify_coverage) -> file_claim ->
 respond_claim -> [escalate -> adjudicate] -> expire_policy.
@@ -199,6 +200,8 @@ class Ledger:
         self.shortfalls: list[ShortfallEvent] = []
         self.defaulted: set[AccountId] = set()
         self._claim_seq = 0
+        # In an atomic block: id(record) -> (record, its fields), None if new.
+        self._saved: dict | None = None
 
     # -- accounts ---------------------------------------------------------
 
@@ -213,6 +216,34 @@ class Ledger:
     def total_supply(self) -> int:
         """Sum of every balance, escrows and sinks included."""
         return sum(self.balances.values())
+
+    def atomic(self) -> _Atomic:
+        """A block that, if it raises, leaves the whole ledger as at entry:
+        balances, transfers, policies, claims, shortfalls, defaulted parties
+        and the claim sequence.
+
+        Entry is O(1) in ledger size: books are append-only, so undoing
+        replays the new transfers in reverse and truncates, and a record that
+        existed before the block is saved when the block first touches it.
+        A nested block joins the outermost one. `deposit` is not undone.
+        """
+        return _Atomic(self)
+
+    def _undo(self, marks: tuple) -> None:
+        (n_transfers, n_shortfalls, n_balances, n_policies, n_claims,
+         self._claim_seq, self.defaulted) = marks
+        for t in reversed(self.transfers[n_transfers:]):
+            self.balances[t.dst] -= t.amount
+            self.balances[t.src] += t.amount
+        del self.transfers[n_transfers:]
+        del self.shortfalls[n_shortfalls:]
+        for book, mark in ((self.balances, n_balances), (self.policies, n_policies),
+                           (self.claims, n_claims)):
+            while len(book) > mark:
+                book.popitem()
+        for saved in self._saved.values():
+            if saved is not None:
+                vars(saved[0]).update(saved[1])
 
     def pay(
         self, src: AccountId, dst: AccountId, amount: int, tick: int, memo: Memo
@@ -346,7 +377,7 @@ class Ledger:
             escrowed_stake=coverage,
             escrowed_deductible=deductible,
         )
-        self.policies[policy_id] = policy
+        self._file(self.policies, policy)
         return policy, self.issue_credential(policy)
 
     def file_claim(
@@ -388,7 +419,7 @@ class Ledger:
             filed_tick=tick,
             claim_bond=claim_bond,
         )
-        self.claims[claim_id] = claim
+        self._file(self.claims, claim)
         return claim
 
     def respond_claim(self, claim_id: str, accept: bool, tick: int) -> ClaimRecord:
@@ -541,16 +572,26 @@ class Ledger:
     # -- internals --------------------------------------------------------
 
     def _policy(self, policy_id: str) -> PolicyRecord:
-        try:
-            return self.policies[policy_id]
-        except KeyError:
-            raise WrongState(f"unknown policy {policy_id}") from None
+        return self._record(self.policies, policy_id, "policy")
 
     def _claim(self, claim_id: str) -> ClaimRecord:
-        try:
-            return self.claims[claim_id]
-        except KeyError:
-            raise WrongState(f"unknown claim {claim_id}") from None
+        return self._record(self.claims, claim_id, "claim")
+
+    def _record(self, book: dict, key: str, kind: str):
+        """Every record an operation may change is fetched here, so inside an
+        atomic block its fields are saved before the first change."""
+        record = book.get(key)
+        if record is None:
+            raise WrongState(f"unknown {kind} {key}")
+        if self._saved is not None and id(record) not in self._saved:
+            self._saved[id(record)] = (record, vars(record).copy())
+        return record
+
+    def _file(self, book: dict, record: PolicyRecord | ClaimRecord) -> None:
+        """Add a new record; an atomic block that raises just drops it."""
+        book[record.id] = record
+        if self._saved is not None:
+            self._saved[id(record)] = None
 
     @staticmethod
     def _check_transition(claim: ClaimRecord, target: ClaimState) -> None:
@@ -601,3 +642,29 @@ class Ledger:
         if policy.escrowed_stake == 0 and policy.status is PolicyStatus.ACTIVE:
             self._release_escrow(policy, tick)
             policy.status = PolicyStatus.EXHAUSTED
+
+
+class _Atomic:
+    """The context manager `Ledger.atomic()` returns."""
+
+    __slots__ = ("ledger", "marks")
+
+    def __init__(self, ledger: Ledger):
+        self.ledger = ledger
+        self.marks: tuple | None = None
+
+    def __enter__(self) -> None:
+        ledger = self.ledger
+        if ledger._saved is None:  # outermost block
+            ledger._saved = {}
+            self.marks = (
+                len(ledger.transfers), len(ledger.shortfalls), len(ledger.balances),
+                len(ledger.policies), len(ledger.claims), ledger._claim_seq,
+                set(ledger.defaulted),
+            )
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.marks is not None:
+            if exc_type is not None:
+                self.ledger._undo(self.marks)
+            self.ledger._saved = None

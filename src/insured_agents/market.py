@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .ledger import CoverageCredential, Ledger, PolicyRecord, Role, AccountId
-from .ledger import Memo
+from .ledger import AccountId, CoverageCredential, Ledger, Memo, PolicyRecord, Role
 from .mechanism import MechanismParams
 from .money import check_amount
 
@@ -204,6 +203,7 @@ def underwrite_stack(
     The policy is priced at the stack's residual risk. A configured cut of
     the premium flows to the Layer-1 issuers, split in proportion to their
     discounts; the master keeps the remainder and bears all liability.
+    The underwrite and the premium shares succeed or fail as one.
     """
     if certificates is not None:
         for cert in certificates:
@@ -212,30 +212,19 @@ def underwrite_stack(
     if not 0.0 <= layer1_cut <= 1.0:
         raise ValueError(f"layer1_cut must lie in [0, 1], got {layer1_cut}")
     premium = stack_premium(stack, coverage, loading)
-    policy, credential = ledger.underwrite(
-        policy_id,
-        agent,
-        stack.master,
-        coverage=coverage,
-        deductible=deductible,
-        premium=premium,
-        bond=bond,
-        claim_deadline=claim_deadline,
-        expiry_tick=expiry_tick,
-        tick=tick,
-    )
     total_discount = sum(Fraction(str(c.risk_discount)) for c in stack.layer1)
-    if total_discount > 0 and layer1_cut > 0:
-        pool = Fraction(str(layer1_cut)) * premium
-        master_wallet = AccountId(Role.INSURER_WALLET, stack.master)
-        for cert in stack.layer1:
-            share = int(pool * Fraction(str(cert.risk_discount)) / total_discount)
-            if share > 0:
-                ledger.pay(
-                    master_wallet,
-                    AccountId(Role.INSURER_WALLET, cert.issuer),
-                    share,
-                    tick,
-                    Memo.PREMIUM,
-                )
+    with ledger.atomic():
+        policy, credential = ledger.underwrite(
+            policy_id, agent, stack.master, coverage=coverage, deductible=deductible,
+            premium=premium, bond=bond, claim_deadline=claim_deadline,
+            expiry_tick=expiry_tick, tick=tick,
+        )
+        if total_discount > 0 and layer1_cut > 0:
+            pool = Fraction(str(layer1_cut)) * premium
+            master_wallet = AccountId(Role.INSURER_WALLET, stack.master)
+            for cert in stack.layer1:
+                share = int(pool * Fraction(str(cert.risk_discount)) / total_discount)
+                if share > 0:
+                    issuer_wallet = AccountId(Role.INSURER_WALLET, cert.issuer)
+                    ledger.pay(master_wallet, issuer_wallet, share, tick, Memo.PREMIUM)
     return policy, credential

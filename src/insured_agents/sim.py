@@ -30,7 +30,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -194,21 +194,7 @@ class MetricsReport:
     market_concentration: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "episodes": self.episodes,
-            "completed": self.completed,
-            "excluded": self.excluded,
-            "aborted": self.aborted,
-            "misbehavior_rate": self.misbehavior_rate,
-            "dispute_rate": self.dispute_rate,
-            "mean_resolution_ticks": self.mean_resolution_ticks,
-            "user_loss_distribution": self.user_loss_distribution,
-            "insurer_loss_ratio": self.insurer_loss_ratio,
-            "verifier_invocations": self.verifier_invocations,
-            "audit_access_events": self.audit_access_events,
-            "market_concentration": self.market_concentration,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
     def to_json(self) -> str:
         """Canonical key-sorted rendering; byte-stable for a given scenario."""
@@ -384,16 +370,14 @@ class _World:
             AccountId(Role.USER_WALLET, _USER_ID),
         )
         before = [self.ledger.balance(w) for w in wallets]
-        n_transfers = len(self.ledger.transfers)
-        policy_id = f"ep-{index}"
         try:
-            policy = self._underwrite(agent, ep, policy_id, premium, tick0)
-            claim = play_path(
-                self.ledger, policy, path, _USER_ID, ep,
-                claim_bond=config.claim_bond, tick=tick0,
-            )
+            with self.ledger.atomic():
+                policy = self._underwrite(agent, ep, f"ep-{index}", premium, tick0)
+                claim = play_path(
+                    self.ledger, policy, path, _USER_ID, ep,
+                    claim_bond=config.claim_bond, tick=tick0,
+                )
         except LedgerError:
-            self._rollback(n_transfers, policy_id)
             record.aborted = True
             return record
 
@@ -427,44 +411,20 @@ class _World:
         premium: int,
         tick0: int,
     ) -> PolicyRecord:
+        expiry_tick = tick0 + _TICKS_PER_EPISODE - 1
         if self.stack is not None:
-            policy, _ = underwrite_stack(
-                self.ledger,
-                agent.id,
-                self.stack,
-                policy_id=policy_id,
-                coverage=ep.L,
-                deductible=ep.S_A,
-                bond=ep.B,
-                loading=self.config.stack.loading,
-                claim_deadline=_TICKS_PER_EPISODE,
-                expiry_tick=tick0 + _TICKS_PER_EPISODE - 1,
-                tick=tick0,
-                layer1_cut=self.config.stack.layer1_cut,
-            )
-        else:
-            policy, _ = self.ledger.underwrite(
-                policy_id,
-                agent.id,
-                _INSURER_ID,
-                coverage=ep.L,
-                deductible=ep.S_A,
-                premium=premium,
-                bond=ep.B,
-                claim_deadline=_TICKS_PER_EPISODE,
-                expiry_tick=tick0 + _TICKS_PER_EPISODE - 1,
-                tick=tick0,
-            )
-        return policy
-
-    def _rollback(self, n_transfers: int, policy_id: str) -> None:
-        while len(self.ledger.transfers) > n_transfers:
-            t = self.ledger.transfers.pop()
-            self.ledger.balances[t.dst] -= t.amount
-            self.ledger.balances[t.src] = self.ledger.balances.get(t.src, 0) + t.amount
-        self.ledger.policies.pop(policy_id, None)
-        for claim_id in [c for c in self.ledger.claims if c.startswith(policy_id + "/")]:
-            del self.ledger.claims[claim_id]
+            spec = self.config.stack
+            return underwrite_stack(
+                self.ledger, agent.id, self.stack, policy_id=policy_id, coverage=ep.L,
+                deductible=ep.S_A, bond=ep.B, loading=spec.loading,
+                claim_deadline=_TICKS_PER_EPISODE, expiry_tick=expiry_tick, tick=tick0,
+                layer1_cut=spec.layer1_cut,
+            )[0]
+        return self.ledger.underwrite(
+            policy_id, agent.id, _INSURER_ID, coverage=ep.L, deductible=ep.S_A,
+            premium=premium, bond=ep.B, claim_deadline=_TICKS_PER_EPISODE,
+            expiry_tick=expiry_tick, tick=tick0,
+        )[0]
 
 
 def run_scenario_with_records(
@@ -497,15 +457,6 @@ def _aggregate(config: ScenarioConfig, records: list[EpisodeRecord]) -> MetricsR
         losses[key] = losses.get(key, 0) + 1
     premiums = sum(r.premium_paid for r in completed)
     paid = sum(r.compensation_paid for r in completed)
-    insured = [r for r in completed if r.premium_paid > 0 or config.enforcement_enabled]
-    concentration: dict[str, float] = {}
-    if insured:
-        counts: dict[str, int] = {}
-        for r in insured:
-            if r.insurer_id:
-                counts[r.insurer_id] = counts.get(r.insurer_id, 0) + 1
-        total = sum(counts.values())
-        concentration = {k: v / total for k, v in sorted(counts.items())} if total else {}
     return MetricsReport(
         episodes=len(records),
         completed=n,
@@ -518,7 +469,8 @@ def _aggregate(config: ScenarioConfig, records: list[EpisodeRecord]) -> MetricsR
         insurer_loss_ratio=paid / premiums if premiums else 0.0,
         verifier_invocations=verifier,
         audit_access_events=audits,
-        market_concentration=concentration,
+        # Every record names the one insurer; none pays a premium unenforced.
+        market_concentration={_INSURER_ID: 1.0} if config.enforcement_enabled and n else {},
     )
 
 
@@ -687,9 +639,14 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         except (ValueError, TypeError) as exc:
             raise ScenarioError(path, str(exc)) from None
 
-    def number(value, kind: type, path: str):
+    def integer(value, path: str) -> int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ScenarioError(path, f"must be an integer, got {value!r}")
+        return value
+
+    def number(value, path: str) -> float:
         try:
-            return kind(value)
+            return float(value)
         except (ValueError, TypeError, OverflowError) as exc:
             raise ScenarioError(path, str(exc)) from None
 
@@ -785,8 +742,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             raise ScenarioError("stack", str(exc)) from None
 
     config = ScenarioConfig(
-        seed=number(need("seed"), int, "seed"),
-        episodes=number(need("episodes"), int, "episodes"),
+        seed=integer(need("seed"), "seed"),
+        episodes=integer(need("episodes"), "episodes"),
         params=params,
         population=tuple(population),
         policy=policy,
@@ -795,7 +752,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         ),
         claim_bond=money(doc.get("claim_bond", 0), "claim_bond"),
         pricing=str(doc.get("pricing", "flat")),
-        loading=number(doc.get("loading", 0.0), float, "loading"),
+        loading=number(doc.get("loading", 0.0), "loading"),
         stack=stack_spec,
     )
     config.validate()

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from insured_agents import cli
 from insured_agents.cli import main
 
 BASE_FLAGS = [
@@ -163,21 +162,6 @@ class TestSweep:
         ])
         assert code == 2
         assert "unknown grid parameter" in capsys.readouterr().err
-
-
-class TestJobsEnvironment:
-    def test_malformed_value_exits_two(self, monkeypatch, capsys):
-        monkeypatch.setenv("INSURED_AGENTS_JOBS", "abc")
-        assert main(["check", *BASE_FLAGS]) == 2
-        assert "error: INSURED_AGENTS_JOBS: " in capsys.readouterr().err
-
-    def test_value_sets_default_jobs(self, monkeypatch, scenario_file, tmp_path, capsys):
-        monkeypatch.setenv("INSURED_AGENTS_JOBS", "3")
-        seen = []
-        monkeypatch.setattr(cli, "sweep", lambda config, grid, jobs: seen.append(jobs) or [])
-        assert main(["sweep", "--scenario", str(scenario_file), "--grid", "G=40",
-                     "--out", str(tmp_path / "sweep.csv")]) == 0
-        assert seen == [3]
 
 
 class TestStack:

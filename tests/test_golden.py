@@ -2,12 +2,13 @@
 
 Each scenario below drives one branch of the episode engine (claims accepted,
 denied and escalated, denied and dropped, excluded agents, stack and experience
-pricing, enforcement off). The canonical report is compared byte for byte
-with `golden/reports/<name>.json`, and the `--episodes-log` output by its
-sha256 in `golden/episodes.sha256`. The sweep CSV of the criterion-11 grid
-must equal `golden/sweep_criterion11.csv` at one and at two jobs. The solver's
-and the oracle's answers on a small-integer parameter grid, where payoff ties
-are common, must hash to `golden/solver_grid.sha256`.
+pricing, enforcement off, episodes aborted mid-dispute). The canonical report
+is compared byte for byte with `golden/reports/<name>.json`, and the
+`--episodes-log` output by its sha256 in `golden/episodes*.sha256` (the
+`aborted` scenario's digest is in `episodes_aborted.sha256`). The sweep CSV of
+the criterion-11 grid must equal `golden/sweep_criterion11.csv` at one and at
+two jobs. The solver's and the oracle's answers on a small-integer parameter
+grid, where payoff ties are common, must hash to `golden/solver_grid.sha256`.
 
 To record the files from the current build (only when a change is meant to
 alter the outputs, and say so in the change log):
@@ -105,6 +106,20 @@ SCENARIOS = {
     "enforcement_off": _scenario(enforcement_enabled=False),
 }
 
+# Funding is capped, so an escalation bond this large drains the user wallet
+# after a few disputes: most episodes abort mid-dispute and must leave the
+# ledger as they found it.
+ABORTED = {
+    "schema_version": 1,
+    "seed": 3,
+    "episodes": 60,
+    "params": {**_PARAMS, "B": 100000000000},
+    "population": [{"id": "a0", "theta": 0.1, "gain": _GAIN}],
+    "policies": {"agent": "opportunistic", "opportunistic_p": 0.5,
+                 "user": "always_claim", "insurer": "always_deny"},
+}
+SCENARIOS["aborted"] = ABORTED
+
 # The criterion-11 scenario and grid.
 SWEEP_SCENARIO = {
     "schema_version": 1,
@@ -151,7 +166,9 @@ def solver_grid_digest() -> str:
 
 
 def _recorded_episode_digests() -> dict[str, str]:
-    lines = (GOLDEN / "episodes.sha256").read_text().splitlines()
+    """Digests from every `episodes*.sha256` file, keyed by scenario name."""
+    lines = [line for path in sorted(GOLDEN.glob("episodes*.sha256"))
+             for line in path.read_text().splitlines()]
     return {name: digest for digest, name in (line.split() for line in lines)}
 
 

@@ -1,10 +1,20 @@
 import copy
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from insured_agents.ledger import (
+    FEE_SINK,
     AccountId,
     ClaimState,
     ClaimValidity,
@@ -12,11 +22,14 @@ from insured_agents.ledger import (
     DuplicatePolicy,
     InsufficientFunds,
     Ledger,
+    LedgerError,
+    Memo,
     OverCoverage,
     PolicyStatus,
     Role,
     WrongState,
 )
+from insured_agents.money import MoneyError
 
 
 AGENT = AccountId(Role.AGENT_WALLET, "agent")
@@ -30,6 +43,19 @@ def funded_ledger(agent=1000, insurer=1000, user=1000) -> Ledger:
     ledger.deposit(INSURER, insurer)
     ledger.deposit(USER, user)
     return ledger
+
+
+def ledger_state(ledger: Ledger) -> tuple:
+    """Everything a ledger operation may change, as comparable values."""
+    return (
+        list(ledger.balances.items()),
+        list(ledger.transfers),
+        [astuple(p) for p in ledger.policies.values()],
+        [astuple(c) for c in ledger.claims.values()],
+        list(ledger.shortfalls),
+        set(ledger.defaulted),
+        ledger._claim_seq,
+    )
 
 
 def underwrite(ledger, **overrides):
@@ -399,6 +425,237 @@ class TestConservationAndAtomicity:
         ):
             with pytest.raises(WrongState):
                 action()
+
+
+class TestAtomic:
+    def test_block_that_raises_restores_records_it_changed(self):
+        ledger = funded_ledger()
+        underwrite(ledger)
+        claim = ledger.file_claim("pol-1", "user", 150, ClaimValidity.VALID, tick=1)
+        ledger.respond_claim(claim.id, accept=False, tick=2)
+        before = ledger_state(ledger)
+        with pytest.raises(WrongState):
+            with ledger.atomic():
+                ledger.drop_claim(claim.id, tick=3)
+                second = ledger.file_claim(
+                    "pol-1", "user", 150, ClaimValidity.VALID, tick=3
+                )
+                ledger.respond_claim(second.id, accept=True, tick=4)
+                assert ledger.policies["pol-1"].status is PolicyStatus.EXHAUSTED
+                ledger.drop_claim(second.id, tick=4)  # accepted: cannot drop
+        assert ledger_state(ledger) == before
+
+    def test_block_that_raises_restores_shortfalls_and_defaults(self):
+        ledger = funded_ledger(user=20)
+        underwrite(ledger)
+        claim = ledger.file_claim("pol-1", "user", 100, ClaimValidity.INVALID, tick=1)
+        ledger.respond_claim(claim.id, accept=False, tick=2)
+        before = ledger_state(ledger)
+        with pytest.raises(RuntimeError):
+            with ledger.atomic():
+                ledger.escalate(claim.id, tick=3)
+                ledger.adjudicate(claim.id, fee=50, reputation_cost=0, tick=3)
+                assert USER in ledger.defaulted and ledger.shortfalls
+                raise RuntimeError
+        assert ledger_state(ledger) == before
+
+    def test_nested_block_joins_the_outer_one(self):
+        ledger = funded_ledger()
+        before = ledger_state(ledger)
+        with pytest.raises(RuntimeError):
+            with ledger.atomic():
+                with ledger.atomic():
+                    underwrite(ledger)
+                ledger.pay(AGENT, USER, 5, 1, Memo.PREMIUM)
+                raise RuntimeError
+        assert ledger_state(ledger) == before
+
+    def test_block_that_succeeds_keeps_its_changes(self):
+        ledger = funded_ledger()
+        with ledger.atomic():
+            underwrite(ledger)
+        assert "pol-1" in ledger.policies
+        assert ledger.balance(AccountId(Role.STAKE_ESCROW, "pol-1")) == 180
+
+
+_POLICY_IDS = tuple(f"p{i}" for i in range(8))
+_WALLETS = (AGENT, INSURER, USER, FEE_SINK)
+_TICKS = st.integers(0, 40)
+
+
+def _amount(high: int):
+    return st.integers(-1, high)  # -1 is an invalid amount
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """Every public mutator with random, often invalid, arguments.
+
+    After each step the ledger conserves supply, keeps every balance and
+    stake non-negative, and holds in each policy's stake escrow exactly its
+    escrowed stake plus deductible. A step that raises must leave the whole
+    ledger as it found it, and so must an atomic block that raises.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.ledger = funded_ledger(agent=200, insurer=200, user=200)
+        self.supply = self.ledger.total_supply()
+
+    @initialize(data=st.data())
+    def open_a_claim(self, data):
+        """Start each run with a policy and a claim filed on it, so that the
+        lifecycle operations have something to act on."""
+        self.ledger.underwrite(
+            "p0", "agent", "insurer", coverage=100, deductible=20, premium=5,
+            bond=30, claim_deadline=10, expiry_tick=data.draw(_TICKS), tick=0,
+        )
+        self.ledger.file_claim("p0", "user", data.draw(st.integers(1, 100)),
+                               data.draw(st.sampled_from(ClaimValidity)), tick=0)
+
+    def _apply(self, operation, *args, **kwargs) -> None:
+        before = ledger_state(self.ledger)
+        try:
+            operation(*args, **kwargs)
+        except (LedgerError, MoneyError):
+            assert ledger_state(self.ledger) == before
+
+    def _pick(self, data, book: dict, ready) -> str:
+        """Half the time a record that is `ready`, if any; else any id,
+        known or not."""
+        candidates = [key for key, record in book.items() if ready(record)]
+        if candidates and data.draw(st.booleans()):
+            return data.draw(st.sampled_from(candidates))
+        return data.draw(st.sampled_from([*book, "unknown"]))
+
+    def _policy_id(self, data) -> str:
+        return self._pick(data, self.ledger.policies,
+                          lambda p: p.status is PolicyStatus.ACTIVE)
+
+    def _claim_id(self, data, state: ClaimState) -> str:
+        return self._pick(data, self.ledger.claims, lambda c: c.state is state)
+
+    # -- one rule per public mutator; each draws its arguments from `data` --
+
+    @rule(data=st.data())
+    def underwrite(self, data) -> None:
+        self._apply(
+            self.ledger.underwrite,
+            data.draw(st.sampled_from(_POLICY_IDS)), "agent", "insurer",
+            coverage=data.draw(_amount(200)),
+            deductible=data.draw(st.integers(0, 60)),
+            premium=data.draw(st.integers(0, 20)),
+            bond=data.draw(st.integers(0, 80)),
+            claim_deadline=data.draw(st.integers(0, 10)),
+            expiry_tick=data.draw(_TICKS),
+            tick=data.draw(_TICKS),
+        )
+
+    @rule(data=st.data())
+    def file_claim(self, data) -> None:
+        incident_tick = data.draw(_TICKS)
+        self._apply(
+            self.ledger.file_claim,
+            self._policy_id(data), "user",
+            data.draw(_amount(150)),
+            data.draw(st.sampled_from(ClaimValidity)),
+            claim_bond=data.draw(st.integers(0, 20)),
+            incident_tick=incident_tick,
+            tick=incident_tick + data.draw(st.integers(0, 3)),
+        )
+
+    # The claim rules take an explicit claim id from the atomic block.
+
+    @rule(data=st.data())
+    def respond_claim(self, data, claim_id=None) -> None:
+        claim_id = claim_id or self._claim_id(data, ClaimState.FILED)
+        self._apply(self.ledger.respond_claim, claim_id,
+                    accept=data.draw(st.booleans()), tick=data.draw(_TICKS))
+
+    @rule(data=st.data())
+    def escalate(self, data, claim_id=None) -> None:
+        claim_id = claim_id or self._claim_id(data, ClaimState.DENIED)
+        self._apply(self.ledger.escalate, claim_id, tick=data.draw(_TICKS))
+
+    @rule(data=st.data())
+    def adjudicate(self, data, claim_id=None) -> None:
+        claim_id = claim_id or self._claim_id(data, ClaimState.ESCALATED)
+        self._apply(self.ledger.adjudicate, claim_id, fee=data.draw(_amount(300)),
+                    reputation_cost=data.draw(st.integers(0, 300)),
+                    tick=data.draw(_TICKS))
+
+    @rule(data=st.data())
+    def drop_claim(self, data, claim_id=None) -> None:
+        claim_id = claim_id or self._claim_id(data, ClaimState.DENIED)
+        self._apply(self.ledger.drop_claim, claim_id, tick=data.draw(_TICKS))
+
+    @rule(data=st.data())
+    def expire_policy(self, data) -> None:
+        self._apply(self.ledger.expire_policy, self._policy_id(data),
+                    tick=data.draw(st.integers(0, 60)))
+
+    @rule(data=st.data())
+    def pay(self, data) -> None:
+        # Wallets and the fee sink only: paying into or out of an escrow
+        # would break the escrow accounting by design.
+        self._apply(self.ledger.pay, data.draw(st.sampled_from(_WALLETS)),
+                    data.draw(st.sampled_from(_WALLETS)), data.draw(_amount(300)),
+                    data.draw(_TICKS), Memo.PREMIUM)
+
+    _OPERATIONS = (underwrite, file_claim, respond_claim, escalate, adjudicate,
+                   drop_claim, expire_policy, pay)
+    # The rules that move a claim on from each non-terminal state.
+    _NEXT_STEP = {
+        ClaimState.FILED: (respond_claim,),
+        ClaimState.DENIED: (escalate, drop_claim),
+        ClaimState.ESCALATED: (adjudicate,),
+    }
+
+    def _open_claims(self) -> list:
+        return [c for c in self.ledger.claims.values() if c.state in self._NEXT_STEP]
+
+    @precondition(_open_claims)
+    @rule(data=st.data(), n=st.integers(1, 3))
+    def atomic_block_that_raises(self, data, n):
+        """Each of the block's operations is either any operation or the
+        next lifecycle step of a claim that existed before the block; the
+        first is always the latter."""
+        before = ledger_state(self.ledger)
+        claim = data.draw(st.sampled_from(self._open_claims()))
+        with pytest.raises(_Abort):
+            with self.ledger.atomic():
+                for i in range(n):
+                    steps = self._NEXT_STEP.get(claim.state)
+                    if steps and (i == 0 or data.draw(st.booleans())):
+                        data.draw(st.sampled_from(steps))(self, data, claim.id)
+                    else:
+                        data.draw(st.sampled_from(self._OPERATIONS))(self, data)
+                raise _Abort
+        assert ledger_state(self.ledger) == before
+
+    @invariant()
+    def supply_is_conserved(self):
+        assert self.ledger.total_supply() == self.supply
+
+    @invariant()
+    def balances_are_non_negative(self):
+        assert all(v >= 0 for v in self.ledger.balances.values())
+
+    @invariant()
+    def escrow_holds_stake_plus_deductible(self):
+        for policy in self.ledger.policies.values():
+            assert policy.escrowed_stake >= 0
+            escrow = self.ledger.balance(AccountId(Role.STAKE_ESCROW, policy.id))
+            assert escrow == policy.escrowed_stake + policy.escrowed_deductible
+
+
+class _Abort(Exception):
+    pass
+
+
+TestLedgerStateMachine = LedgerMachine.TestCase
+TestLedgerStateMachine.settings = settings(
+    max_examples=50, stateful_step_count=30, deadline=None
+)
 
 
 class TestExportLog:

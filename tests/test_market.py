@@ -17,8 +17,9 @@ from insured_agents import (
     units,
     update_posterior,
 )
-from insured_agents.ledger import AccountId, Ledger, Role
+from insured_agents.ledger import AccountId, InsufficientFunds, Ledger, Role
 from insured_agents.market import ExpiredCertificate
+from test_ledger import ledger_state
 
 
 class TestPricePremium:
@@ -207,6 +208,30 @@ class TestUnderwriteStack:
                 bond=0, loading=0.0, claim_deadline=10, expiry_tick=50,
                 tick=10, certificates=(stale,),
             )
+
+    def test_failed_premium_share_undoes_the_whole_underwrite(self, monkeypatch):
+        ledger = self.setup_ledger()
+        before = ledger_state(ledger)
+        pay = ledger.pay
+        calls = []
+
+        def pay_once(src, *args):
+            calls.append(src)
+            if len(calls) > 1:
+                raise InsufficientFunds(src, 1, 0)
+            pay(src, *args)
+
+        monkeypatch.setattr(ledger, "pay", pay_once)
+        stack = compose_stack(0.10, self.certs(), master="master")
+        with pytest.raises(InsufficientFunds):
+            underwrite_stack(
+                ledger, "agent", stack,
+                policy_id="pol", coverage=units(100), deductible=units(10),
+                bond=units(5), loading=0.2, claim_deadline=10, expiry_tick=50,
+                tick=0, layer1_cut=0.5,
+            )
+        assert len(calls) == 2
+        assert ledger_state(ledger) == before
 
 
 class TestAdverseSelection:

@@ -26,8 +26,11 @@ from insured_agents.sim import (
     ScenarioError,
     UserPolicy,
     _solved_profile,
+    _World,
     scenario_from_dict,
 )
+from test_golden import ABORTED
+from test_ledger import ledger_state
 
 
 def make_params(**overrides) -> MechanismParams:
@@ -276,8 +279,12 @@ class TestScenarioParsing:
 
     @pytest.mark.parametrize("field, value, path", [
         ("episodes", "ten", "episodes"),
+        ("episodes", 2.9, "episodes"),
+        ("episodes", True, "episodes"),
         ("seed", "x", "seed"),
         ("seed", float("inf"), "seed"),
+        ("seed", 7.5, "seed"),
+        ("seed", "7", "seed"),
         ("loading", "high", "loading"),
         ("loading", -5, "loading"),
         ("loading", float("nan"), "loading"),
@@ -388,3 +395,15 @@ class TestConservation:
         )
         report = run_scenario(config)
         assert report.verifier_invocations == 100
+
+
+class TestAbortedEpisodes:
+    def test_aborted_episode_leaves_the_whole_ledger_unchanged(self):
+        world = _World(scenario_from_dict(ABORTED))
+        aborted = 0
+        for index in range(world.config.episodes):
+            before = ledger_state(world.ledger)
+            if world.run_episode(index).aborted:
+                aborted += 1
+                assert ledger_state(world.ledger) == before, f"episode {index}"
+        assert aborted == 37
