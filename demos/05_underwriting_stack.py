@@ -39,7 +39,7 @@ ledger.deposit(AccountId(Role.INSURER_WALLET, "master-ins"), units(1000))
 ledger.deposit(AccountId(Role.INSURER_WALLET, "safety-ins"), 0)
 ledger.deposit(AccountId(Role.INSURER_WALLET, "fin-ins"), 0)
 
-policy, credential = underwrite_stack(
+policy = underwrite_stack(
     ledger, "agent", stack,
     policy_id="pol-1", coverage=units(100), deductible=units(10),
     bond=units(5), loading=0.2, claim_deadline=20, expiry_tick=100,
@@ -49,5 +49,6 @@ print(f"\nmaster escrowed stake: {format_units(policy.escrowed_stake)}")
 for issuer in ("safety-ins", "fin-ins"):
     share = ledger.balance(AccountId(Role.INSURER_WALLET, issuer))
     print(f"  {issuer} premium share: {format_units(share)}")
+credential = ledger.issue_credential(policy)
 print(f"credential verifies: "
       f"{bool(ledger.verify_coverage(credential, min_coverage=units(100), tick=1))}")

@@ -157,6 +157,8 @@ def _parse_grid(spec: str) -> list[tuple[str, list[int]]]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
+        if args.jobs < 1:
+            raise UsageError("--jobs must be at least 1")
         grid = _parse_grid(args.grid)
         config = load_scenario(args.scenario)
     except (UsageError, ScenarioError, OSError) as exc:

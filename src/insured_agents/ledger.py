@@ -7,6 +7,8 @@ raises and leaves the ledger untouched. That includes settlements: a claim
 larger than its policy's remaining escrowed stake is refused, so the stake
 never goes negative and never eats into the agent's deductible. Several
 operations that must succeed or fail as one run in `with ledger.atomic():`.
+Amounts are checked once, where they enter an operation; a transfer itself
+is a plain record.
 
 Lifecycle: underwrite -> (verify_coverage) -> file_claim ->
 respond_claim -> [escalate -> adjudicate] -> expire_policy.
@@ -57,20 +59,14 @@ class Memo(Enum):
     REPUTATION_PENALTY = "reputation_penalty"
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
+    """One recorded movement of a positive amount between two accounts."""
+
     src: AccountId
     dst: AccountId
     amount: int
     tick: int
     memo: Memo
-
-    def __post_init__(self) -> None:
-        check_amount(self.amount)
-        if self.amount == 0:
-            raise LedgerError("zero-amount transfers are not recorded")
-        if self.src == self.dst:
-            raise LedgerError("transfer source and destination must differ")
 
 
 class LedgerError(Exception):
@@ -141,7 +137,6 @@ class PolicyRecord:
     claim_deadline: int
     expiry_tick: int
     status: PolicyStatus = PolicyStatus.ACTIVE
-    issued_tick: int = 0
     escrowed_stake: int = 0
     escrowed_deductible: int = 0
 
@@ -188,11 +183,20 @@ class ShortfallEvent:
     tick: int
 
 
+#: Key of the coverage credential tags.
+_SECRET = b"insured-agents-registry"
+
+
+def _credential_tag(policy_id: str, insurer: str, coverage: int,
+                    expiry_tick: int) -> str:
+    payload = f"{policy_id}|{insurer}|{coverage}|{expiry_tick}".encode()
+    return hmac.new(_SECRET, payload, hashlib.sha256).hexdigest()[:32]
+
+
 class Ledger:
     """Single-writer account book with escrowed stakes, bonds and slashing."""
 
-    def __init__(self, secret: bytes = b"insured-agents-registry"):
-        self._secret = secret
+    def __init__(self) -> None:
         self.balances: dict[AccountId, int] = {FEE_SINK: 0}
         self.transfers: list[Transfer] = []
         self.policies: dict[str, PolicyRecord] = {}
@@ -250,11 +254,14 @@ class Ledger:
     ) -> None:
         """Direct wallet-to-wallet payment (e.g. premium revenue sharing)."""
         check_amount(amount)
+        if src == dst:
+            raise LedgerError("payment source and destination must differ")
         self._transfer(src, dst, amount, tick, memo)
 
     def _transfer(
         self, src: AccountId, dst: AccountId, amount: int, tick: int, memo: Memo
     ) -> None:
+        """Move a checked amount; zero moves nothing and records nothing."""
         if amount == 0:
             return
         available = self.balances.get(src, 0)
@@ -278,18 +285,18 @@ class Ledger:
 
     # -- credentials ------------------------------------------------------
 
-    def _credential_tag(self, policy_id: str, insurer: str, coverage: int,
-                        expiry_tick: int) -> str:
-        payload = f"{policy_id}|{insurer}|{coverage}|{expiry_tick}".encode()
-        return hmac.new(self._secret, payload, hashlib.sha256).hexdigest()[:32]
-
     def issue_credential(self, policy: PolicyRecord) -> CoverageCredential:
+        """A signed statement of the policy's id, insurer, coverage and expiry.
+
+        Those fields never change after underwrite, so a credential issued at
+        any time in the policy's life is the same.
+        """
         return CoverageCredential(
             policy_id=policy.id,
             insurer=policy.insurer,
             coverage=policy.coverage,
             expiry_tick=policy.expiry_tick,
-            tag=self._credential_tag(
+            tag=_credential_tag(
                 policy.id, policy.insurer, policy.coverage, policy.expiry_tick
             ),
         )
@@ -298,7 +305,7 @@ class Ledger:
         self, credential: CoverageCredential, min_coverage: int, tick: int
     ) -> VerificationResult:
         """Check credential authenticity, policy status, coverage and expiry."""
-        expected = self._credential_tag(
+        expected = _credential_tag(
             credential.policy_id,
             credential.insurer,
             credential.coverage,
@@ -341,11 +348,12 @@ class Ledger:
         claim_deadline: int,
         expiry_tick: int,
         tick: int,
-    ) -> tuple[PolicyRecord, CoverageCredential]:
+    ) -> PolicyRecord:
         """Issue a policy: escrow insurer stake and agent deductible, pay premium.
 
         The escrowed stake equals the coverage, so the per-policy solvency
-        requirement (stake >= coverage) holds by construction.
+        requirement (stake >= coverage) holds by construction. A counterparty's
+        credential comes from `issue_credential`.
         """
         for amount in (coverage, deductible, premium, bond):
             check_amount(amount)
@@ -373,12 +381,11 @@ class Ledger:
             bond=bond,
             claim_deadline=claim_deadline,
             expiry_tick=expiry_tick,
-            issued_tick=tick,
             escrowed_stake=coverage,
             escrowed_deductible=deductible,
         )
         self._file(self.policies, policy)
-        return policy, self.issue_credential(policy)
+        return policy
 
     def file_claim(
         self,
@@ -437,21 +444,9 @@ class Ledger:
             claim.state = ClaimState.DENIED
             return claim
         policy = self._policy(claim.policy_id)
-        self._check_stake(policy, claim)
-        escrow = AccountId(Role.STAKE_ESCROW, policy.id)
-        user_wallet = AccountId(Role.USER_WALLET, claim.claimant)
         insurer_wallet = AccountId(Role.INSURER_WALLET, policy.insurer)
-        self._transfer(escrow, user_wallet, claim.amount, tick, Memo.COMPENSATION)
-        policy.escrowed_stake -= claim.amount
-        if claim.validity is ClaimValidity.VALID and policy.escrowed_deductible > 0:
-            self._transfer(
-                escrow, insurer_wallet, policy.escrowed_deductible, tick,
-                Memo.DEDUCTIBLE_SEIZE,
-            )
-            policy.escrowed_deductible = 0
-        self._return_claim_bond(claim, to_claimant=True, tick=tick)
-        claim.state = ClaimState.ACCEPTED
-        claim.resolved_tick = tick
+        self._compensate(policy, claim, insurer_wallet, tick)
+        self._resolve(claim, target, tick, AccountId(Role.USER_WALLET, claim.claimant))
         self._exhaust_if_depleted(policy, tick)
         return claim
 
@@ -478,14 +473,13 @@ class Ledger:
                    tick: int) -> ClaimRecord:
         """Error-free verdict on an escalated claim.
 
-        Valid: user is compensated from the insurer's stake, the agent's
-        deductible is slashed to the fee sink (the denying insurer is
-        itself being punished and collects nothing), the insurer forfeits
-        its bond to the user, both parties pay the verifier fee, and the
-        insurer bears the reputation penalty.
-        Invalid: the user forfeits its bonds to the insurer and both pay
-        the fee. Fees and penalties that cannot be paid are clamped with a
-        recorded shortfall. A valid claim above the remaining stake raises
+        Both escalation bonds and the claimant's filing bond go to the
+        winner, and both parties pay the verifier fee. A valid claim is also
+        paid from the insurer's stake, the agent's deductible is slashed to
+        the fee sink (the denying insurer is itself being punished and
+        collects nothing), and the insurer bears the reputation penalty.
+        Fees and penalties that cannot be paid are clamped with a recorded
+        shortfall. A valid claim above the remaining stake raises
         OverCoverage.
         """
         check_amount(fee)
@@ -495,44 +489,21 @@ class Ledger:
         target = ClaimState.UPHELD_VALID if valid else ClaimState.UPHELD_INVALID
         self._check_transition(claim, target)
         policy = self._policy(claim.policy_id)
-        if valid:
-            self._check_stake(policy, claim)
-        escrow = AccountId(Role.STAKE_ESCROW, policy.id)
-        bond_escrow = AccountId(Role.BOND_ESCROW, claim.id)
         user_wallet = AccountId(Role.USER_WALLET, claim.claimant)
         insurer_wallet = AccountId(Role.INSURER_WALLET, policy.insurer)
-        bond = claim.bond_posted
         if valid:
-            self._transfer(escrow, user_wallet, claim.amount, tick, Memo.COMPENSATION)
-            policy.escrowed_stake -= claim.amount
-            if policy.escrowed_deductible > 0:
-                self._transfer(
-                    escrow, FEE_SINK, policy.escrowed_deductible, tick,
-                    Memo.DEDUCTIBLE_SEIZE,
-                )
-                policy.escrowed_deductible = 0
-            self._transfer(bond_escrow, user_wallet, bond, tick, Memo.BOND_FORFEIT)
-            self._transfer(bond_escrow, user_wallet, bond, tick, Memo.BOND_RETURN)
-            self._return_claim_bond(claim, to_claimant=True, tick=tick)
-            self._transfer_clamped(user_wallet, FEE_SINK, fee, tick, Memo.VERIFIER_FEE)
-            self._transfer_clamped(
-                insurer_wallet, FEE_SINK, fee, tick, Memo.VERIFIER_FEE
-            )
-            self._transfer_clamped(
-                insurer_wallet, FEE_SINK, reputation_cost, tick,
-                Memo.REPUTATION_PENALTY,
-            )
-        else:
-            self._transfer(bond_escrow, insurer_wallet, bond, tick, Memo.BOND_FORFEIT)
-            self._transfer(bond_escrow, insurer_wallet, bond, tick, Memo.BOND_RETURN)
-            self._return_claim_bond(claim, to_claimant=False, tick=tick)
-            self._transfer_clamped(user_wallet, FEE_SINK, fee, tick, Memo.VERIFIER_FEE)
-            self._transfer_clamped(
-                insurer_wallet, FEE_SINK, fee, tick, Memo.VERIFIER_FEE
-            )
-        claim.state = target
-        claim.resolved_tick = tick
+            self._compensate(policy, claim, FEE_SINK, tick)
+        winner = user_wallet if valid else insurer_wallet
+        bond_escrow = AccountId(Role.BOND_ESCROW, claim.id)
+        self._transfer(bond_escrow, winner, claim.bond_posted, tick, Memo.BOND_FORFEIT)
+        self._transfer(bond_escrow, winner, claim.bond_posted, tick, Memo.BOND_RETURN)
+        self._resolve(claim, target, tick, winner)
+        self._transfer_clamped(user_wallet, FEE_SINK, fee, tick, Memo.VERIFIER_FEE)
+        self._transfer_clamped(insurer_wallet, FEE_SINK, fee, tick, Memo.VERIFIER_FEE)
         if valid:
+            self._transfer_clamped(
+                insurer_wallet, FEE_SINK, reputation_cost, tick, Memo.REPUTATION_PENALTY
+            )
             self._exhaust_if_depleted(policy, tick)
         return claim
 
@@ -540,9 +511,9 @@ class Ledger:
         """User abandons a denied claim; the filing bond is forfeited."""
         claim = self._claim(claim_id)
         self._check_transition(claim, ClaimState.DROPPED)
-        self._return_claim_bond(claim, to_claimant=False, tick=tick)
-        claim.state = ClaimState.DROPPED
-        claim.resolved_tick = tick
+        policy = self._policy(claim.policy_id)
+        insurer_wallet = AccountId(Role.INSURER_WALLET, policy.insurer)
+        self._resolve(claim, ClaimState.DROPPED, tick, insurer_wallet)
         return claim
 
     def expire_policy(self, policy_id: str, tick: int) -> PolicyRecord:
@@ -601,27 +572,37 @@ class Ledger:
                 f"claim {claim.id} cannot go {claim.state.value} -> {target.value}"
             )
 
-    @staticmethod
-    def _check_stake(policy: PolicyRecord, claim: ClaimRecord) -> None:
+    def _compensate(self, policy: PolicyRecord, claim: ClaimRecord,
+                    seize_to: AccountId, tick: int) -> None:
+        """Pay the claim from the stake escrow; a valid claim also slashes the
+        agent's deductible to `seize_to`. A claim above the remaining stake
+        raises OverCoverage before anything moves."""
         if claim.amount > policy.escrowed_stake:
             raise OverCoverage(
                 f"claim {claim.id} for {claim.amount} exceeds the remaining "
                 f"stake {policy.escrowed_stake}"
             )
+        escrow = AccountId(Role.STAKE_ESCROW, policy.id)
+        user_wallet = AccountId(Role.USER_WALLET, claim.claimant)
+        self._transfer(escrow, user_wallet, claim.amount, tick, Memo.COMPENSATION)
+        policy.escrowed_stake -= claim.amount
+        if claim.validity is ClaimValidity.VALID and policy.escrowed_deductible > 0:
+            self._transfer(
+                escrow, seize_to, policy.escrowed_deductible, tick, Memo.DEDUCTIBLE_SEIZE
+            )
+            policy.escrowed_deductible = 0
 
-    def _return_claim_bond(self, claim: ClaimRecord, *, to_claimant: bool,
-                           tick: int) -> None:
-        if claim.claim_bond == 0:
-            return
+    def _resolve(self, claim: ClaimRecord, state: ClaimState, tick: int,
+                 bond_to: AccountId) -> None:
+        """Close a claim. Its filing bond goes to `bond_to`: back to the
+        claimant's wallet, or forfeited to the insurer's."""
+        returned = bond_to.role is Role.USER_WALLET
+        memo = Memo.BOND_RETURN if returned else Memo.BOND_FORFEIT
         bond_escrow = AccountId(Role.BOND_ESCROW, claim.id)
-        if to_claimant:
-            dst = AccountId(Role.USER_WALLET, claim.claimant)
-            memo = Memo.BOND_RETURN
-        else:
-            dst = AccountId(Role.INSURER_WALLET, self._policy(claim.policy_id).insurer)
-            memo = Memo.BOND_FORFEIT
-        self._transfer(bond_escrow, dst, claim.claim_bond, tick, memo)
+        self._transfer(bond_escrow, bond_to, claim.claim_bond, tick, memo)
         claim.claim_bond = 0
+        claim.state = state
+        claim.resolved_tick = tick
 
     def _release_escrow(self, policy: PolicyRecord, tick: int) -> None:
         escrow = AccountId(Role.STAKE_ESCROW, policy.id)

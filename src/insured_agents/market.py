@@ -8,10 +8,11 @@ discount the base risk the Layer-2 master insurer underwrites.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .ledger import AccountId, CoverageCredential, Ledger, Memo, PolicyRecord, Role
+from .ledger import AccountId, Ledger, Memo, PolicyRecord, Role
 from .mechanism import MechanismParams
 from .money import check_amount
 
@@ -79,8 +80,8 @@ def _loaded_premium(risk: Fraction, coverage: int, loading: float) -> int:
     """risk x coverage x (1 + loading) in micro-units, rounded half-up; any
     strictly positive expected loss prices at one micro-unit or more."""
     check_amount(coverage)
-    if loading < 0:
-        raise ValueError(f"loading must be non-negative, got {loading}")
+    if not (math.isfinite(loading) and loading >= 0):
+        raise ValueError(f"loading must be finite and non-negative, got {loading}")
     raw = risk * coverage * (1 + Fraction(loading))
     return max(int(raw + Fraction(1, 2)), 1) if raw > 0 else 0
 
@@ -197,7 +198,7 @@ def underwrite_stack(
     tick: int,
     layer1_cut: float = 0.2,
     certificates: tuple[Certificate, ...] | None = None,
-) -> tuple[PolicyRecord, CoverageCredential]:
+) -> PolicyRecord:
     """Master insurer posts the protocol-facing stake and shares premium.
 
     The policy is priced at the stack's residual risk. A configured cut of
@@ -214,7 +215,7 @@ def underwrite_stack(
     premium = stack_premium(stack, coverage, loading)
     total_discount = sum(Fraction(str(c.risk_discount)) for c in stack.layer1)
     with ledger.atomic():
-        policy, credential = ledger.underwrite(
+        policy = ledger.underwrite(
             policy_id, agent, stack.master, coverage=coverage, deductible=deductible,
             premium=premium, bond=bond, claim_deadline=claim_deadline,
             expiry_tick=expiry_tick, tick=tick,
@@ -227,4 +228,4 @@ def underwrite_stack(
                 if share > 0:
                     issuer_wallet = AccountId(Role.INSURER_WALLET, cert.issuer)
                     ledger.pay(master_wallet, issuer_wallet, share, tick, Memo.PREMIUM)
-    return policy, credential
+    return policy

@@ -70,7 +70,7 @@ from .market import (
     update_posterior,
 )
 from .mechanism import MechanismParams
-from .money import MAX_AMOUNT, check_amount, units
+from .money import MAX_AMOUNT, MoneyError, check_amount, units
 
 
 class AgentPolicy(Enum):
@@ -145,12 +145,22 @@ class ScenarioConfig:
         if self.pricing not in ("flat", "experience"):
             raise ScenarioError("pricing", f"unknown pricing mode {self.pricing!r}")
         loadings = [("loading", self.loading)]
-        if self.stack is not None:
-            loadings.append(("stack.loading", self.stack.loading))
+        stack = self.stack
+        if stack is not None:
+            loadings.append(("stack.loading", stack.loading))
+            if not 0.0 < stack.base_risk <= 1.0:
+                raise ScenarioError("stack.base_risk",
+                                    f"must lie in (0, 1], got {stack.base_risk}")
+            if not 0.0 <= stack.layer1_cut <= 1.0:
+                raise ScenarioError("stack.layer1_cut",
+                                    f"must lie in [0, 1], got {stack.layer1_cut}")
         for path, loading in loadings:
             if not (math.isfinite(loading) and loading >= 0):
                 raise ScenarioError(path, f"must be finite and non-negative, got {loading}")
-        check_amount(self.claim_bond)
+        try:
+            check_amount(self.claim_bond)
+        except MoneyError as exc:
+            raise ScenarioError("claim_bond", str(exc)) from None
 
 
 @dataclass
@@ -239,7 +249,6 @@ class _World:
         self.posteriors: dict[str, RiskPosterior] = {
             a.id: RiskPosterior() for a in config.population
         }
-        self.records: list[EpisodeRecord] = []
         self.stack: InsurerStack | None = None
         if config.stack is not None:
             self.stack = compose_stack(
@@ -419,12 +428,12 @@ class _World:
                 deductible=ep.S_A, bond=ep.B, loading=spec.loading,
                 claim_deadline=_TICKS_PER_EPISODE, expiry_tick=expiry_tick, tick=tick0,
                 layer1_cut=spec.layer1_cut,
-            )[0]
+            )
         return self.ledger.underwrite(
             policy_id, agent.id, _INSURER_ID, coverage=ep.L, deductible=ep.S_A,
             premium=premium, bond=ep.B, claim_deadline=_TICKS_PER_EPISODE,
             expiry_tick=expiry_tick, tick=tick0,
-        )[0]
+        )
 
 
 def run_scenario_with_records(
@@ -562,7 +571,7 @@ def replay_game_path(
     )
     for w in wallets:
         ledger.deposit(w, fund)
-    policy, _ = ledger.underwrite(
+    policy = ledger.underwrite(
         "policy",
         "agent",
         "insurer",
@@ -620,14 +629,10 @@ def sweep(
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed scenario document.
 
-    Raises ScenarioError with a field path on any malformed input.
+    Raises ScenarioError with a field path on any malformed input. A field
+    takes only its own JSON type: no string stands in for a number and no
+    boolean for a number or a string.
     """
-    if not isinstance(doc, dict):
-        raise ScenarioError("$", "scenario document must be an object")
-    version = doc.get("schema_version")
-    if version != 1:
-        raise ScenarioError("schema_version", f"unsupported version {version!r}")
-
     def need(key: str):
         if key not in doc:
             raise ScenarioError(key, "missing required field")
@@ -639,25 +644,42 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         except (ValueError, TypeError) as exc:
             raise ScenarioError(path, str(exc)) from None
 
-    def integer(value, path: str) -> int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ScenarioError(path, f"must be an integer, got {value!r}")
+    def of_type(value, path: str, kind: type, what: str):
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ScenarioError(path, f"must be {what}, got {value!r}")
         return value
+
+    def integer(value, path: str) -> int:
+        return of_type(value, path, int, "an integer")
 
     def number(value, path: str) -> float:
         try:
-            return float(value)
-        except (ValueError, TypeError, OverflowError) as exc:
+            return float(of_type(value, path, (int, float), "a number"))
+        except OverflowError as exc:
             raise ScenarioError(path, str(exc)) from None
 
-    def flag(value, path: str) -> bool:
-        if not isinstance(value, bool):
-            raise ScenarioError(path, f"must be true or false, got {value!r}")
-        return value
+    def text(value, path: str) -> str:
+        return of_type(value, path, str, "a string")
 
-    raw_params = need("params")
-    if not isinstance(raw_params, dict):
-        raise ScenarioError("params", "must be an object")
+    def flag(value, path: str) -> bool:
+        return of_type(value, path, bool, "true or false")
+
+    def obj(value, path: str) -> dict:
+        return of_type(value, path, dict, "an object")
+
+    def build(path: str, cls, *args, **kwargs):
+        """cls(...), with a ValueError from its own checks reported at `path`."""
+        try:
+            return cls(*args, **kwargs)
+        except ValueError as exc:
+            raise ScenarioError(path, str(exc)) from None
+
+    obj(doc, "$")
+    version = doc.get("schema_version")
+    if version != 1:
+        raise ScenarioError("schema_version", f"unsupported version {version!r}")
+
+    raw_params = obj(need("params"), "params")
     param_fields = {}
     for name in ("L", "G", "S_A", "S_I", "B", "F", "R", "V_future"):
         if name not in raw_params:
@@ -666,10 +688,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     for name in ("P", "Pi_honest"):
         if name in raw_params:
             param_fields[name] = money(raw_params[name], f"params.{name}")
-    try:
-        params = MechanismParams(**param_fields)
-    except ValueError as exc:
-        raise ScenarioError("params", str(exc)) from None
+    params = build("params", MechanismParams, **param_fields)
 
     raw_population = need("population")
     if not isinstance(raw_population, list) or not raw_population:
@@ -679,67 +698,69 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         path = f"population[{i}]"
         if not isinstance(entry, dict) or "id" not in entry:
             raise ScenarioError(path, "each profile needs an 'id'")
-        gain_doc = entry.get("gain", {"kind": "fixed", "mean": raw_params.get("G", 0)})
-        try:
-            gain = GainModel(
-                kind=gain_doc.get("kind", "fixed"),
-                mean=money(gain_doc.get("mean", 0), f"{path}.gain.mean"),
-            )
-            population.append(
-                AgentProfile(
-                    id=str(entry["id"]),
-                    theta=float(entry.get("theta", 0.0)),
-                    gain=gain,
-                    audit_access_granted=flag(
-                        entry.get("audit_access", True), f"{path}.audit_access"
-                    ),
-                )
-            )
-        except ScenarioError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ScenarioError(path, str(exc)) from None
-
-    raw_policy = doc.get("policies", {})
-    if not isinstance(raw_policy, dict):
-        raise ScenarioError("policies", "must be an object")
-    try:
-        policy = BehaviorPolicy(
-            agent=AgentPolicy(raw_policy.get("agent", "rational_spe")),
-            user=UserPolicy(raw_policy.get("user", "rational_spe")),
-            insurer=InsurerPolicy(raw_policy.get("insurer", "rational_spe")),
-            opportunistic_p=float(raw_policy.get("opportunistic_p", 0.0)),
+        agent_id = text(entry["id"], f"{path}.id")
+        if any(agent.id == agent_id for agent in population):
+            # Profiles with one id would share a posterior and a wallet.
+            raise ScenarioError(f"{path}.id", f"duplicate id {agent_id!r}")
+        gain_doc = obj(
+            entry.get("gain", {"kind": "fixed", "mean": raw_params.get("G", 0)}),
+            f"{path}.gain",
         )
-    except ValueError as exc:
-        raise ScenarioError("policies", str(exc)) from None
+        gain = build(
+            f"{path}.gain", GainModel, kind=gain_doc.get("kind", "fixed"),
+            mean=money(gain_doc.get("mean", 0), f"{path}.gain.mean"),
+        )
+        population.append(build(  # theta is the only field AgentProfile checks
+            f"{path}.theta", AgentProfile, id=agent_id,
+            theta=number(entry.get("theta", 0.0), f"{path}.theta"),
+            gain=gain,
+            audit_access_granted=flag(
+                entry.get("audit_access", True), f"{path}.audit_access"
+            ),
+        ))
+
+    raw_policy = obj(doc.get("policies", {}), "policies")
+    policy = build(
+        "policies.opportunistic_p", BehaviorPolicy,  # its only checked field
+        agent=build("policies.agent", AgentPolicy,
+                    raw_policy.get("agent", "rational_spe")),
+        user=build("policies.user", UserPolicy, raw_policy.get("user", "rational_spe")),
+        insurer=build("policies.insurer", InsurerPolicy,
+                      raw_policy.get("insurer", "rational_spe")),
+        opportunistic_p=number(
+            raw_policy.get("opportunistic_p", 0.0), "policies.opportunistic_p"
+        ),
+    )
 
     stack_spec = None
-    if "stack" in doc and doc["stack"] is not None:
-        raw_stack = doc["stack"]
-        if not isinstance(raw_stack, dict) or "base_risk" not in raw_stack:
-            raise ScenarioError("stack", "must be an object with 'base_risk'")
+    if doc.get("stack") is not None:
+        raw_stack = obj(doc["stack"], "stack")
+        if "base_risk" not in raw_stack:
+            raise ScenarioError("stack.base_risk", "missing required field")
+        raw_certs = of_type(raw_stack.get("certificates", []), "stack.certificates",
+                            list, "a list")
         certs = []
-        for j, c in enumerate(raw_stack.get("certificates", [])):
-            try:
-                certs.append(
-                    Certificate(
-                        issuer=str(c["issuer"]),
-                        domain=str(c["domain"]),
-                        risk_discount=float(c["discount"]),
-                        expiry_tick=c.get("expiry_tick"),
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ScenarioError(f"stack.certificates[{j}]", str(exc)) from None
-        try:
-            stack_spec = StackSpec(
-                base_risk=float(raw_stack["base_risk"]),
-                certificates=tuple(certs),
-                layer1_cut=float(raw_stack.get("layer1_cut", 0.2)),
-                loading=float(raw_stack.get("loading", 0.0)),
-            )
-        except (ValueError, TypeError) as exc:
-            raise ScenarioError("stack", str(exc)) from None
+        for j, c in enumerate(raw_certs):
+            path = f"stack.certificates[{j}]"
+            obj(c, path)
+            for key in ("issuer", "domain", "discount"):
+                if key not in c:
+                    raise ScenarioError(f"{path}.{key}", "missing required field")
+            expiry_tick = c.get("expiry_tick")
+            certs.append(build(
+                f"{path}.discount", Certificate,
+                issuer=text(c["issuer"], f"{path}.issuer"),
+                domain=text(c["domain"], f"{path}.domain"),
+                risk_discount=number(c["discount"], f"{path}.discount"),
+                expiry_tick=(None if expiry_tick is None
+                             else integer(expiry_tick, f"{path}.expiry_tick")),
+            ))
+        stack_spec = StackSpec(
+            base_risk=number(raw_stack["base_risk"], "stack.base_risk"),
+            certificates=tuple(certs),
+            layer1_cut=number(raw_stack.get("layer1_cut", 0.2), "stack.layer1_cut"),
+            loading=number(raw_stack.get("loading", 0.0), "stack.loading"),
+        )
 
     config = ScenarioConfig(
         seed=integer(need("seed"), "seed"),
@@ -751,7 +772,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             doc.get("enforcement_enabled", True), "enforcement_enabled"
         ),
         claim_bond=money(doc.get("claim_bond", 0), "claim_bond"),
-        pricing=str(doc.get("pricing", "flat")),
+        pricing=text(doc.get("pricing", "flat"), "pricing"),
         loading=number(doc.get("loading", 0.0), "loading"),
         stack=stack_spec,
     )

@@ -129,6 +129,23 @@ class TestSimulate:
         assert main(["simulate", str(path), "--out", str(tmp_path / "r.json")]) == 2
         assert "params.S_I" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, path", [
+        ({"population": [{"id": "a0", "gain": 5}]}, "population[0].gain"),
+        ({"stack": {"base_risk": 0.1, "certificates": 5}}, "stack.certificates"),
+        ({"stack": {"base_risk": 0.1, "certificates": [
+            {"issuer": "i0", "domain": "safety", "discount": 0.5, "expiry_tick": "9"},
+        ]}}, "stack.certificates[0].expiry_tick"),
+        ({"stack": {"base_risk": 1.5}}, "stack.base_risk"),
+        ({"stack": {"base_risk": 0.1, "layer1_cut": 1.5}}, "stack.layer1_cut"),
+        ({"claim_bond": -1}, "claim_bond"),
+    ])
+    def test_malformed_field_exits_two_with_its_path(self, overrides, path, tmp_path,
+                                                     capsys):
+        scenario = tmp_path / "bad.json"
+        scenario.write_text(json.dumps(scenario_doc(**overrides)))
+        assert main(["simulate", str(scenario), "--out", str(tmp_path / "r.json")]) == 2
+        assert f"error: {path}: " in capsys.readouterr().err
+
 
 class TestSweep:
     def run_sweep(self, scenario_file, tmp_path, jobs):
@@ -163,6 +180,17 @@ class TestSweep:
         assert code == 2
         assert "unknown grid parameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_exits_two(self, jobs, scenario_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = main([
+            "sweep", "--scenario", str(scenario_file), "--grid", "G=40",
+            "--out", str(out), "--jobs", jobs,
+        ])
+        assert code == 2
+        assert "error: --jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStack:
     def test_quote(self, capsys):
@@ -189,6 +217,13 @@ class TestStack:
 
     def test_bad_base_risk_exits_two(self, capsys):
         assert main(["stack", "--base-risk", "0", "--coverage", "100"]) == 2
+
+    @pytest.mark.parametrize("loading", ["inf", "-inf", "nan", "-0.5"])
+    def test_bad_loading_exits_two(self, loading, capsys):
+        code = main(["stack", "--base-risk", "0.1", "--coverage", "100",
+                     f"--loading={loading}"])
+        assert code == 2
+        assert "loading must be finite and non-negative" in capsys.readouterr().err
 
 
 def test_no_subcommand_exits_two(capsys):

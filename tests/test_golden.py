@@ -9,6 +9,9 @@ is compared byte for byte with `golden/reports/<name>.json`, and the
 the criterion-11 grid must equal `golden/sweep_criterion11.csv` at one and at
 two jobs. The solver's and the oracle's answers on a small-integer parameter
 grid, where payoff ties are common, must hash to `golden/solver_grid.sha256`.
+The ledger's transfers and shortfalls on every dispute path, with fees that
+are paid in full and with fees that clamp, must hash to
+`golden/transfers.sha256`.
 
 To record the files from the current build (only when a change is meant to
 alter the outputs, and say so in the change log):
@@ -29,8 +32,10 @@ from pathlib import Path
 import pytest
 
 from insured_agents.cli import main as cli_main
-from insured_agents.game import brute_force_spe, build_game, solve_spe
+from insured_agents.game import ALL_PATHS, brute_force_spe, build_game, solve_spe
+from insured_agents.ledger import AccountId, Ledger, Role
 from insured_agents.mechanism import MechanismParams
+from insured_agents.sim import play_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -165,6 +170,46 @@ def solver_grid_digest() -> str:
     return digest.hexdigest()
 
 
+# Every dispute path with a filing bond, a verifier fee and a reputation cost.
+# The first wallets hold plenty; the second hold just enough to underwrite
+# and post every bond, so fees and penalties clamp and record shortfalls.
+_DISPUTE = MechanismParams(L=100, G=40, S_A=30, S_I=150, B=20, F=50, R=10,
+                           V_future=20, P=8)
+_CLAIM_BOND = 5
+_FUNDINGS = (
+    {"agent": 1000, "insurer": 1000, "user": 1000},
+    {"agent": 38, "insurer": 120, "user": 25},
+)
+_WALLET_ROLES = {"agent": Role.AGENT_WALLET, "insurer": Role.INSURER_WALLET,
+                 "user": Role.USER_WALLET}
+
+
+def transfer_digest() -> str:
+    """sha256 over each path's transfers, then its shortfalls, as field tuples."""
+    digest = hashlib.sha256()
+    for funding in _FUNDINGS:
+        for path in ALL_PATHS:
+            ledger = Ledger()
+            for owner, amount in funding.items():
+                ledger.deposit(AccountId(_WALLET_ROLES[owner], owner), amount)
+            p = _DISPUTE
+            ledger.underwrite("policy", "agent", "insurer", coverage=p.L,
+                              deductible=p.S_A, premium=p.P, bond=p.B,
+                              claim_deadline=5, expiry_tick=4, tick=0)
+            play_path(ledger, ledger.policies["policy"], path, "user", p,
+                      claim_bond=_CLAIM_BOND, tick=0)
+            rows = [("path", path.describe())]
+            rows += [("transfer", t.tick, t.memo.value, t.src.role.value, t.src.owner,
+                      t.dst.role.value, t.dst.owner, t.amount)
+                     for t in ledger.transfers]
+            rows += [("shortfall", s.tick, s.memo.value, s.party.role.value,
+                      s.party.owner, s.shortfall)
+                     for s in ledger.shortfalls]
+            for row in rows:
+                digest.update(repr(row).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def _recorded_episode_digests() -> dict[str, str]:
     """Digests from every `episodes*.sha256` file, keyed by scenario name."""
     lines = [line for path in sorted(GOLDEN.glob("episodes*.sha256"))
@@ -188,6 +233,10 @@ def test_solver_grid_matches_golden():
     assert solver_grid_digest() == (GOLDEN / "solver_grid.sha256").read_text().strip()
 
 
+def test_transfers_match_golden():
+    assert transfer_digest() == (GOLDEN / "transfers.sha256").read_text().strip()
+
+
 def write_golden() -> None:
     (GOLDEN / "reports").mkdir(parents=True, exist_ok=True)
     digests = []
@@ -202,6 +251,7 @@ def write_golden() -> None:
         (GOLDEN / "sweep_criterion11.csv").write_bytes(csv)
     (GOLDEN / "episodes.sha256").write_text("".join(digests))
     (GOLDEN / "solver_grid.sha256").write_text(solver_grid_digest() + "\n")
+    (GOLDEN / "transfers.sha256").write_text(transfer_digest() + "\n")
 
 
 if __name__ == "__main__":

@@ -87,7 +87,7 @@ class TestUnderwrite:
 
     def test_credential_round_trip(self):
         ledger = funded_ledger()
-        _, credential = underwrite(ledger)
+        credential = ledger.issue_credential(underwrite(ledger))
         assert ledger.verify_coverage(credential, min_coverage=100, tick=1)
 
     def test_duplicate_policy(self):
@@ -100,14 +100,14 @@ class TestUnderwrite:
 class TestVerifyCoverage:
     def test_tampered_coverage_fails(self):
         ledger = funded_ledger()
-        _, credential = underwrite(ledger)
+        credential = ledger.issue_credential(underwrite(ledger))
         forged = replace(credential, coverage=10**9)
         result = ledger.verify_coverage(forged, min_coverage=100, tick=1)
         assert not result and result.reason == "BadTag"
 
     def test_every_field_is_tamper_evident(self):
         ledger = funded_ledger()
-        _, credential = underwrite(ledger)
+        credential = ledger.issue_credential(underwrite(ledger))
         for forged in (
             replace(credential, policy_id="pol-2"),
             replace(credential, insurer="mallory"),
@@ -118,14 +118,25 @@ class TestVerifyCoverage:
 
     def test_expired_policy_fails(self):
         ledger = funded_ledger()
-        _, credential = underwrite(ledger, expiry_tick=5)
+        credential = ledger.issue_credential(underwrite(ledger, expiry_tick=5))
         result = ledger.verify_coverage(credential, min_coverage=100, tick=5)
         assert not result and result.reason == "Expired"
 
     def test_min_coverage_enforced(self):
         ledger = funded_ledger()
-        _, credential = underwrite(ledger)
+        credential = ledger.issue_credential(underwrite(ledger))
         assert not ledger.verify_coverage(credential, min_coverage=151, tick=1)
+
+    def test_credential_issued_after_a_settlement_is_the_same(self):
+        ledger = funded_ledger()
+        policy = underwrite(ledger)
+        issued = ledger.issue_credential(policy)
+        claim = ledger.file_claim("pol-1", "user", 100, ClaimValidity.VALID, tick=1)
+        ledger.respond_claim(claim.id, accept=True, tick=2)
+        assert policy.escrowed_stake == 50 and policy.escrowed_deductible == 0
+        later = ledger.issue_credential(policy)
+        assert later == issued
+        assert ledger.verify_coverage(later, min_coverage=100, tick=3)
 
 
 class TestClaims:
@@ -425,6 +436,16 @@ class TestConservationAndAtomicity:
         ):
             with pytest.raises(WrongState):
                 action()
+
+
+class TestPay:
+    @pytest.mark.parametrize("amount", [0, 5])
+    def test_same_source_and_destination_is_refused(self, amount):
+        ledger = funded_ledger()
+        before = ledger_state(ledger)
+        with pytest.raises(LedgerError):
+            ledger.pay(AGENT, AGENT, amount, 1, Memo.PREMIUM)
+        assert ledger_state(ledger) == before
 
 
 class TestAtomic:

@@ -186,13 +186,14 @@ class TestUnderwriteStack:
     def test_master_posts_full_stake(self):
         ledger = self.setup_ledger()
         stack = compose_stack(0.10, self.certs(), master="master")
-        policy, credential = underwrite_stack(
+        policy = underwrite_stack(
             ledger, "agent", stack,
             policy_id="pol", coverage=units(100), deductible=units(10),
             bond=units(5), loading=0.2, claim_deadline=10, expiry_tick=50, tick=0,
         )
         assert policy.insurer == "master"
         assert policy.escrowed_stake == units(100)
+        credential = ledger.issue_credential(policy)
         assert ledger.verify_coverage(credential, min_coverage=units(100), tick=1)
 
     def test_expired_certificate_rejected(self):

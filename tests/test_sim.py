@@ -290,11 +290,82 @@ class TestScenarioParsing:
         ("loading", float("nan"), "loading"),
         ("enforcement_enabled", "false", "enforcement_enabled"),
         ("enforcement_enabled", 0, "enforcement_enabled"),
+        ("loading", True, "loading"),
+        ("loading", "0.2", "loading"),
+        pytest.param("loading", 10**400, "loading", id="loading-huge-int"),
+        ("pricing", 5, "pricing"),
+        ("pricing", True, "pricing"),
+        ("claim_bond", -1, "claim_bond"),
+        ("policies", {"opportunistic_p": "0.5"}, "policies.opportunistic_p"),
+        ("policies", {"opportunistic_p": True}, "policies.opportunistic_p"),
+        ("policies", {"opportunistic_p": 1.5}, "policies.opportunistic_p"),
+        ("policies", {"user": "sometimes"}, "policies.user"),
     ])
     def test_bad_top_level_field_has_its_path(self, field, value, path):
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(scenario_doc(**{field: value}))
         assert err.value.path == path
+
+    @pytest.mark.parametrize("population, path", [
+        ([{"id": "a0", "theta": True}], "population[0].theta"),
+        ([{"id": "a0", "theta": "0.5"}], "population[0].theta"),
+        ([{"id": "a0", "theta": 2}], "population[0].theta"),
+        ([{"id": 7}], "population[0].id"),
+        ([{"id": True}], "population[0].id"),
+        ([{"id": "a0"}, {"id": "a0"}], "population[1].id"),
+        ([{"id": "a0", "gain": 5}], "population[0].gain"),
+        ([{"id": "a0", "gain": "fixed"}], "population[0].gain"),
+        ([{"id": "a0", "gain": {"kind": "uniform"}}], "population[0].gain"),
+    ])
+    def test_bad_population_field_has_its_path(self, population, path):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(scenario_doc(population=population))
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("stack, path", [
+        ({"base_risk": True}, "stack.base_risk"),
+        ({"base_risk": "0.1"}, "stack.base_risk"),
+        ({"base_risk": 0}, "stack.base_risk"),
+        ({"base_risk": 1.5}, "stack.base_risk"),
+        ({"base_risk": float("nan")}, "stack.base_risk"),
+        ({}, "stack.base_risk"),
+        ({"base_risk": 0.1, "layer1_cut": "0.2"}, "stack.layer1_cut"),
+        ({"base_risk": 0.1, "layer1_cut": 1.5}, "stack.layer1_cut"),
+        ({"base_risk": 0.1, "layer1_cut": -0.1}, "stack.layer1_cut"),
+        ({"base_risk": 0.1, "loading": True}, "stack.loading"),
+        ({"base_risk": 0.1, "certificates": 5}, "stack.certificates"),
+        ({"base_risk": 0.1, "certificates": "ab"}, "stack.certificates"),
+        ({"base_risk": 0.1, "certificates": {"issuer": "i0"}}, "stack.certificates"),
+        ({"base_risk": 0.1, "certificates": [5]}, "stack.certificates[0]"),
+    ])
+    def test_bad_stack_field_has_its_path(self, stack, path):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(scenario_doc(stack=stack))
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("field, value", [
+        ("issuer", 5),
+        ("domain", None),
+        ("discount", True),
+        ("discount", "0.5"),
+        ("discount", 1.0),
+        ("expiry_tick", "10"),
+        ("expiry_tick", 2.5),
+        ("expiry_tick", False),
+    ])
+    def test_bad_certificate_field_has_its_path(self, field, value):
+        cert = {"issuer": "i0", "domain": "safety", "discount": 0.5, field: value}
+        doc = scenario_doc(stack={"base_risk": 0.1, "certificates": [cert]})
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.path == f"stack.certificates[0].{field}"
+
+    def test_missing_certificate_field_has_its_path(self):
+        doc = scenario_doc(stack={"base_risk": 0.1,
+                                  "certificates": [{"issuer": "i0", "discount": 0.5}]})
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.path == "stack.certificates[0].domain"
 
     @pytest.mark.parametrize("value", ["no", "false", 1, None])
     def test_non_boolean_audit_access_rejected(self, value):
