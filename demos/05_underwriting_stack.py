@@ -31,18 +31,17 @@ print(f"  residual risk: {stack.residual_risk}")
 premium = stack_premium(stack, units(100), loading=0.2)
 print(f"  premium on 100 coverage at 20% loading: {format_units(premium)}")
 
-# Put it on the ledger: the master posts the whole stake, then half the
-# premium is shared with layer 1 in proportion to the risk each took off.
+# Put it on the ledger at that quote: the master posts the whole stake, then
+# half the premium is shared with layer 1 in proportion to the risk each took
+# off. A layer-1 wallet opens with its first share.
 ledger = Ledger()
 ledger.deposit(AccountId(Role.AGENT_WALLET, "agent"), units(1000))
 ledger.deposit(AccountId(Role.INSURER_WALLET, "master-ins"), units(1000))
-ledger.deposit(AccountId(Role.INSURER_WALLET, "safety-ins"), 0)
-ledger.deposit(AccountId(Role.INSURER_WALLET, "fin-ins"), 0)
 
 policy = underwrite_stack(
     ledger, "agent", stack,
     policy_id="pol-1", coverage=units(100), deductible=units(10),
-    bond=units(5), loading=0.2, claim_deadline=20, expiry_tick=100,
+    bond=units(5), premium=premium, claim_deadline=20, expiry_tick=100,
     tick=0, layer1_cut=0.5,
 )
 print(f"\nmaster escrowed stake: {format_units(policy.escrowed_stake)}")

@@ -192,7 +192,7 @@ def underwrite_stack(
     coverage: int,
     deductible: int,
     bond: int,
-    loading: float,
+    premium: int,
     claim_deadline: int,
     expiry_tick: int,
     tick: int,
@@ -201,10 +201,11 @@ def underwrite_stack(
 ) -> PolicyRecord:
     """Master insurer posts the protocol-facing stake and shares premium.
 
-    The policy is priced at the stack's residual risk. A configured cut of
-    the premium flows to the Layer-1 issuers, split in proportion to their
-    discounts; the master keeps the remainder and bears all liability.
-    The underwrite and the premium shares succeed or fail as one.
+    The policy charges the caller's `premium` as given; `stack_premium`
+    quotes the stack's residual risk. A configured cut of the premium flows
+    to the Layer-1 issuers, split in proportion to their discounts; the
+    master keeps the remainder and bears all liability. The underwrite and
+    the premium shares succeed or fail as one.
     """
     if certificates is not None:
         for cert in certificates:
@@ -212,7 +213,6 @@ def underwrite_stack(
                 raise ExpiredCertificate(f"{cert.domain} from {cert.issuer}")
     if not 0.0 <= layer1_cut <= 1.0:
         raise ValueError(f"layer1_cut must lie in [0, 1], got {layer1_cut}")
-    premium = stack_premium(stack, coverage, loading)
     total_discount = sum(Fraction(str(c.risk_discount)) for c in stack.layer1)
     with ledger.atomic():
         policy = ledger.underwrite(

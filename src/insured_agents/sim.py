@@ -32,6 +32,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -157,6 +158,10 @@ class ScenarioConfig:
         for path, loading in loadings:
             if not (math.isfinite(loading) and loading >= 0):
                 raise ScenarioError(path, f"must be finite and non-negative, got {loading}")
+            if self.params.L * (1 + Fraction(loading)) > MAX_AMOUNT:
+                # A premium is at most L x (1 + loading): risk never exceeds 1.
+                raise ScenarioError(path, f"prices a premium beyond the representable "
+                                          f"range at L = {self.params.L}, got {loading}")
         try:
             check_amount(self.claim_bond)
         except MoneyError as exc:
@@ -250,6 +255,8 @@ class _World:
             a.id: RiskPosterior() for a in config.population
         }
         self.stack: InsurerStack | None = None
+        # Flat or stack-priced: every episode that experience pricing leaves alone.
+        self.fixed_premium = config.params.P
         if config.stack is not None:
             self.stack = compose_stack(
                 config.stack.base_risk,
@@ -257,25 +264,27 @@ class _World:
                 master=_INSURER_ID,
                 tick=0,
             )
+            self.fixed_premium = stack_premium(
+                self.stack, config.params.L, config.stack.loading
+            )
         if config.enforcement_enabled:
             fund = _funding(config)
             self.ledger.deposit(AccountId(Role.USER_WALLET, _USER_ID), fund)
             self.ledger.deposit(AccountId(Role.INSURER_WALLET, _INSURER_ID), fund)
             for agent in config.population:
                 self.ledger.deposit(AccountId(Role.AGENT_WALLET, agent.id), fund)
-            if self.stack is not None:
-                for cert in self.stack.layer1:
-                    self.ledger.deposit(AccountId(Role.INSURER_WALLET, cert.issuer), 0)
 
     # -- per-episode decisions -------------------------------------------
 
     def _agent_action(
         self,
-        profile: StrategyProfile,
+        profile: StrategyProfile | None,
         agent: AgentProfile,
         ep: MechanismParams,
         rng: np.random.Generator,
     ) -> AgentAction:
+        """The agent's move; `profile` is the solved game, None when
+        enforcement is off and no game is played."""
         kind = self.config.policy.agent
         enforced = self.config.enforcement_enabled
         if kind is AgentPolicy.ALWAYS_MALICIOUS:
@@ -352,15 +361,12 @@ class _World:
             premium = price_premium(
                 self.posteriors[agent.id], config.params.L, config.loading
             )
-        elif self.stack is not None:
-            premium = stack_premium(self.stack, config.params.L, config.stack.loading)
         else:
-            premium = config.params.P
+            premium = self.fixed_premium
         ep = replace(config.params, G=gain, P=premium)
-        profile = _solved_profile(ep)
 
         if not config.enforcement_enabled:
-            action = self._agent_action(profile, agent, ep, rng)
+            action = self._agent_action(None, agent, ep, rng)
             record.action = action.value
             record.misbehaved = action is AgentAction.MALICIOUS
             record.payoff_agent, record.payoff_insurer, record.payoff_user = (
@@ -372,7 +378,7 @@ class _World:
             record.excluded = True
             return record
 
-        path = self._episode_path(profile, agent, ep, rng)
+        path = self._episode_path(_solved_profile(ep), agent, ep, rng)
         wallets = (
             AccountId(Role.AGENT_WALLET, agent.id),
             AccountId(Role.INSURER_WALLET, _INSURER_ID),
@@ -381,7 +387,7 @@ class _World:
         before = [self.ledger.balance(w) for w in wallets]
         try:
             with self.ledger.atomic():
-                policy = self._underwrite(agent, ep, f"ep-{index}", premium, tick0)
+                policy = self._underwrite(agent, ep, f"ep-{index}", tick0)
                 claim = play_path(
                     self.ledger, policy, path, _USER_ID, ep,
                     claim_bond=config.claim_bond, tick=tick0,
@@ -413,25 +419,20 @@ class _World:
         return record
 
     def _underwrite(
-        self,
-        agent: AgentProfile,
-        ep: MechanismParams,
-        policy_id: str,
-        premium: int,
-        tick0: int,
+        self, agent: AgentProfile, ep: MechanismParams, policy_id: str, tick0: int
     ) -> PolicyRecord:
+        """Underwrite at `ep.P`, the premium the episode's game is solved at."""
         expiry_tick = tick0 + _TICKS_PER_EPISODE - 1
         if self.stack is not None:
-            spec = self.config.stack
             return underwrite_stack(
                 self.ledger, agent.id, self.stack, policy_id=policy_id, coverage=ep.L,
-                deductible=ep.S_A, bond=ep.B, loading=spec.loading,
+                deductible=ep.S_A, bond=ep.B, premium=ep.P,
                 claim_deadline=_TICKS_PER_EPISODE, expiry_tick=expiry_tick, tick=tick0,
-                layer1_cut=spec.layer1_cut,
+                layer1_cut=self.config.stack.layer1_cut,
             )
         return self.ledger.underwrite(
             policy_id, agent.id, _INSURER_ID, coverage=ep.L, deductible=ep.S_A,
-            premium=premium, bond=ep.B, claim_deadline=_TICKS_PER_EPISODE,
+            premium=ep.P, bond=ep.B, claim_deadline=_TICKS_PER_EPISODE,
             expiry_tick=expiry_tick, tick=tick0,
         )
 
@@ -746,10 +747,15 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             for key in ("issuer", "domain", "discount"):
                 if key not in c:
                     raise ScenarioError(f"{path}.{key}", "missing required field")
+            issuer = text(c["issuer"], f"{path}.issuer")
+            if issuer == _INSURER_ID:
+                # The master would pay its own layer-1 share: `pay` refuses that.
+                raise ScenarioError(f"{path}.issuer",
+                                    f"{issuer!r} is the master insurer's id")
             expiry_tick = c.get("expiry_tick")
             certs.append(build(
                 f"{path}.discount", Certificate,
-                issuer=text(c["issuer"], f"{path}.issuer"),
+                issuer=issuer,
                 domain=text(c["domain"], f"{path}.domain"),
                 risk_discount=number(c["discount"], f"{path}.discount"),
                 expiry_tick=(None if expiry_tick is None

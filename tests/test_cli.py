@@ -138,6 +138,8 @@ class TestSimulate:
         ({"stack": {"base_risk": 1.5}}, "stack.base_risk"),
         ({"stack": {"base_risk": 0.1, "layer1_cut": 1.5}}, "stack.layer1_cut"),
         ({"claim_bond": -1}, "claim_bond"),
+        ({"pricing": "experience", "loading": 1e20}, "loading"),
+        ({"stack": {"base_risk": 0.1, "loading": 1e20}}, "stack.loading"),
     ])
     def test_malformed_field_exits_two_with_its_path(self, overrides, path, tmp_path,
                                                      capsys):

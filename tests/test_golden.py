@@ -13,8 +13,10 @@ The ledger's transfers and shortfalls on every dispute path, with fees that
 are paid in full and with fees that clamp, must hash to
 `golden/transfers.sha256`.
 
-To record the files from the current build (only when a change is meant to
-alter the outputs, and say so in the change log):
+The writer below must reproduce every one of these files byte for byte from
+an unchanged build; a test runs it into a temporary directory. To record the
+files from the current build (only when a change is meant to alter the
+outputs, and say so in the change log):
 
     PYTHONPATH=src python3 tests/test_golden.py --write
 """
@@ -210,6 +212,11 @@ def transfer_digest() -> str:
     return digest.hexdigest()
 
 
+def _episode_digest_file(name: str) -> str:
+    """The file under `golden/` that holds scenario `name`'s episode-log digest."""
+    return "episodes_aborted.sha256" if name == "aborted" else "episodes.sha256"
+
+
 def _recorded_episode_digests() -> dict[str, str]:
     """Digests from every `episodes*.sha256` file, keyed by scenario name."""
     lines = [line for path in sorted(GOLDEN.glob("episodes*.sha256"))
@@ -237,21 +244,35 @@ def test_transfers_match_golden():
     assert transfer_digest() == (GOLDEN / "transfers.sha256").read_text().strip()
 
 
-def write_golden() -> None:
-    (GOLDEN / "reports").mkdir(parents=True, exist_ok=True)
-    digests = []
+def test_writer_reproduces_the_golden_files(tmp_path):
+    def files(root: Path) -> list[Path]:
+        return sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+
+    written = tmp_path / "golden"
+    write_golden(written)
+    assert files(written) == files(GOLDEN)
+    for name in files(GOLDEN):
+        assert (written / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def write_golden(golden: Path = GOLDEN) -> None:
+    (golden / "reports").mkdir(parents=True, exist_ok=True)
+    digests: dict[str, str] = {}  # digest file name -> its text
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for name in sorted(SCENARIOS):
             report, log = simulate(SCENARIOS[name], workdir)
-            (GOLDEN / "reports" / f"{name}.json").write_bytes(report)
-            digests.append(f"{hashlib.sha256(log).hexdigest()}  {name}\n")
+            (golden / "reports" / f"{name}.json").write_bytes(report)
+            line = f"{hashlib.sha256(log).hexdigest()}  {name}\n"
+            file = _episode_digest_file(name)
+            digests[file] = digests.get(file, "") + line
         csv = sweep_csv(1, workdir)
         assert sweep_csv(2, workdir) == csv
-        (GOLDEN / "sweep_criterion11.csv").write_bytes(csv)
-    (GOLDEN / "episodes.sha256").write_text("".join(digests))
-    (GOLDEN / "solver_grid.sha256").write_text(solver_grid_digest() + "\n")
-    (GOLDEN / "transfers.sha256").write_text(transfer_digest() + "\n")
+        (golden / "sweep_criterion11.csv").write_bytes(csv)
+    for file, lines in digests.items():
+        (golden / file).write_text(lines)
+    (golden / "solver_grid.sha256").write_text(solver_grid_digest() + "\n")
+    (golden / "transfers.sha256").write_text(transfer_digest() + "\n")
 
 
 if __name__ == "__main__":

@@ -152,8 +152,6 @@ class TestUnderwriteStack:
         ledger = Ledger()
         ledger.deposit(AccountId(Role.AGENT_WALLET, "agent"), units(1000))
         ledger.deposit(AccountId(Role.INSURER_WALLET, "master"), units(1000))
-        ledger.deposit(AccountId(Role.INSURER_WALLET, "i0"), 0)
-        ledger.deposit(AccountId(Role.INSURER_WALLET, "i1"), 0)
         return ledger
 
     def certs(self):
@@ -172,7 +170,7 @@ class TestUnderwriteStack:
         underwrite_stack(
             ledger, "agent", stack,
             policy_id="pol", coverage=units(100), deductible=units(10),
-            bond=units(5), loading=0.2, claim_deadline=10, expiry_tick=50,
+            bond=units(5), premium=units("3.6"), claim_deadline=10, expiry_tick=50,
             tick=0, layer1_cut=0.5,
         )
         pool = units("3.6") * 0.5
@@ -189,7 +187,8 @@ class TestUnderwriteStack:
         policy = underwrite_stack(
             ledger, "agent", stack,
             policy_id="pol", coverage=units(100), deductible=units(10),
-            bond=units(5), loading=0.2, claim_deadline=10, expiry_tick=50, tick=0,
+            bond=units(5), premium=units("3.6"), claim_deadline=10, expiry_tick=50,
+            tick=0,
         )
         assert policy.insurer == "master"
         assert policy.escrowed_stake == units(100)
@@ -206,7 +205,7 @@ class TestUnderwriteStack:
             underwrite_stack(
                 ledger, "agent", stack,
                 policy_id="pol", coverage=units(100), deductible=0,
-                bond=0, loading=0.0, claim_deadline=10, expiry_tick=50,
+                bond=0, premium=units(5), claim_deadline=10, expiry_tick=50,
                 tick=10, certificates=(stale,),
             )
 
@@ -228,7 +227,7 @@ class TestUnderwriteStack:
             underwrite_stack(
                 ledger, "agent", stack,
                 policy_id="pol", coverage=units(100), deductible=units(10),
-                bond=units(5), loading=0.2, claim_deadline=10, expiry_tick=50,
+                bond=units(5), premium=units("3.6"), claim_deadline=10, expiry_tick=50,
                 tick=0, layer1_cut=0.5,
             )
         assert len(calls) == 2

@@ -1,5 +1,6 @@
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,8 @@ from insured_agents import (
     units,
 )
 from insured_agents.game import InsurerResponse
+from insured_agents.ledger import AccountId, Role
+from insured_agents.market import price_premium
 from insured_agents.sim import (
     AgentPolicy,
     BehaviorPolicy,
@@ -352,6 +355,7 @@ class TestScenarioParsing:
         ("expiry_tick", "10"),
         ("expiry_tick", 2.5),
         ("expiry_tick", False),
+        ("issuer", "insurer-0"),  # the master insurer would pay itself its share
     ])
     def test_bad_certificate_field_has_its_path(self, field, value):
         cert = {"issuer": "i0", "domain": "safety", "discount": 0.5, field: value}
@@ -438,6 +442,20 @@ class TestSolvedProfileMemo:
         assert _solved_profile.cache_info().hits > 0
         assert run_scenario(config).to_json() == cold
 
+    def test_unenforced_scenario_solves_no_game(self):
+        config = make_config(
+            enforcement_enabled=False,
+            population=(
+                AgentProfile(id="a0", gain=GainModel("geometric", units(60))),
+                AgentProfile(id="a1", theta=0.4),
+            ),
+            policy=BehaviorPolicy(agent=AgentPolicy.OPPORTUNISTIC, opportunistic_p=0.5),
+        )
+        for agent in (AgentPolicy.OPPORTUNISTIC, AgentPolicy.RATIONAL_SPE):
+            _solved_profile.cache_clear()
+            run_scenario(replace(config, policy=replace(config.policy, agent=agent)))
+            assert _solved_profile.cache_info().misses == 0
+
     def test_threads_sharing_the_memo_agree_with_one_thread(self):
         config = make_config(episodes=40)
         grid = [("G", [units(10), units(40), units(200)]), ("F", [units(50), units(500)])]
@@ -451,6 +469,40 @@ class TestSolvedProfileMemo:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+class TestOnePremiumPerEpisode:
+    def test_stack_charges_the_experience_quote(self):
+        # The game is solved at the experience quote; the ledger must charge
+        # that quote, and each layer-1 issuer gets its share of that quote.
+        stack = {"base_risk": 0.1, "loading": 0.2, "layer1_cut": 0.2, "certificates": [
+            {"issuer": "code-insurer", "domain": "code", "discount": 0.5},
+            {"issuer": "data-insurer", "domain": "data", "discount": 0.4},
+        ]}
+        config = scenario_from_dict(scenario_doc(
+            episodes=40, pricing="experience", loading=0.2, stack=stack,
+            params={**scenario_doc()["params"], "Pi_honest": 200},
+            population=[
+                {"id": "a0", "theta": 0.1},
+                {"id": "a1", "theta": 0.4, "gain": {"kind": "fixed", "mean": 500}},
+            ],
+            policies={"agent": "opportunistic", "opportunistic_p": 0.5},
+        ))
+        world = _World(config)
+        issuers = [AccountId(Role.INSURER_WALLET, c.issuer) for c in world.stack.layer1]
+        cut = Fraction("0.2") / Fraction("0.9")  # layer1_cut over the total discount
+        quotes = set()
+        for index in range(config.episodes):
+            agent = config.population[index % len(config.population)]
+            quote = price_premium(world.posteriors[agent.id], config.params.L, 0.2)
+            before = [world.ledger.balance(w) for w in issuers]
+            record = world.run_episode(index)
+            assert not record.aborted and not record.excluded, f"episode {index}"
+            assert record.premium_paid == quote, f"episode {index}"
+            shares = [world.ledger.balance(w) - b for w, b in zip(issuers, before)]
+            assert shares == [int(cut * quote * Fraction(d)) for d in ("0.5", "0.4")]
+            quotes.add(quote)
+        assert world.fixed_premium not in quotes and len(quotes) > 2
 
 
 class TestConservation:
