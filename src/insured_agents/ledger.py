@@ -34,6 +34,10 @@ class Role(Enum):
     BOND_ESCROW = "bond_escrow"
     VERIFIER_FEE_SINK = "verifier_fee_sink"
 
+    # Members are singletons, so hashing by identity agrees with equality; it
+    # runs in C, where `Enum.__hash__` runs Python on every `AccountId` lookup.
+    __hash__ = object.__hash__
+
 
 class AccountId(NamedTuple):
     role: Role

@@ -9,7 +9,7 @@ discount the base risk the Layer-2 master insurer underwrites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .ledger import AccountId, Ledger, Memo, PolicyRecord, Role
@@ -36,8 +36,8 @@ class RiskPosterior:
 def update_posterior(posterior: RiskPosterior, observed_misbehavior: bool) -> RiskPosterior:
     """Conjugate update: one more misbehavior or one more clean episode."""
     if observed_misbehavior:
-        return replace(posterior, alpha=posterior.alpha + 1)
-    return replace(posterior, beta=posterior.beta + 1)
+        return RiskPosterior(posterior.alpha + 1, posterior.beta)
+    return RiskPosterior(posterior.alpha, posterior.beta + 1)
 
 
 @dataclass(frozen=True)

@@ -255,24 +255,40 @@ class _World:
             a.id: RiskPosterior() for a in config.population
         }
         self.stack: InsurerStack | None = None
-        # Flat or stack-priced: every episode that experience pricing leaves alone.
-        self.fixed_premium = config.params.P
+        # The params of every episode at the scenario's gain and its flat or
+        # stack premium, built once per pricing: under flat pricing, the
+        # scenario's own, so such an episode validates nothing.
+        self.fixed_ep = config.params
+        # The first tick at which a live certificate expires.
+        self.next_expiry = math.inf
         if config.stack is not None:
-            self.stack = compose_stack(
-                config.stack.base_risk,
-                config.stack.certificates,
-                master=_INSURER_ID,
-                tick=0,
-            )
-            self.fixed_premium = stack_premium(
-                self.stack, config.params.L, config.stack.loading
-            )
+            self._price_stack(0)
+        insurer = AccountId(Role.INSURER_WALLET, _INSURER_ID)
+        user = AccountId(Role.USER_WALLET, _USER_ID)
+        # Each agent's (agent, insurer, user) wallets, whose deltas are its payoffs.
+        self.wallets = {
+            a.id: (AccountId(Role.AGENT_WALLET, a.id), insurer, user)
+            for a in config.population
+        }
         if config.enforcement_enabled:
             fund = _funding(config)
-            self.ledger.deposit(AccountId(Role.USER_WALLET, _USER_ID), fund)
-            self.ledger.deposit(AccountId(Role.INSURER_WALLET, _INSURER_ID), fund)
-            for agent in config.population:
-                self.ledger.deposit(AccountId(Role.AGENT_WALLET, agent.id), fund)
+            self.ledger.deposit(user, fund)
+            self.ledger.deposit(insurer, fund)
+            for agent_wallet, _, _ in self.wallets.values():
+                self.ledger.deposit(agent_wallet, fund)
+
+    def _price_stack(self, tick: int) -> None:
+        """Compose the stack of the certificates live at `tick` and price it;
+        it stays as priced until `next_expiry`."""
+        spec, params = self.config.stack, self.config.params
+        self.stack = compose_stack(
+            spec.base_risk, spec.certificates, master=_INSURER_ID, tick=tick
+        )
+        self.fixed_ep = replace(params, P=stack_premium(self.stack, params.L, spec.loading))
+        self.next_expiry = min(
+            (c.expiry_tick for c in self.stack.layer1 if c.expiry_tick is not None),
+            default=math.inf,
+        )
 
     # -- per-episode decisions -------------------------------------------
 
@@ -355,15 +371,19 @@ class _World:
         rng = _episode_rng(config.seed, index)
         record = EpisodeRecord(index=index, agent_id=agent.id, insurer_id=_INSURER_ID)
         tick0 = index * _TICKS_PER_EPISODE
+        if tick0 >= self.next_expiry:
+            self._price_stack(tick0)
 
+        fixed = self.fixed_ep
         gain = min(agent.gain.draw(rng), MAX_AMOUNT // 8)
         if config.pricing == "experience" and config.enforcement_enabled:
-            premium = price_premium(
-                self.posteriors[agent.id], config.params.L, config.loading
-            )
+            premium = price_premium(self.posteriors[agent.id], fixed.L, config.loading)
         else:
-            premium = self.fixed_premium
-        ep = replace(config.params, G=gain, P=premium)
+            premium = fixed.P
+        if gain == fixed.G and premium == fixed.P:
+            ep = fixed
+        else:
+            ep = replace(config.params, G=gain, P=premium)
 
         if not config.enforcement_enabled:
             action = self._agent_action(None, agent, ep, rng)
@@ -379,11 +399,7 @@ class _World:
             return record
 
         path = self._episode_path(_solved_profile(ep), agent, ep, rng)
-        wallets = (
-            AccountId(Role.AGENT_WALLET, agent.id),
-            AccountId(Role.INSURER_WALLET, _INSURER_ID),
-            AccountId(Role.USER_WALLET, _USER_ID),
-        )
+        wallets = self.wallets[agent.id]
         before = [self.ledger.balance(w) for w in wallets]
         try:
             with self.ledger.atomic():

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ class TestPosterior:
     def test_invalid_pseudo_counts_rejected(self):
         with pytest.raises(ValueError):
             RiskPosterior(0, 1)
+
+    def test_update_matches_a_field_replace(self):
+        for post in (RiskPosterior(), RiskPosterior(0.5, 3), RiskPosterior(7, 2.25)):
+            assert update_posterior(post, True) == replace(post, alpha=post.alpha + 1)
+            assert update_posterior(post, False) == replace(post, beta=post.beta + 1)
+
+    def test_update_refuses_a_non_positive_count(self):
+        # A posterior built around its own check: the update must still refuse it.
+        bad = object.__new__(RiskPosterior)
+        object.__setattr__(bad, "alpha", -3.0)
+        object.__setattr__(bad, "beta", 1.0)
+        for observed in (True, False):
+            with pytest.raises(ValueError, match="must be positive"):
+                update_posterior(bad, observed)
 
 
 class TestDecidePurchase:

@@ -1,6 +1,11 @@
+import hashlib
+import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,7 @@ from insured_agents import (
     sweep,
     units,
 )
+from insured_agents import sim
 from insured_agents.game import InsurerResponse
 from insured_agents.ledger import AccountId, Role
 from insured_agents.market import price_premium
@@ -34,6 +40,9 @@ from insured_agents.sim import (
 )
 from test_golden import ABORTED
 from test_ledger import ledger_state
+
+ROOT = Path(__file__).resolve().parents[1]
+BASELINE = ROOT / "demos" / "scenarios" / "baseline.json"
 
 
 def make_params(**overrides) -> MechanismParams:
@@ -146,6 +155,35 @@ class TestDeterminism:
     def test_histogram_mass_equals_completed_episodes(self):
         report = run_scenario(make_config(episodes=120))
         assert sum(report.user_loss_distribution.values()) == report.completed
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Account ids hash by their owner string and their role's address;
+        # neither may reach a report, an episode log or a sweep CSV.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        outputs = []
+        for hash_seed in ("0", "4242"):
+            out = tmp_path / hash_seed
+            out.mkdir()
+            for args in (
+                ["simulate", str(BASELINE), "--out", "report.json",
+                 "--episodes-log", "episodes.jsonl"],
+                ["sweep", "--scenario", str(BASELINE), "--grid", "G=40,200;F=50,500",
+                 "--out", "sweep.csv"],
+            ):
+                subprocess.run(
+                    [sys.executable, "-m", "insured_agents.cli", *args], cwd=out,
+                    env={**env, "PYTHONHASHSEED": hash_seed},
+                    check=True, capture_output=True, timeout=120,
+                )
+            outputs.append((
+                (out / "report.json").read_bytes(),
+                hashlib.sha256((out / "episodes.jsonl").read_bytes()).hexdigest(),
+                (out / "sweep.csv").read_bytes(),
+            ))
+        assert outputs[0] == outputs[1]
 
 
 class TestDeterrence:
@@ -471,6 +509,45 @@ class TestSolvedProfileMemo:
         assert threaded == serial
 
 
+class TestEpisodeHotPath:
+    @staticmethod
+    def count_validations(monkeypatch) -> list[MechanismParams]:
+        validated = []
+        check = MechanismParams.__post_init__
+
+        def counting(params):
+            validated.append(params)
+            check(params)
+
+        monkeypatch.setattr(MechanismParams, "__post_init__", counting)
+        return validated
+
+    def test_fixed_game_is_not_validated_again(self, monkeypatch):
+        doc = json.loads(BASELINE.read_text())
+        doc["episodes"] = 200
+        config = scenario_from_dict(doc)
+        validated = self.count_validations(monkeypatch)
+        report, _ = run_scenario_with_records(config)
+        assert report.completed == 200
+        assert validated == []
+
+    def test_experience_priced_episodes_are_validated_once_each(self, monkeypatch):
+        gain = {"kind": "geometric", "mean": 250}
+        config = scenario_from_dict(scenario_doc(
+            episodes=200, pricing="experience", loading=0.2,
+            params={**scenario_doc()["params"], "Pi_honest": 200},
+            population=[{"id": "a0", "theta": 0.1, "gain": gain},
+                        {"id": "a1", "theta": 0.4, "gain": gain, "audit_access": False}],
+            policies={"agent": "opportunistic", "opportunistic_p": 0.5,
+                      "user": "always_claim", "insurer": "always_deny"},
+        ))
+        validated = self.count_validations(monkeypatch)
+        report, _ = run_scenario_with_records(config)
+        assert report.completed + report.excluded == 200
+        assert len(validated) == 200
+        assert all((ep.G, ep.P) != (config.params.G, config.params.P) for ep in validated)
+
+
 class TestOnePremiumPerEpisode:
     def test_stack_charges_the_experience_quote(self):
         # The game is solved at the experience quote; the ledger must charge
@@ -502,7 +579,35 @@ class TestOnePremiumPerEpisode:
             shares = [world.ledger.balance(w) - b for w, b in zip(issuers, before)]
             assert shares == [int(cut * quote * Fraction(d)) for d in ("0.5", "0.4")]
             quotes.add(quote)
-        assert world.fixed_premium not in quotes and len(quotes) > 2
+        assert world.fixed_ep.P not in quotes and len(quotes) > 2
+
+    def test_expired_certificate_stops_discounting_and_sharing(self, monkeypatch):
+        # Episode i starts at tick 5i, so the certificate covers episodes 0
+        # and 1; from episode 2 on the stack prices the bare base risk.
+        composed = []
+        compose = sim.compose_stack
+        monkeypatch.setattr(sim, "compose_stack", lambda *args, tick, **kwargs: (
+            composed.append(tick) or compose(*args, tick=tick, **kwargs)
+        ))
+        stack = {"base_risk": 0.1, "certificates": [
+            {"issuer": "code-insurer", "domain": "code", "discount": 0.5, "expiry_tick": 10},
+        ]}
+        config = scenario_from_dict(scenario_doc(
+            episodes=6, stack=stack, params={**scenario_doc()["params"], "Pi_honest": 200},
+        ))
+        world = _World(config)
+        issuer = AccountId(Role.INSURER_WALLET, "code-insurer")
+        paid, shares = [], []
+        for index in range(config.episodes):
+            before = world.ledger.balance(issuer)
+            record = world.run_episode(index)
+            assert not record.aborted and not record.excluded, f"episode {index}"
+            paid.append(record.premium_paid)
+            shares.append(world.ledger.balance(issuer) - before)
+        assert paid == [units(5)] * 2 + [units(10)] * 4
+        assert shares == [units(1)] * 2 + [0] * 4
+        assert world.stack.layer1 == ()
+        assert composed == [0, 10]  # once per expiry, not once per episode
 
 
 class TestConservation:
