@@ -24,7 +24,7 @@ certs = [
     Certificate(issuer="fin-ins", domain="financial", risk_discount=0.4),
 ]
 
-stack = compose_stack(0.10, certs, master="master-ins")
+stack = compose_stack(0.10, certs, master="master-ins", layer1_cut=0.5)
 print(f"base risk 0.10 with discounts 0.5 and 0.4")
 print(f"  residual risk: {stack.residual_risk}")
 
@@ -42,7 +42,7 @@ policy = underwrite_stack(
     ledger, "agent", stack,
     policy_id="pol-1", coverage=units(100), deductible=units(10),
     bond=units(5), premium=premium, claim_deadline=20, expiry_tick=100,
-    tick=0, layer1_cut=0.5,
+    tick=0,
 )
 print(f"\nmaster escrowed stake: {format_units(policy.escrowed_stake)}")
 for issuer in ("safety-ins", "fin-ins"):

@@ -161,10 +161,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise UsageError("--jobs must be at least 1")
         grid = _parse_grid(args.grid)
         config = load_scenario(args.scenario)
+        rows = sweep(config, grid, jobs=args.jobs)
     except (UsageError, ScenarioError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows = sweep(config, grid, jobs=args.jobs)
     names = [name for name, _ in grid]
     header = names + ["predicted", "misbehavior_rate", "dispute_rate",
                       "verifier_invocations"]

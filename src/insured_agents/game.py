@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .mechanism import MechanismParams, check_conditions
 
@@ -159,25 +158,16 @@ def leaf_payoffs(params: MechanismParams, path: TerminalPath) -> LeafPayoffs:
 
 @dataclass(frozen=True)
 class GameTree:
-    """The payoffs at every terminal path, keyed in `ALL_PATHS` order.
-
-    The solver and the oracle read `leaves` by position, so any other key
-    order is rejected.
-    """
+    """The payoffs at every terminal path: `leaves[i]` is the payoff at
+    `ALL_PATHS[i]`."""
 
     params: MechanismParams
-    leaves: Mapping[TerminalPath, LeafPayoffs]
-
-    def __post_init__(self) -> None:
-        if tuple(self.leaves) != ALL_PATHS:
-            raise ValueError("leaves must be keyed by ALL_PATHS, in that order")
+    leaves: tuple[LeafPayoffs, ...]
 
 
 def build_game(params: MechanismParams) -> GameTree:
     """Build the fixed tree: each terminal path's payoffs, in `ALL_PATHS` order."""
-    return GameTree(
-        params=params, leaves={path: leaf_payoffs(params, path) for path in ALL_PATHS}
-    )
+    return GameTree(params, tuple([leaf_payoffs(params, path) for path in ALL_PATHS]))
 
 
 @dataclass(frozen=True)
@@ -316,8 +306,7 @@ def _leaf_table(tree: GameTree) -> tuple[tuple[LeafPayoffs, ...], ...]:
     """The leaves by position: the invalid-claim (honest agent) subtree, then
     the valid-claim (malicious agent) one, each (no-claim, accept, deny+drop,
     deny+escalate), as `ALL_PATHS` lists them."""
-    leaves = tuple(tree.leaves.values())
-    return leaves[:4], leaves[4:]
+    return tree.leaves[:4], tree.leaves[4:]
 
 
 def _one_shot_ok(

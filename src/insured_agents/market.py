@@ -140,6 +140,8 @@ class InsurerStack:
     master: str
     layer1: tuple[Certificate, ...]
     residual_risk: float
+    premium_shares: tuple[tuple[str, Fraction], ...]  # (issuer, its fraction of a premium)
+    expires_at: float  # the first tick at which a live certificate expires
     warnings: tuple[str, ...] = ()
 
 
@@ -149,31 +151,40 @@ def compose_stack(
     *,
     master: str = "master",
     tick: int = 0,
-    floor: float = RESIDUAL_RISK_FLOOR,
+    layer1_cut: float = 0.2,
 ) -> InsurerStack:
     """Multiply independent certificate discounts into a residual risk.
 
-    residual = base_risk x prod(1 - discount_j), clamped at `floor`.
-    Expired certificates are excluded from the product with a warning
-    record. Exact rational arithmetic makes the result independent of
-    certificate order.
+    residual = base_risk x prod(1 - discount_j), clamped at
+    `RESIDUAL_RISK_FLOOR`. Expired certificates are excluded from the
+    product with a warning record. Exact rational arithmetic makes the
+    result independent of certificate order. A `layer1_cut` of every premium
+    flows to the live issuers, split in proportion to their discounts.
     """
     if not 0.0 < base_risk <= 1.0:
         raise ValueError(f"base_risk must lie in (0, 1], got {base_risk}")
+    if not 0.0 <= layer1_cut <= 1.0:
+        raise ValueError(f"layer1_cut must lie in [0, 1], got {layer1_cut}")
     residual = Fraction(str(base_risk))
-    active: list[Certificate] = []
+    live: list[tuple[Certificate, Fraction]] = []
     warnings: list[str] = []
     for cert in certificates:
         if cert.expired(tick):
             warnings.append(f"expired certificate {cert.domain} from {cert.issuer}")
             continue
-        residual *= 1 - Fraction(str(cert.risk_discount))
-        active.append(cert)
-    value = max(float(residual), floor)
+        discount = Fraction(str(cert.risk_discount))
+        residual *= 1 - discount
+        live.append((cert, discount))
+    total = sum(d for _, d in live)
+    cut = Fraction(str(layer1_cut))
     return InsurerStack(
         master=master,
-        layer1=tuple(active),
-        residual_risk=value,
+        layer1=tuple(cert for cert, _ in live),
+        residual_risk=max(float(residual), RESIDUAL_RISK_FLOOR),
+        premium_shares=tuple((c.issuer, cut * d / total) for c, d in live if cut and d),
+        expires_at=min(
+            (c.expiry_tick for c, _ in live if c.expiry_tick is not None), default=math.inf
+        ),
         warnings=tuple(warnings),
     )
 
@@ -196,36 +207,27 @@ def underwrite_stack(
     claim_deadline: int,
     expiry_tick: int,
     tick: int,
-    layer1_cut: float = 0.2,
-    certificates: tuple[Certificate, ...] | None = None,
 ) -> PolicyRecord:
     """Master insurer posts the protocol-facing stake and shares premium.
 
     The policy charges the caller's `premium` as given; `stack_premium`
-    quotes the stack's residual risk. A configured cut of the premium flows
-    to the Layer-1 issuers, split in proportion to their discounts; the
-    master keeps the remainder and bears all liability. The underwrite and
-    the premium shares succeed or fail as one.
+    quotes the stack's residual risk. Each Layer-1 issuer gets its fixed
+    fraction of the premium, truncated; the master keeps the remainder and
+    bears all liability. The underwrite and the premium shares succeed or
+    fail as one. A stack is refused from its `expires_at` on.
     """
-    if certificates is not None:
-        for cert in certificates:
-            if cert.expired(tick):
-                raise ExpiredCertificate(f"{cert.domain} from {cert.issuer}")
-    if not 0.0 <= layer1_cut <= 1.0:
-        raise ValueError(f"layer1_cut must lie in [0, 1], got {layer1_cut}")
-    total_discount = sum(Fraction(str(c.risk_discount)) for c in stack.layer1)
+    if tick >= stack.expires_at:
+        raise ExpiredCertificate(f"a certificate expired at tick {stack.expires_at}")
     with ledger.atomic():
         policy = ledger.underwrite(
             policy_id, agent, stack.master, coverage=coverage, deductible=deductible,
             premium=premium, bond=bond, claim_deadline=claim_deadline,
             expiry_tick=expiry_tick, tick=tick,
         )
-        if total_discount > 0 and layer1_cut > 0:
-            pool = Fraction(str(layer1_cut)) * premium
-            master_wallet = AccountId(Role.INSURER_WALLET, stack.master)
-            for cert in stack.layer1:
-                share = int(pool * Fraction(str(cert.risk_discount)) / total_discount)
-                if share > 0:
-                    issuer_wallet = AccountId(Role.INSURER_WALLET, cert.issuer)
-                    ledger.pay(master_wallet, issuer_wallet, share, tick, Memo.PREMIUM)
+        master_wallet = AccountId(Role.INSURER_WALLET, stack.master)
+        for issuer, fraction in stack.premium_shares:
+            share = premium * fraction.numerator // fraction.denominator
+            if share > 0:
+                ledger.pay(master_wallet, AccountId(Role.INSURER_WALLET, issuer),
+                           share, tick, Memo.PREMIUM)
     return policy

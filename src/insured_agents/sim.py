@@ -71,7 +71,7 @@ from .market import (
     update_posterior,
 )
 from .mechanism import MechanismParams
-from .money import MAX_AMOUNT, MoneyError, check_amount, units
+from .money import MAX_AMOUNT, MoneyError, check_amount, format_units, units
 
 
 class AgentPolicy(Enum):
@@ -259,8 +259,6 @@ class _World:
         # stack premium, built once per pricing: under flat pricing, the
         # scenario's own, so such an episode validates nothing.
         self.fixed_ep = config.params
-        # The first tick at which a live certificate expires.
-        self.next_expiry = math.inf
         if config.stack is not None:
             self._price_stack(0)
         insurer = AccountId(Role.INSURER_WALLET, _INSURER_ID)
@@ -279,16 +277,13 @@ class _World:
 
     def _price_stack(self, tick: int) -> None:
         """Compose the stack of the certificates live at `tick` and price it;
-        it stays as priced until `next_expiry`."""
+        it stays as priced until its `expires_at`."""
         spec, params = self.config.stack, self.config.params
         self.stack = compose_stack(
-            spec.base_risk, spec.certificates, master=_INSURER_ID, tick=tick
+            spec.base_risk, spec.certificates, master=_INSURER_ID, tick=tick,
+            layer1_cut=spec.layer1_cut,
         )
         self.fixed_ep = replace(params, P=stack_premium(self.stack, params.L, spec.loading))
-        self.next_expiry = min(
-            (c.expiry_tick for c in self.stack.layer1 if c.expiry_tick is not None),
-            default=math.inf,
-        )
 
     # -- per-episode decisions -------------------------------------------
 
@@ -371,7 +366,7 @@ class _World:
         rng = _episode_rng(config.seed, index)
         record = EpisodeRecord(index=index, agent_id=agent.id, insurer_id=_INSURER_ID)
         tick0 = index * _TICKS_PER_EPISODE
-        if tick0 >= self.next_expiry:
+        if self.stack is not None and tick0 >= self.stack.expires_at:
             self._price_stack(tick0)
 
         fixed = self.fixed_ep
@@ -444,7 +439,6 @@ class _World:
                 self.ledger, agent.id, self.stack, policy_id=policy_id, coverage=ep.L,
                 deductible=ep.S_A, bond=ep.B, premium=ep.P,
                 claim_deadline=_TICKS_PER_EPISODE, expiry_tick=expiry_tick, tick=tick0,
-                layer1_cut=self.config.stack.layer1_cut,
             )
         return self.ledger.underwrite(
             policy_id, agent.id, _INSURER_ID, coverage=ep.L, deductible=ep.S_A,
@@ -615,19 +609,29 @@ def sweep(
     """One scenario run per grid cell, in deterministic grid order.
 
     `grid` maps MechanismParams field names to value lists; the cartesian
-    product is evaluated row-major. Cells are independent and may run
+    product is evaluated row-major. Every cell's config is built and
+    validated before any cell runs, so a malformed cell raises ScenarioError
+    naming the cell and runs nothing. Cells are independent and may run
     concurrently; the output order never depends on `jobs`.
     """
     if not grid or any(not values for _, values in grid):
         raise ValueError("sweep grid must be non-empty in every dimension")
     names = [name for name, _ in grid]
-    cells = list(itertools.product(*(values for _, values in grid)))
+    configs = []
+    for values in itertools.product(*(values for _, values in grid)):
+        cell = dict(zip(names, values))
+        try:
+            cell_config = replace(config, params=replace(config.params, **cell))
+            cell_config.validate()
+        except ValueError as exc:
+            where = ", ".join(f"{name}={format_units(v)}" for name, v in cell.items())
+            raise ScenarioError(f"sweep cell {where}", str(exc)) from None
+        configs.append(cell_config)
 
-    def run_cell(values: tuple[int, ...]) -> dict:
-        params = replace(config.params, **dict(zip(names, values)))
-        cell_config = replace(config, params=params)
+    def run_cell(cell_config: ScenarioConfig) -> dict:
+        params = cell_config.params
         report = run_scenario(cell_config)
-        row = {name: value for name, value in zip(names, values)}
+        row = {name: getattr(params, name) for name in names}
         row["predicted"] = predict_honest_equilibrium(params)
         row["misbehavior_rate"] = report.misbehavior_rate
         row["dispute_rate"] = report.dispute_rate
@@ -635,9 +639,9 @@ def sweep(
         return row
 
     if jobs <= 1:
-        return [run_cell(cell) for cell in cells]
+        return [run_cell(cell_config) for cell_config in configs]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_cell, cells))
+        return list(pool.map(run_cell, configs))
 
 
 # -- scenario (de)serialization -------------------------------------------

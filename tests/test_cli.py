@@ -1,9 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from insured_agents.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
 BASE_FLAGS = [
     "--L", "100", "--G", "40", "--S-A", "30", "--S-I", "150",
     "--B", "20", "--F", "50", "--R", "10", "--V-future", "20",
@@ -191,6 +193,27 @@ class TestSweep:
         ])
         assert code == 2
         assert "error: --jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_unrepresentable_cell_exits_two_before_any_cell_runs(self, jobs, tmp_path,
+                                                                 capsys):
+        # At L = 9e12 units a 20% loading prices past MAX_AMOUNT; the L = 100
+        # cell is valid, but no cell may run and no CSV be written.
+        doc = json.loads((ROOT / "demos" / "scenarios" / "baseline.json").read_text())
+        scenario = tmp_path / "loaded.json"
+        scenario.write_text(json.dumps({**doc, "loading": 0.2}))
+        out = tmp_path / "x.csv"
+        code = main([
+            "sweep", "--scenario", str(scenario), "--grid", "L=100,9000000000000",
+            "--out", str(out), "--jobs", jobs,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "L=9000000000000" in err and "loading" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 

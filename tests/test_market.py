@@ -1,8 +1,11 @@
 import itertools
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from insured_agents import (
     AgentProfile,
@@ -20,6 +23,7 @@ from insured_agents import (
 )
 from insured_agents.ledger import AccountId, InsufficientFunds, Ledger, Role
 from insured_agents.market import ExpiredCertificate
+from insured_agents.money import MAX_AMOUNT
 from test_ledger import ledger_state
 
 
@@ -181,12 +185,12 @@ class TestUnderwriteStack:
 
     def test_premium_shares_proportional_to_discounts(self):
         ledger = self.setup_ledger()
-        stack = compose_stack(0.10, self.certs(), master="master")
+        stack = compose_stack(0.10, self.certs(), master="master", layer1_cut=0.5)
         underwrite_stack(
             ledger, "agent", stack,
             policy_id="pol", coverage=units(100), deductible=units(10),
             bond=units(5), premium=units("3.6"), claim_deadline=10, expiry_tick=50,
-            tick=0, layer1_cut=0.5,
+            tick=0,
         )
         pool = units("3.6") * 0.5
         share0 = ledger.balance(AccountId(Role.INSURER_WALLET, "i0"))
@@ -221,8 +225,73 @@ class TestUnderwriteStack:
                 ledger, "agent", stack,
                 policy_id="pol", coverage=units(100), deductible=0,
                 bond=0, premium=units(5), claim_deadline=10, expiry_tick=50,
-                tick=10, certificates=(stale,),
+                tick=10,
             )
+
+    def test_stack_underwrites_until_its_first_expiry(self):
+        ledger = self.setup_ledger()
+        certs = self.certs() + (
+            Certificate(issuer="i2", domain="data", risk_discount=0.2, expiry_tick=9),
+            Certificate(issuer="i3", domain="code", risk_discount=0.1, expiry_tick=5),
+        )
+        stack = compose_stack(0.10, certs, master="master", tick=0)
+        assert stack.expires_at == 5
+        underwrite_stack(
+            ledger, "agent", stack,
+            policy_id="pol", coverage=units(100), deductible=0,
+            bond=0, premium=units(5), claim_deadline=10, expiry_tick=50,
+            tick=stack.expires_at - 1,
+        )
+        with pytest.raises(ExpiredCertificate):
+            underwrite_stack(
+                ledger, "agent", stack,
+                policy_id="pol-2", coverage=units(100), deductible=0,
+                bond=0, premium=units(5), claim_deadline=10, expiry_tick=50,
+                tick=stack.expires_at,
+            )
+
+    def test_stack_without_expiring_certificates_never_expires(self):
+        assert compose_stack(0.10, self.certs()).expires_at == math.inf
+        assert compose_stack(0.10, []).expires_at == math.inf
+        # An excluded certificate's expiry is not the stack's.
+        stale = Certificate(issuer="i9", domain="stale", risk_discount=0.4, expiry_tick=3)
+        assert compose_stack(0.10, self.certs() + (stale,), tick=3).expires_at == math.inf
+
+    def test_layer1_cut_checked_when_composed(self):
+        for cut in (-0.1, 1.5):
+            with pytest.raises(ValueError):
+                compose_stack(0.10, self.certs(), layer1_cut=cut)
+
+    @given(
+        cut=st.floats(0.0, 1.0),
+        discounts=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4),
+        premium=st.integers(0, MAX_AMOUNT),
+    )
+    def test_shares_match_the_discount_split(self, cut, discounts, premium):
+        # Each issuer gets int(cut x premium x d_i / sum(d)), as decimal
+        # fractions of the configured cut and discounts; nothing when the
+        # cut or the total discount is zero.
+        ledger = Ledger()
+        ledger.deposit(AccountId(Role.AGENT_WALLET, "agent"), premium)
+        ledger.deposit(AccountId(Role.INSURER_WALLET, "master"), units(1))
+        certs = [
+            Certificate(issuer=f"i{k}", domain=f"d{k}", risk_discount=d)
+            for k, d in enumerate(discounts)
+        ]
+        stack = compose_stack(0.10, certs, master="master", layer1_cut=cut)
+        underwrite_stack(
+            ledger, "agent", stack,
+            policy_id="pol", coverage=units(1), deductible=0, bond=0,
+            premium=premium, claim_deadline=10, expiry_tick=50, tick=0,
+        )
+        total = sum(Fraction(str(d)) for d in discounts)
+        paid = [ledger.balance(AccountId(Role.INSURER_WALLET, c.issuer)) for c in certs]
+        if total == 0 or cut == 0:
+            assert paid == [0] * len(certs)
+            assert stack.premium_shares == ()
+        else:
+            pool = Fraction(str(cut)) * premium
+            assert paid == [int(pool * Fraction(str(d)) / total) for d in discounts]
 
     def test_failed_premium_share_undoes_the_whole_underwrite(self, monkeypatch):
         ledger = self.setup_ledger()
@@ -237,13 +306,13 @@ class TestUnderwriteStack:
             pay(src, *args)
 
         monkeypatch.setattr(ledger, "pay", pay_once)
-        stack = compose_stack(0.10, self.certs(), master="master")
+        stack = compose_stack(0.10, self.certs(), master="master", layer1_cut=0.5)
         with pytest.raises(InsufficientFunds):
             underwrite_stack(
                 ledger, "agent", stack,
                 policy_id="pol", coverage=units(100), deductible=units(10),
                 bond=units(5), premium=units("3.6"), claim_deadline=10, expiry_tick=50,
-                tick=0, layer1_cut=0.5,
+                tick=0,
             )
         assert len(calls) == 2
         assert ledger_state(ledger) == before

@@ -8,16 +8,22 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from insured_agents import (
     ALL_PATHS,
     AgentAction,
     AgentProfile,
+    EscalationChoice,
     GainModel,
+    GameTree,
+    LeafPayoffs,
     MechanismParams,
     TerminalPath,
+    build_game,
     leaf_payoffs,
     replay_game_path,
+    solve_spe,
     run_scenario,
     run_scenario_with_records,
     sweep,
@@ -240,6 +246,54 @@ class TestLedgerGameConsistency:
             pi_a, pi_i, _ = replay_game_path(params, path, claim_bond=0)
             assert expected.pi_A - pi_a == params.P
             assert pi_i - expected.pi_I == (params.P if path in verbatim else 0)
+
+    @given(
+        money=st.lists(st.integers(0, 10**9), min_size=8, max_size=8),
+        premium=st.integers(1, 10**9),
+        pi_honest=st.integers(-10**9, 10**9),
+        claim_bond=st.integers(0, 10**9),
+    )
+    def test_ledger_minus_game_is_the_wedge(self, money, premium, pi_honest, claim_bond):
+        # replay_game_path - leaf_payoffs, as (agent, insurer, user), per path.
+        params = MechanismParams(*money, P=premium, Pi_honest=pi_honest)
+        P, L, c = params.P, params.L, claim_bond
+        wedge = {
+            "H/NoClaim": (-P, 0, 0),
+            "H/Claim/Accept": (-P, 0, 0),
+            "H/Claim/Deny/Drop": (-P, c, -c),
+            "H/Claim/Deny/Escalate": (-P, c, -c),
+            "M/NoClaim": (-P, 0, 0),
+            "M/Claim/Accept": (-P, P, 0),
+            "M/Claim/Deny/Drop": (-P, c, -c),
+            "M/Claim/Deny/Escalate": (-P, P, -L),
+        }
+        for path in ALL_PATHS:
+            leaf = leaf_payoffs(params, path)
+            replayed = replay_game_path(params, path, claim_bond=claim_bond)
+            got = tuple(r - g for r, g in zip(replayed, (leaf.pi_A, leaf.pi_I, leaf.pi_U)))
+            assert got == wedge[path.describe()], path.describe()
+
+    def test_ledger_payoffs_flip_valid_escalation_below_2l_plus_b(self):
+        # Under ledger payoffs a harmed user escalates a valid denial only
+        # when F < L + B + claim bond (here 120), against the paper's
+        # F < 2L + B (here 220); in between the two trees part ways.
+        def ledger_tree(params):
+            return GameTree(params, tuple(
+                LeafPayoffs(*replay_game_path(params, path), bool(path.escalated))
+                for path in ALL_PATHS
+            ))
+
+        for fee in (119, 120, 219, 220):
+            params = make_params(F=units(fee))
+            paper, _ = solve_spe(build_game(params))
+            ledger, _ = solve_spe(ledger_tree(params))
+            if fee in (119, 220):
+                assert ledger == paper, fee
+            else:
+                assert paper.agent is AgentAction.HONEST, fee
+                assert paper.escalate_valid is EscalationChoice.ESCALATE, fee
+                assert ledger.agent is AgentAction.MALICIOUS, fee
+                assert ledger.escalate_valid is EscalationChoice.DROP, fee
 
 
 class TestSweep:
