@@ -16,13 +16,17 @@ fixed column order, so runs are byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
 import sys
 
 from .game import build_game, brute_force_spe, solve_spe
 from .market import Certificate, compose_stack, stack_premium
 from .mechanism import MechanismParams, check_conditions
 from .money import MoneyError, format_units, units
-from .sim import ScenarioError, load_scenario, run_scenario_with_records, sweep
+from .sim import (
+    ScenarioError, load_scenario, run_scenario_with_records, sweep, sweep_configs,
+)
 
 
 class UsageError(Exception):
@@ -113,21 +117,25 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open_output(path: str):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         config = load_scenario(args.scenario)
-    except (ScenarioError, OSError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report, records = run_scenario_with_records(config)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.to_json())
-    if args.episodes_log:
-        import json
-
-        with open(args.episodes_log, "w", encoding="utf-8", newline="\n") as fh:
+    # Outputs open before the run: an unwritable path fails before any episode.
+    with contextlib.ExitStack() as outputs:
+        out = outputs.enter_context(_open_output(args.out))
+        log = args.episodes_log and outputs.enter_context(_open_output(args.episodes_log))
+        report, records = run_scenario_with_records(config)
+        out.write(report.to_json())
+        if log:
             for record in records:
-                fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+                log.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
     print(f"wrote {args.out}")
     return 0
 
@@ -149,6 +157,8 @@ def _parse_grid(spec: str) -> list[tuple[str, list[int]]]:
             raise UsageError(f"grid entry {name}: {exc}") from None
         if not values:
             raise UsageError(f"grid entry {name} has no values")
+        if any(name == seen for seen, _ in grid):
+            raise UsageError(f"grid parameter {name!r} is repeated")
         grid.append((name, values))
     if not grid:
         raise UsageError("empty grid spec")
@@ -161,10 +171,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise UsageError("--jobs must be at least 1")
         grid = _parse_grid(args.grid)
         config = load_scenario(args.scenario)
-        rows = sweep(config, grid, jobs=args.jobs)
-    except (UsageError, ScenarioError, OSError) as exc:
+        sweep_configs(config, grid)  # a malformed cell fails before the CSV opens
+    except (UsageError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    with _open_output(args.out) as fh:
+        rows = sweep(config, grid, jobs=args.jobs)
+        fh.write(_csv(grid, rows))
+    print(f"wrote {args.out}")
+    return 0
+
+
+def _csv(grid: list[tuple[str, list[int]]], rows: list[dict]) -> str:
     names = [name for name, _ in grid]
     header = names + ["predicted", "misbehavior_rate", "dispute_rate",
                       "verifier_invocations"]
@@ -176,10 +194,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cells.append(repr(row["dispute_rate"]))
         cells.append(str(row["verifier_invocations"]))
         lines.append(",".join(cells))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"wrote {args.out}")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 def _cert_flag(text: str) -> Certificate:
@@ -269,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MoneyError as exc:
+    except (MoneyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -99,6 +99,18 @@ def _all_paths() -> tuple[TerminalPath, ...]:
 ALL_PATHS = _all_paths()
 
 
+def path_of(malicious: bool, claims: bool, accepts: bool, escalates: bool) -> TerminalPath:
+    """The `ALL_PATHS` member these choices reach. `accepts` counts only on a
+    claim and `escalates` only on a denial."""
+    if not claims:
+        step = 0
+    elif accepts:
+        step = 1
+    else:
+        step = 2 + escalates
+    return ALL_PATHS[4 * malicious + step]
+
+
 @dataclass(frozen=True)
 class LeafPayoffs:
     """Per-party payoff deltas (signed micro-units) at one terminal path."""
@@ -187,42 +199,14 @@ class StrategyProfile:
     escalate_valid: EscalationChoice
     escalate_invalid: EscalationChoice
 
-    def insurer_response(self, validity: ClaimValidity) -> InsurerResponse:
-        return (
-            self.respond_valid
-            if validity is ClaimValidity.VALID
-            else self.respond_invalid
-        )
-
-    def user_escalates(self, validity: ClaimValidity) -> EscalationChoice:
-        return (
-            self.escalate_valid
-            if validity is ClaimValidity.VALID
-            else self.escalate_invalid
-        )
-
     def outcome_path(self) -> TerminalPath:
         """The terminal path this profile induces from the root."""
-        harmed = self.agent is AgentAction.MALICIOUS
-        claimed = self.claims_when_harmed if harmed else self.claims_when_unharmed
-        if not claimed:
-            return TerminalPath(self.agent, False)
-        validity = ClaimValidity.VALID if harmed else ClaimValidity.INVALID
-        if self.insurer_response(validity) is InsurerResponse.ACCEPT:
-            return TerminalPath(self.agent, True, InsurerResponse.ACCEPT)
-        escalated = self.user_escalates(validity) is EscalationChoice.ESCALATE
-        return TerminalPath(self.agent, True, InsurerResponse.DENY, escalated)
-
-    def _sort_key(self) -> tuple:
-        return (
-            self.agent.value,
-            self.claims_when_harmed,
-            self.claims_when_unharmed,
-            self.respond_valid.value,
-            self.respond_invalid.value,
-            self.escalate_valid.value,
-            self.escalate_invalid.value,
+        malicious, harmed, unharmed, acc_valid, acc_invalid, esc_valid, esc_invalid = (
+            _profile_bits(self)
         )
+        if malicious:
+            return path_of(True, harmed, acc_valid, esc_valid)
+        return path_of(False, unharmed, acc_invalid, esc_invalid)
 
 
 #: The profile the mechanism is designed to sustain: honest agent, user
@@ -293,8 +277,8 @@ def _all_profiles() -> tuple[StrategyProfile, ...]:
         (False, True),
         (InsurerResponse.ACCEPT, InsurerResponse.DENY),
         (InsurerResponse.ACCEPT, InsurerResponse.DENY),
-        (EscalationChoice.ESCALATE, EscalationChoice.DROP),
-        (EscalationChoice.ESCALATE, EscalationChoice.DROP),
+        (EscalationChoice.DROP, EscalationChoice.ESCALATE),
+        (EscalationChoice.DROP, EscalationChoice.ESCALATE),
     )
     return tuple(StrategyProfile(*combo) for combo in combos)
 
@@ -367,14 +351,13 @@ def brute_force_spe(tree: GameTree) -> tuple[StrategyProfile, ...]:
 
     Independent of solve_spe: it filters the full profile space with the
     one-shot-deviation check rather than inducting backward. Returned in
-    a deterministic order.
+    enumeration order: by agent, claims when harmed, claims when unharmed,
+    then each response and escalation by its `.value`.
     """
     table = _leaf_table(tree)
-    found = [
+    return tuple(
         profile for profile, bits in _PROFILE_BITS if _one_shot_ok(table, *bits)
-    ]
-    found.sort(key=StrategyProfile._sort_key)
-    return tuple(found)
+    )
 
 
 _PROFILE_BITS = tuple((p, _profile_bits(p)) for p in _ALL_PROFILES)

@@ -7,8 +7,8 @@ stream derived from (scenario seed, episode index), so results are
 independent of execution order and a (config, seed) pair fully determines
 every report field.
 
-An enforced episode first fixes the game path it will play: the solver's
-strategy profile with the behavior policies written over it. The profile
+An enforced episode first picks the `ALL_PATHS` member it will play: the
+solver's choices with the behavior policies written over them. The profile
 is solved once per distinct episode parameter set and kept in a bounded
 memo (`_solved_profile`). `play_path`
 then drives that path through the ledger; `replay_game_path`, which
@@ -38,12 +38,12 @@ import numpy as np
 
 from .game import (
     AgentAction,
-    ClaimValidity,
     EscalationChoice,
     InsurerResponse,
     StrategyProfile,
     TerminalPath,
     build_game,
+    path_of,
     predict_honest_equilibrium,
     solve_spe,
 )
@@ -324,39 +324,27 @@ class _World:
         ep: MechanismParams,
         rng: np.random.Generator,
     ) -> TerminalPath:
-        """The solver's profile with the behavior policies written over it."""
+        """The solver's choices with the behavior policies written over them."""
         policy = self.config.policy
-        changes: dict = {}
-        action = self._agent_action(profile, agent, ep, rng)
-        if action is not profile.agent:
-            changes["agent"] = action
-        if policy.user is not UserPolicy.RATIONAL_SPE:
-            claims = policy.user is UserPolicy.ALWAYS_CLAIM
-            escalation = EscalationChoice.ESCALATE if claims else EscalationChoice.DROP
-            changes.update(
-                claims_when_harmed=claims,
-                claims_when_unharmed=claims,
-                escalate_valid=escalation,
-                escalate_invalid=escalation,
-            )
-        response = None
-        if policy.insurer is InsurerPolicy.ALWAYS_ACCEPT:
-            response = InsurerResponse.ACCEPT
-        elif policy.insurer is InsurerPolicy.ALWAYS_DENY:
-            response = InsurerResponse.DENY
-        elif not agent.audit_access_granted:
+        malicious = self._agent_action(profile, agent, ep, rng) is AgentAction.MALICIOUS
+        if policy.user is UserPolicy.RATIONAL_SPE:
+            if malicious:
+                claims, escalation = profile.claims_when_harmed, profile.escalate_valid
+            else:
+                claims, escalation = profile.claims_when_unharmed, profile.escalate_invalid
+            escalates = escalation is EscalationChoice.ESCALATE
+        else:
+            claims = escalates = policy.user is UserPolicy.ALWAYS_CLAIM
+        if policy.insurer is not InsurerPolicy.RATIONAL_SPE:
+            accepts = policy.insurer is InsurerPolicy.ALWAYS_ACCEPT
+        else:
             # Without audit access the insurer only has its posterior.
-            believed = (
-                ClaimValidity.VALID
-                if self.posteriors[agent.id].mean >= 0.5
-                else ClaimValidity.INVALID
+            valid = malicious if agent.audit_access_granted else (
+                self.posteriors[agent.id].mean >= 0.5
             )
-            response = profile.insurer_response(believed)
-        if response is not None:
-            changes.update(respond_valid=response, respond_invalid=response)
-        if changes:  # most episodes play the solver's own profile: no copy
-            profile = replace(profile, **changes)
-        return profile.outcome_path()
+            response = profile.respond_valid if valid else profile.respond_invalid
+            accepts = response is InsurerResponse.ACCEPT
+        return path_of(malicious, claims, accepts, escalates)
 
     # -- episode ----------------------------------------------------------
 
@@ -385,7 +373,7 @@ class _World:
             record.action = action.value
             record.misbehaved = action is AgentAction.MALICIOUS
             record.payoff_agent, record.payoff_insurer, record.payoff_user = (
-                _payoffs(ep, TerminalPath(action, False), [0, 0, 0])
+                _payoffs(ep, path_of(record.misbehaved, False, False, False), [0, 0, 0])
             )
             return record
 
@@ -601,22 +589,19 @@ def replay_game_path(
 # -- parameter sweeps ------------------------------------------------------
 
 
-def sweep(
-    config: ScenarioConfig,
-    grid: list[tuple[str, list[int]]],
-    jobs: int = 1,
-) -> list[dict]:
-    """One scenario run per grid cell, in deterministic grid order.
+def sweep_configs(
+    config: ScenarioConfig, grid: list[tuple[str, list[int]]]
+) -> list[ScenarioConfig]:
+    """Every grid cell's config, row-major, each built and validated.
 
-    `grid` maps MechanismParams field names to value lists; the cartesian
-    product is evaluated row-major. Every cell's config is built and
-    validated before any cell runs, so a malformed cell raises ScenarioError
-    naming the cell and runs nothing. Cells are independent and may run
-    concurrently; the output order never depends on `jobs`.
+    `grid` maps distinct MechanismParams field names to value lists. A
+    malformed cell raises ScenarioError naming the cell.
     """
     if not grid or any(not values for _, values in grid):
         raise ValueError("sweep grid must be non-empty in every dimension")
     names = [name for name, _ in grid]
+    if len(set(names)) < len(names):
+        raise ValueError(f"sweep grid repeats a parameter name: {names}")
     configs = []
     for values in itertools.product(*(values for _, values in grid)):
         cell = dict(zip(names, values))
@@ -627,6 +612,23 @@ def sweep(
             where = ", ".join(f"{name}={format_units(v)}" for name, v in cell.items())
             raise ScenarioError(f"sweep cell {where}", str(exc)) from None
         configs.append(cell_config)
+    return configs
+
+
+def sweep(
+    config: ScenarioConfig,
+    grid: list[tuple[str, list[int]]],
+    jobs: int = 1,
+) -> list[dict]:
+    """One scenario run per grid cell, in deterministic grid order.
+
+    The cartesian product of `grid` is evaluated row-major. Every cell's
+    config comes from `sweep_configs` before any cell runs, so a malformed
+    cell runs nothing. Cells are independent and may run concurrently; the
+    output order never depends on `jobs`.
+    """
+    names = [name for name, _ in grid]
+    configs = sweep_configs(config, grid)
 
     def run_cell(cell_config: ScenarioConfig) -> dict:
         params = cell_config.params

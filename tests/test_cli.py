@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from insured_agents import sim
 from insured_agents.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -176,13 +177,19 @@ class TestSweep:
             scenario_file, tmp_path, 8
         )
 
-    def test_bad_grid_exits_two(self, scenario_file, tmp_path, capsys):
+    @pytest.mark.parametrize("grid, message", [
+        pytest.param("Q=1,2", "unknown grid parameter 'Q'", id="unknown-name"),
+        pytest.param("F=1,2;F=300", "grid parameter 'F' is repeated", id="repeated-name"),
+    ])
+    def test_bad_grid_exits_two(self, grid, message, scenario_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
         code = main([
             "sweep", "--scenario", str(scenario_file),
-            "--grid", "Q=1,2", "--out", str(tmp_path / "x.csv"),
+            "--grid", grid, "--out", str(out),
         ])
         assert code == 2
-        assert "unknown grid parameter" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_exits_two(self, jobs, scenario_file, tmp_path, capsys):
@@ -249,6 +256,29 @@ class TestStack:
                      f"--loading={loading}"])
         assert code == 2
         assert "loading must be finite and non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--out"), ("simulate", "--episodes-log"), ("sweep", "--out"),
+])
+def test_unwritable_output_exits_two_before_any_episode(command, flag, scenario_file,
+                                                        tmp_path, capsys, monkeypatch):
+    def no_episode(*args):
+        raise AssertionError("an episode ran")
+
+    monkeypatch.setattr(sim._World, "run_episode", no_episode)
+    outputs = {"--out": tmp_path / "out", flag: tmp_path / "missing" / "file"}
+    if command == "simulate":
+        argv = ["simulate", str(scenario_file)]
+    else:
+        argv = ["sweep", "--scenario", str(scenario_file), "--grid", "G=40"]
+    for name, path in outputs.items():
+        argv += [name, str(path)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and str(tmp_path / "missing") in err
+    assert "Traceback" not in err
 
 
 def test_no_subcommand_exits_two(capsys):

@@ -1,6 +1,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from insured_agents import (
     ALL_PATHS,
@@ -17,7 +18,7 @@ from insured_agents import (
     scale_params,
     solve_spe,
 )
-from insured_agents.game import _leaf_table, is_subgame_perfect
+from insured_agents.game import _ALL_PROFILES, _leaf_table, is_subgame_perfect
 
 from conftest import random_params, equilibrium_params
 
@@ -163,6 +164,46 @@ class TestBruteForce:
     def test_deterministic_ordering(self):
         tree = build_game(make())
         assert brute_force_spe(tree) == brute_force_spe(tree)
+
+    # Small amounts make ties, and ties make large SPE sets to order.
+    @given(
+        money=st.lists(st.integers(0, 4), min_size=9, max_size=9),
+        pi_honest=st.integers(-4, 4),
+    )
+    def test_profiles_come_sorted_by_their_decisions(self, money, pi_honest):
+        def key(p):
+            return (
+                p.agent.value, p.claims_when_harmed, p.claims_when_unharmed,
+                p.respond_valid.value, p.respond_invalid.value,
+                p.escalate_valid.value, p.escalate_invalid.value,
+            )
+
+        found = brute_force_spe(build_game(MechanismParams(*money, Pi_honest=pi_honest)))
+        assert list(found) == sorted(found, key=key)
+
+
+def reference_outcome(profile) -> TerminalPath:
+    """The path a profile reaches, worked out node by node."""
+    malicious = profile.agent is AgentAction.MALICIOUS
+    claimed = profile.claims_when_harmed if malicious else profile.claims_when_unharmed
+    if not claimed:
+        return TerminalPath(profile.agent, False)
+    response = profile.respond_valid if malicious else profile.respond_invalid
+    if response is InsurerResponse.ACCEPT:
+        return TerminalPath(profile.agent, True, response)
+    escalation = profile.escalate_valid if malicious else profile.escalate_invalid
+    return TerminalPath(
+        profile.agent, True, response, escalation is EscalationChoice.ESCALATE
+    )
+
+
+class TestOutcomePath:
+    def test_every_profile_reaches_its_all_paths_member(self):
+        assert len(set(_ALL_PROFILES)) == 2**7
+        for profile in _ALL_PROFILES:
+            path = profile.outcome_path()
+            assert path == reference_outcome(profile)
+            assert path is ALL_PATHS[ALL_PATHS.index(path)]
 
 
 class TestStageProperties:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -30,9 +31,9 @@ from insured_agents import (
     units,
 )
 from insured_agents import sim
-from insured_agents.game import InsurerResponse
+from insured_agents.game import _ALL_PROFILES, InsurerResponse
 from insured_agents.ledger import AccountId, Role
-from insured_agents.market import price_premium
+from insured_agents.market import RiskPosterior, price_premium
 from insured_agents.sim import (
     AgentPolicy,
     BehaviorPolicy,
@@ -326,6 +327,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(make_config(), [])
 
+    def test_repeated_name_rejected(self):
+        # A second F axis would overwrite the first in every cell.
+        with pytest.raises(ValueError, match="'F'"):
+            sweep(make_config(), [("F", [units(1), units(2)]), ("F", [units(300)])])
+
 
 def scenario_doc(**overrides) -> dict:
     doc = {
@@ -600,6 +606,53 @@ class TestEpisodeHotPath:
         assert report.completed + report.excluded == 200
         assert len(validated) == 200
         assert all((ep.G, ep.P) != (config.params.G, config.params.P) for ep in validated)
+
+
+def reference_episode_path(profile, policy: BehaviorPolicy, agent: AgentProfile,
+                           action: AgentAction, posterior: RiskPosterior) -> TerminalPath:
+    """The solver's profile, copied with the behavior policies written over
+    it, played from the root."""
+    changes: dict = {"agent": action}
+    if policy.user is not UserPolicy.RATIONAL_SPE:
+        claims = policy.user is UserPolicy.ALWAYS_CLAIM
+        escalation = EscalationChoice.ESCALATE if claims else EscalationChoice.DROP
+        changes.update(claims_when_harmed=claims, claims_when_unharmed=claims,
+                       escalate_valid=escalation, escalate_invalid=escalation)
+    response = None
+    if policy.insurer is InsurerPolicy.ALWAYS_ACCEPT:
+        response = InsurerResponse.ACCEPT
+    elif policy.insurer is InsurerPolicy.ALWAYS_DENY:
+        response = InsurerResponse.DENY
+    elif not agent.audit_access_granted:
+        response = (profile.respond_valid if posterior.mean >= 0.5
+                    else profile.respond_invalid)
+    if response is not None:
+        changes.update(respond_valid=response, respond_invalid=response)
+    return replace(profile, **changes).outcome_path()
+
+
+class TestEpisodePath:
+    def test_every_profile_and_policy_picks_the_overridden_profiles_path(self):
+        # Posterior means below, at and above the insurer's 1/2 threshold.
+        posteriors = [RiskPosterior(1, 3), RiskPosterior(1, 1), RiskPosterior(3, 1)]
+        fixed_actions = {AgentPolicy.ALWAYS_HONEST: AgentAction.HONEST,
+                         AgentPolicy.ALWAYS_MALICIOUS: AgentAction.MALICIOUS}
+        for agent_policy, user, insurer, audit in itertools.product(
+            [AgentPolicy.RATIONAL_SPE, *fixed_actions], UserPolicy, InsurerPolicy,
+            (True, False),
+        ):
+            agent = AgentProfile(id="a0", audit_access_granted=audit)
+            policy = BehaviorPolicy(agent=agent_policy, user=user, insurer=insurer)
+            world = _World(make_config(episodes=1, population=(agent,), policy=policy))
+            ep = world.config.params
+            for profile, posterior in itertools.product(_ALL_PROFILES, posteriors):
+                world.posteriors[agent.id] = posterior
+                action = fixed_actions.get(agent_policy, profile.agent)
+                expected = reference_episode_path(profile, policy, agent, action, posterior)
+                # None for the RNG: none of these agent policies draws.
+                assert world._episode_path(profile, agent, ep, None) == expected, (
+                    profile, policy, audit, posterior,
+                )
 
 
 class TestOnePremiumPerEpisode:
