@@ -141,24 +141,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _parse_grid(spec: str) -> list[tuple[str, list[int]]]:
-    """Grid spec: semicolon-separated `name=v1,v2,...` with decimal values."""
-    valid = {"L", "G", "S_A", "S_I", "B", "F", "R", "V_future", "P", "Pi_honest"}
+    """Grid spec: semicolon-separated `name=v1,v2,...` with decimal values.
+    Names are checked by `sweep_configs`."""
     grid: list[tuple[str, list[int]]] = []
     for chunk in filter(None, (part.strip() for part in spec.split(";"))):
         if "=" not in chunk:
             raise UsageError(f"grid entry {chunk!r} is not name=v1,v2,...")
         name, _, rest = chunk.partition("=")
         name = name.strip()
-        if name not in valid:
-            raise UsageError(f"unknown grid parameter {name!r}")
         try:
             values = [units(v.strip()) for v in rest.split(",") if v.strip()]
         except MoneyError as exc:
             raise UsageError(f"grid entry {name}: {exc}") from None
         if not values:
             raise UsageError(f"grid entry {name} has no values")
-        if any(name == seen for seen, _ in grid):
-            raise UsageError(f"grid parameter {name!r} is repeated")
         grid.append((name, values))
     if not grid:
         raise UsageError("empty grid spec")
@@ -171,8 +167,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise UsageError("--jobs must be at least 1")
         grid = _parse_grid(args.grid)
         config = load_scenario(args.scenario)
-        sweep_configs(config, grid)  # a malformed cell fails before the CSV opens
-    except (UsageError, ScenarioError) as exc:
+        sweep_configs(config, grid)  # a malformed grid fails before the CSV opens
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with _open_output(args.out) as fh:

@@ -7,8 +7,9 @@ raises and leaves the ledger untouched. That includes settlements: a claim
 larger than its policy's remaining escrowed stake is refused, so the stake
 never goes negative and never eats into the agent's deductible. Several
 operations that must succeed or fail as one run in `with ledger.atomic():`.
-Amounts are checked once, where they enter an operation; a transfer itself
-is a plain record.
+Its state is its books (balances, transfers, policies, claims, shortfalls);
+defaulted parties and claim numbers are read off them. Amounts are checked
+once, where they enter an operation; a transfer itself is a plain record.
 
 Lifecycle: underwrite -> (verify_coverage) -> file_claim ->
 respond_claim -> [escalate -> adjudicate] -> expire_policy.
@@ -164,7 +165,6 @@ class ClaimRecord:
     state: ClaimState = ClaimState.FILED
     filed_tick: int = 0
     resolved_tick: int | None = None
-    bond_posted: int = 0  # escalation bond per side, set on escalate
     claim_bond: int = 0
 
 
@@ -206,8 +206,6 @@ class Ledger:
         self.policies: dict[str, PolicyRecord] = {}
         self.claims: dict[str, ClaimRecord] = {}
         self.shortfalls: list[ShortfallEvent] = []
-        self.defaulted: set[AccountId] = set()
-        self._claim_seq = 0
         # In an atomic block: id(record) -> (record, its fields), None if new.
         self._saved: dict | None = None
 
@@ -221,14 +219,19 @@ class Ledger:
     def balance(self, account: AccountId) -> int:
         return self.balances.get(account, 0)
 
+    @property
+    def defaulted(self) -> set[AccountId]:
+        """Every party with a recorded shortfall."""
+        return {s.party for s in self.shortfalls}
+
     def total_supply(self) -> int:
         """Sum of every balance, escrows and sinks included."""
         return sum(self.balances.values())
 
     def atomic(self) -> _Atomic:
         """A block that, if it raises, leaves the whole ledger as at entry:
-        balances, transfers, policies, claims, shortfalls, defaulted parties
-        and the claim sequence.
+        balances, transfers, policies, claims and shortfalls, and so the
+        defaulted parties and the next claim number, which follow from them.
 
         Entry is O(1) in ledger size: books are append-only, so undoing
         replays the new transfers in reverse and truncates, and a record that
@@ -238,8 +241,7 @@ class Ledger:
         return _Atomic(self)
 
     def _undo(self, marks: tuple) -> None:
-        (n_transfers, n_shortfalls, n_balances, n_policies, n_claims,
-         self._claim_seq, self.defaulted) = marks
+        n_transfers, n_shortfalls, n_balances, n_policies, n_claims = marks
         for t in reversed(self.transfers[n_transfers:]):
             self.balances[t.dst] -= t.amount
             self.balances[t.src] += t.amount
@@ -278,14 +280,13 @@ class Ledger:
     def _transfer_clamped(
         self, src: AccountId, dst: AccountId, amount: int, tick: int, memo: Memo
     ) -> None:
-        """Pay as much as the source holds; record shortfall and default."""
+        """Pay as much as the source holds; record any shortfall."""
         available = self.balances.get(src, 0)
         paid = min(amount, available)
         if paid > 0:
             self._transfer(src, dst, paid, tick, memo)
         if paid < amount:
             self.shortfalls.append(ShortfallEvent(src, memo, amount - paid, tick))
-            self.defaulted.add(src)
 
     # -- credentials ------------------------------------------------------
 
@@ -412,13 +413,12 @@ class Ledger:
                 f"claim at tick {tick} past deadline "
                 f"{incident_tick + policy.claim_deadline}"
             )
-        if amount > policy.coverage or amount > policy.escrowed_stake:
+        if amount > policy.escrowed_stake:
             raise OverCoverage(f"claim {amount} exceeds available coverage")
         user_wallet = AccountId(Role.USER_WALLET, claimant)
         if self.balance(user_wallet) < claim_bond:
             raise InsufficientFunds(user_wallet, claim_bond, self.balance(user_wallet))
-        self._claim_seq += 1
-        claim_id = f"{policy_id}/claim-{self._claim_seq}"
+        claim_id = f"{policy_id}/claim-{len(self.claims) + 1}"
         bond_escrow = AccountId(Role.BOND_ESCROW, claim_id)
         self._transfer(user_wallet, bond_escrow, claim_bond, tick, Memo.CLAIM_BOND)
         claim = ClaimRecord(
@@ -469,7 +469,6 @@ class Ledger:
         bond_escrow = AccountId(Role.BOND_ESCROW, claim.id)
         self._transfer(user_wallet, bond_escrow, bond, tick, Memo.BOND_POST)
         self._transfer(insurer_wallet, bond_escrow, bond, tick, Memo.BOND_POST)
-        claim.bond_posted = bond
         claim.state = ClaimState.ESCALATED
         return claim
 
@@ -499,8 +498,8 @@ class Ledger:
             self._compensate(policy, claim, FEE_SINK, tick)
         winner = user_wallet if valid else insurer_wallet
         bond_escrow = AccountId(Role.BOND_ESCROW, claim.id)
-        self._transfer(bond_escrow, winner, claim.bond_posted, tick, Memo.BOND_FORFEIT)
-        self._transfer(bond_escrow, winner, claim.bond_posted, tick, Memo.BOND_RETURN)
+        self._transfer(bond_escrow, winner, policy.bond, tick, Memo.BOND_FORFEIT)
+        self._transfer(bond_escrow, winner, policy.bond, tick, Memo.BOND_RETURN)
         self._resolve(claim, target, tick, winner)
         self._transfer_clamped(user_wallet, FEE_SINK, fee, tick, Memo.VERIFIER_FEE)
         self._transfer_clamped(insurer_wallet, FEE_SINK, fee, tick, Memo.VERIFIER_FEE)
@@ -604,7 +603,6 @@ class Ledger:
         memo = Memo.BOND_RETURN if returned else Memo.BOND_FORFEIT
         bond_escrow = AccountId(Role.BOND_ESCROW, claim.id)
         self._transfer(bond_escrow, bond_to, claim.claim_bond, tick, memo)
-        claim.claim_bond = 0
         claim.state = state
         claim.resolved_tick = tick
 
@@ -644,8 +642,7 @@ class _Atomic:
             ledger._saved = {}
             self.marks = (
                 len(ledger.transfers), len(ledger.shortfalls), len(ledger.balances),
-                len(ledger.policies), len(ledger.claims), ledger._claim_seq,
-                set(ledger.defaulted),
+                len(ledger.policies), len(ledger.claims),
             )
 
     def __exit__(self, exc_type, exc, tb) -> None:

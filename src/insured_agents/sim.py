@@ -10,9 +10,10 @@ every report field.
 An enforced episode first picks the `ALL_PATHS` member it will play: the
 solver's choices with the behavior policies written over them. The profile
 is solved once per distinct episode parameter set and kept in a bounded
-memo (`_solved_profile`). `play_path`
-then drives that path through the ledger; `replay_game_path`, which
-criterion 6 checks against the game tree, runs the same function.
+memo (`_solved_profile`). `_World._settle` underwrites the episode and
+`play_path` drives that path through the ledger, in one atomic block;
+`replay_game_path`, which criterion 6 checks against the game tree, settles
+its path as the only episode of a one-agent world through the same step.
 
 Payoff accounting: each party's episode payoff is its ledger balance
 delta plus the exogenous components the ledger cannot carry (the user's
@@ -30,7 +31,7 @@ import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -290,7 +291,6 @@ class _World:
     def _agent_action(
         self,
         profile: StrategyProfile | None,
-        agent: AgentProfile,
         ep: MechanismParams,
         rng: np.random.Generator,
     ) -> AgentAction:
@@ -326,7 +326,7 @@ class _World:
     ) -> TerminalPath:
         """The solver's choices with the behavior policies written over them."""
         policy = self.config.policy
-        malicious = self._agent_action(profile, agent, ep, rng) is AgentAction.MALICIOUS
+        malicious = self._agent_action(profile, ep, rng) is AgentAction.MALICIOUS
         if policy.user is UserPolicy.RATIONAL_SPE:
             if malicious:
                 claims, escalation = profile.claims_when_harmed, profile.escalate_valid
@@ -369,7 +369,7 @@ class _World:
             ep = replace(config.params, G=gain, P=premium)
 
         if not config.enforcement_enabled:
-            action = self._agent_action(None, agent, ep, rng)
+            action = self._agent_action(None, ep, rng)
             record.action = action.value
             record.misbehaved = action is AgentAction.MALICIOUS
             record.payoff_agent, record.payoff_insurer, record.payoff_user = (
@@ -382,15 +382,8 @@ class _World:
             return record
 
         path = self._episode_path(_solved_profile(ep), agent, ep, rng)
-        wallets = self.wallets[agent.id]
-        before = [self.ledger.balance(w) for w in wallets]
         try:
-            with self.ledger.atomic():
-                policy = self._underwrite(agent, ep, f"ep-{index}", tick0)
-                claim = play_path(
-                    self.ledger, policy, path, _USER_ID, ep,
-                    claim_bond=config.claim_bond, tick=tick0,
-                )
+            policy, claim, deltas = self._settle(agent, ep, path, index)
         except LedgerError:
             record.aborted = True
             return record
@@ -409,7 +402,6 @@ class _World:
             if claim.state in (ClaimState.ACCEPTED, ClaimState.UPHELD_VALID):
                 record.compensation_paid = claim.amount
             record.resolution_ticks = claim.resolved_tick - claim.filed_tick
-        deltas = [self.ledger.balance(w) - b for w, b in zip(wallets, before)]
         record.payoff_agent, record.payoff_insurer, record.payoff_user = (
             _payoffs(ep, path, deltas)
         )
@@ -417,22 +409,34 @@ class _World:
         self.posteriors[agent.id] = update_posterior(self.posteriors[agent.id], observed)
         return record
 
-    def _underwrite(
-        self, agent: AgentProfile, ep: MechanismParams, policy_id: str, tick0: int
-    ) -> PolicyRecord:
-        """Underwrite at `ep.P`, the premium the episode's game is solved at."""
+    def _settle(
+        self, agent: AgentProfile, ep: MechanismParams, path: TerminalPath, index: int
+    ) -> tuple[PolicyRecord, ClaimRecord | None, list[int]]:
+        """Underwrite episode `index` at `ep.P`, the premium its game is solved
+        at, and play `path` on it in one atomic block. Returns the policy, the
+        claim (None on a no-claim path) and the (agent, insurer, user) deltas."""
+        ledger, wallets = self.ledger, self.wallets[agent.id]
+        policy_id, tick0 = f"ep-{index}", index * _TICKS_PER_EPISODE
         expiry_tick = tick0 + _TICKS_PER_EPISODE - 1
-        if self.stack is not None:
-            return underwrite_stack(
-                self.ledger, agent.id, self.stack, policy_id=policy_id, coverage=ep.L,
-                deductible=ep.S_A, bond=ep.B, premium=ep.P,
-                claim_deadline=_TICKS_PER_EPISODE, expiry_tick=expiry_tick, tick=tick0,
+        before = [ledger.balance(w) for w in wallets]
+        with ledger.atomic():
+            if self.stack is not None:
+                policy = underwrite_stack(
+                    ledger, agent.id, self.stack, policy_id=policy_id, coverage=ep.L,
+                    deductible=ep.S_A, bond=ep.B, premium=ep.P,
+                    claim_deadline=_TICKS_PER_EPISODE, expiry_tick=expiry_tick, tick=tick0,
+                )
+            else:
+                policy = ledger.underwrite(
+                    policy_id, agent.id, _INSURER_ID, coverage=ep.L, deductible=ep.S_A,
+                    premium=ep.P, bond=ep.B, claim_deadline=_TICKS_PER_EPISODE,
+                    expiry_tick=expiry_tick, tick=tick0,
+                )
+            claim = play_path(
+                ledger, policy, path, _USER_ID, ep,
+                claim_bond=self.config.claim_bond, tick=tick0,
             )
-        return self.ledger.underwrite(
-            policy_id, agent.id, _INSURER_ID, coverage=ep.L, deductible=ep.S_A,
-            premium=ep.P, bond=ep.B, claim_deadline=_TICKS_PER_EPISODE,
-            expiry_tick=expiry_tick, tick=tick0,
-        )
+        return policy, claim, [ledger.balance(w) - b for w, b in zip(wallets, before)]
 
 
 def run_scenario_with_records(
@@ -553,37 +557,16 @@ def _payoffs(
 def replay_game_path(
     params: MechanismParams, path: TerminalPath, claim_bond: int = 0
 ) -> tuple[int, int, int]:
-    """Drive one terminal game path through a fresh ledger.
+    """Settle one terminal game path as the only episode of a one-agent world.
 
     Returns (pi_A, pi_I, pi_U) measured as wallet deltas plus the exogenous
     harm/gain/future-value components, for direct comparison against
     leaf_payoffs.
     """
-    ledger = Ledger()
-    fund = max(
-        params.L + params.S_A + params.B + params.F + params.R + params.P, units(1)
-    ) * 4 + claim_bond
-    wallets = (
-        AccountId(Role.AGENT_WALLET, "agent"),
-        AccountId(Role.INSURER_WALLET, "insurer"),
-        AccountId(Role.USER_WALLET, "user"),
-    )
-    for w in wallets:
-        ledger.deposit(w, fund)
-    policy = ledger.underwrite(
-        "policy",
-        "agent",
-        "insurer",
-        coverage=params.L,
-        deductible=params.S_A,
-        premium=params.P,
-        bond=params.B,
-        claim_deadline=_TICKS_PER_EPISODE,
-        expiry_tick=_TICKS_PER_EPISODE - 1,
-        tick=0,
-    )
-    play_path(ledger, policy, path, "user", params, claim_bond=claim_bond, tick=0)
-    return _payoffs(params, path, [ledger.balance(w) - fund for w in wallets])
+    config = ScenarioConfig(seed=0, episodes=1, params=params,
+                            population=(AgentProfile(id="agent"),), claim_bond=claim_bond)
+    _, _, deltas = _World(config)._settle(config.population[0], params, path, 0)
+    return _payoffs(params, path, deltas)
 
 
 # -- parameter sweeps ------------------------------------------------------
@@ -594,14 +577,19 @@ def sweep_configs(
 ) -> list[ScenarioConfig]:
     """Every grid cell's config, row-major, each built and validated.
 
-    `grid` maps distinct MechanismParams field names to value lists. A
+    `grid` maps distinct MechanismParams field names to value lists. An
+    empty grid or axis and an unknown or repeated name raise ValueError; a
     malformed cell raises ScenarioError naming the cell.
     """
     if not grid or any(not values for _, values in grid):
         raise ValueError("sweep grid must be non-empty in every dimension")
     names = [name for name, _ in grid]
-    if len(set(names)) < len(names):
-        raise ValueError(f"sweep grid repeats a parameter name: {names}")
+    known = {f.name for f in fields(MechanismParams)}
+    for i, name in enumerate(names):
+        if name not in known:
+            raise ValueError(f"unknown grid parameter {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"grid parameter {name!r} is repeated")
     configs = []
     for values in itertools.product(*(values for _, values in grid)):
         cell = dict(zip(names, values))
@@ -609,10 +597,18 @@ def sweep_configs(
             cell_config = replace(config, params=replace(config.params, **cell))
             cell_config.validate()
         except ValueError as exc:
-            where = ", ".join(f"{name}={format_units(v)}" for name, v in cell.items())
+            where = ", ".join(f"{name}={_grid_value(v)}" for name, v in cell.items())
             raise ScenarioError(f"sweep cell {where}", str(exc)) from None
         configs.append(cell_config)
     return configs
+
+
+def _grid_value(value) -> str:
+    """A grid value in currency units, or as given if it is no amount."""
+    try:
+        return format_units(value)
+    except MoneyError:
+        return repr(value)
 
 
 def sweep(
@@ -815,4 +811,8 @@ def load_scenario(path: str) -> ScenarioConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioError("$", f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise ScenarioError("$", f"not UTF-8 text: {exc.reason}") from None
+        except RecursionError:
+            raise ScenarioError("$", "JSON nested too deeply to parse") from None
     return scenario_from_dict(doc)

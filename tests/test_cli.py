@@ -281,5 +281,25 @@ def test_unwritable_output_exits_two_before_any_episode(command, flag, scenario_
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("content", [
+    pytest.param(b'{"schema_version": 1, "seed": "\xff"}', id="not-utf8"),
+    pytest.param(b"[" * 200_000, id="nested-too-deep"),
+])
+def test_unreadable_scenario_exits_two_at_the_root(command, content, tmp_path, capsys):
+    scenario = tmp_path / "bad.json"
+    scenario.write_bytes(content)
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["simulate", str(scenario), "--out", str(out)]
+    else:
+        argv = ["sweep", "--scenario", str(scenario), "--grid", "G=40", "--out", str(out)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: $: ")
+    assert not out.exists()
+
+
 def test_no_subcommand_exits_two(capsys):
     assert main([]) == 2

@@ -54,7 +54,6 @@ def ledger_state(ledger: Ledger) -> tuple:
         [astuple(c) for c in ledger.claims.values()],
         list(ledger.shortfalls),
         set(ledger.defaulted),
-        ledger._claim_seq,
     )
 
 
@@ -479,6 +478,40 @@ class TestAtomic:
                 assert USER in ledger.defaulted and ledger.shortfalls
                 raise RuntimeError
         assert ledger_state(ledger) == before
+
+    def test_undone_shortfall_leaves_no_default(self):
+        ledger = funded_ledger(user=20)
+        underwrite(ledger)
+        claim = ledger.file_claim("pol-1", "user", 100, ClaimValidity.INVALID, tick=1)
+        ledger.respond_claim(claim.id, accept=False, tick=2)
+        with pytest.raises(RuntimeError):
+            with ledger.atomic():
+                ledger.escalate(claim.id, tick=3)
+                ledger.adjudicate(claim.id, fee=50, reputation_cost=0, tick=3)
+                assert ledger.defaulted == {USER}
+                raise RuntimeError
+        assert ledger.defaulted == set()
+
+    def test_undone_claim_leaves_its_number_to_the_next(self):
+        ledger = funded_ledger()
+        underwrite(ledger)
+        with pytest.raises(RuntimeError):
+            with ledger.atomic():
+                undone = ledger.file_claim("pol-1", "user", 50, ClaimValidity.VALID, tick=1)
+                raise RuntimeError
+        claim = ledger.file_claim("pol-1", "user", 50, ClaimValidity.VALID, tick=1)
+        assert claim.id == undone.id == "pol-1/claim-1"
+
+    def test_claim_numbers_count_claims_across_policies_in_filing_order(self):
+        ledger = funded_ledger()
+        underwrite(ledger)
+        ledger.underwrite("pol-2", "agent", "insurer", coverage=150, deductible=30,
+                          premium=8, bond=20, claim_deadline=10, expiry_tick=100, tick=0)
+        ids = [
+            ledger.file_claim(policy, "user", 50, ClaimValidity.VALID, tick=1).id
+            for policy in ("pol-1", "pol-2", "pol-1")
+        ]
+        assert ids == ["pol-1/claim-1", "pol-2/claim-2", "pol-1/claim-3"]
 
     def test_nested_block_joins_the_outer_one(self):
         ledger = funded_ledger()

@@ -44,6 +44,7 @@ from insured_agents.sim import (
     _solved_profile,
     _World,
     scenario_from_dict,
+    sweep_configs,
 )
 from test_golden import ABORTED
 from test_ledger import ledger_state
@@ -331,6 +332,15 @@ class TestSweep:
         # A second F axis would overwrite the first in every cell.
         with pytest.raises(ValueError, match="'F'"):
             sweep(make_config(), [("F", [units(1), units(2)]), ("F", [units(300)])])
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown grid parameter 'Q'"):
+            sweep_configs(make_config(), [("Q", [1])])
+
+    def test_out_of_range_cell_is_named(self):
+        # A ScenarioError, not the MoneyOverflowError of formatting the cell.
+        with pytest.raises(ScenarioError, match=f"^sweep cell F={10**30}: "):
+            sweep_configs(make_config(), [("F", [10**30])])
 
 
 def scenario_doc(**overrides) -> dict:
