@@ -15,7 +15,10 @@ honest agent's (invalid-claim) subtree, then the malicious agent's
 (valid-claim) one, each as (no-claim, accept, deny+drop, deny+escalate).
 The backward-induction solver `solve_spe` and the brute-force oracle
 `brute_force_spe` both read that per-validity table by position; they share
-its layout and nothing of their decision logic.
+its layout and nothing of their decision logic. The oracle still filters
+all 128 pure profiles, but does its one-shot-deviation check per subgame:
+each claim subgame's eight choice triples are checked once, and a profile
+then needs only the Stage-1 check on the two continuation payoffs.
 """
 
 from __future__ import annotations
@@ -201,12 +204,8 @@ class StrategyProfile:
 
     def outcome_path(self) -> TerminalPath:
         """The terminal path this profile induces from the root."""
-        malicious, harmed, unharmed, acc_valid, acc_invalid, esc_valid, esc_invalid = (
-            _profile_bits(self)
-        )
-        if malicious:
-            return path_of(True, harmed, acc_valid, esc_valid)
-        return path_of(False, unharmed, acc_invalid, esc_invalid)
+        malicious, invalid, valid = _subgame_choices(self)
+        return path_of(malicious, *(valid if malicious else invalid))
 
 
 #: The profile the mechanism is designed to sustain: honest agent, user
@@ -293,74 +292,104 @@ def _leaf_table(tree: GameTree) -> tuple[tuple[LeafPayoffs, ...], ...]:
     return tree.leaves[:4], tree.leaves[4:]
 
 
-def _one_shot_ok(
-    table: tuple[tuple[LeafPayoffs, ...], ...],
-    malicious: bool,
-    claims_harmed: bool,
-    claims_unharmed: bool,
-    accepts_valid: bool,
-    accepts_invalid: bool,
-    escalates_valid: bool,
-    escalates_invalid: bool,
-) -> bool:
-    """One-shot-deviation check at all seven decision nodes.
+def _subgame_value(
+    subtree: tuple[LeafPayoffs, ...], files: bool, accepts: bool, escalates: bool
+) -> int | None:
+    """One-shot-deviation check at the three nodes of one claim subgame.
 
-    The game is finite with perfect information, so no node admitting a
-    strictly profitable single deviation is exactly subgame perfection.
+    Returns the agent's continuation payoff under these choices, or None
+    when a node admits a strictly profitable single deviation. The game is
+    finite with perfect information, so a profile is subgame perfect exactly
+    when neither subgame nor Stage 1 (`_stage1_ok`) has such a node.
     """
-    invalid, valid = table
-    continuation = []
-    for (no_claim, accept, drop, esc), files, accepts, escalates in (
-        (invalid, claims_unharmed, accepts_invalid, escalates_invalid),
-        (valid, claims_harmed, accepts_valid, escalates_valid),
-    ):
-        chosen4 = esc if escalates else drop
-        if esc.pi_U > chosen4.pi_U or drop.pi_U > chosen4.pi_U:
-            return False
-        chosen3 = accept if accepts else chosen4
-        if accept.pi_I > chosen3.pi_I or chosen4.pi_I > chosen3.pi_I:
-            return False
-        chosen2 = chosen3 if files else no_claim
-        if chosen3.pi_U > chosen2.pi_U or no_claim.pi_U > chosen2.pi_U:
-            return False
-        continuation.append(chosen2.pi_A)
-    honest, deviant = continuation
-    chosen1 = deviant if malicious else honest
-    return honest <= chosen1 and deviant <= chosen1
+    no_claim, accept, drop, esc = subtree
+    chosen4 = esc if escalates else drop
+    if esc.pi_U > chosen4.pi_U or drop.pi_U > chosen4.pi_U:
+        return None
+    chosen3 = accept if accepts else chosen4
+    if accept.pi_I > chosen3.pi_I or chosen4.pi_I > chosen3.pi_I:
+        return None
+    chosen2 = chosen3 if files else no_claim
+    if chosen3.pi_U > chosen2.pi_U or no_claim.pi_U > chosen2.pi_U:
+        return None
+    return chosen2.pi_A
 
 
-def _profile_bits(profile: StrategyProfile) -> tuple[bool, ...]:
+def _stage1_ok(malicious: bool, honest: int | None, deviant: int | None) -> bool:
+    """Both subgames pass and the agent's Stage-1 choice is a best reply to
+    their continuation payoffs."""
+    if honest is None or deviant is None:
+        return False
+    return deviant >= honest if malicious else honest >= deviant
+
+
+def _subgame_choices(
+    profile: StrategyProfile,
+) -> tuple[bool, tuple[bool, bool, bool], tuple[bool, bool, bool]]:
+    """The agent bit, then the (files, accepts, escalates) choices of the
+    invalid-claim and of the valid-claim subgame."""
     return (
         profile.agent is AgentAction.MALICIOUS,
-        profile.claims_when_harmed,
-        profile.claims_when_unharmed,
-        profile.respond_valid is InsurerResponse.ACCEPT,
-        profile.respond_invalid is InsurerResponse.ACCEPT,
-        profile.escalate_valid is EscalationChoice.ESCALATE,
-        profile.escalate_invalid is EscalationChoice.ESCALATE,
+        (
+            profile.claims_when_unharmed,
+            profile.respond_invalid is InsurerResponse.ACCEPT,
+            profile.escalate_invalid is EscalationChoice.ESCALATE,
+        ),
+        (
+            profile.claims_when_harmed,
+            profile.respond_valid is InsurerResponse.ACCEPT,
+            profile.escalate_valid is EscalationChoice.ESCALATE,
+        ),
     )
 
 
 def is_subgame_perfect(tree: GameTree, profile: StrategyProfile) -> bool:
     """True iff no player strictly gains from a single-node deviation."""
-    return _one_shot_ok(_leaf_table(tree), *_profile_bits(profile))
+    malicious, invalid_choices, valid_choices = _subgame_choices(profile)
+    invalid, valid = _leaf_table(tree)
+    return _stage1_ok(
+        malicious,
+        _subgame_value(invalid, *invalid_choices),
+        _subgame_value(valid, *valid_choices),
+    )
+
+
+# Every (files, accepts, escalates) choice triple of one claim subgame.
+_TRIPLES = tuple(itertools.product((False, True), repeat=3))
 
 
 def brute_force_spe(tree: GameTree) -> tuple[StrategyProfile, ...]:
     """Enumerate all pure profiles; keep the subgame-perfect ones.
 
     Independent of solve_spe: it filters the full profile space with the
-    one-shot-deviation check rather than inducting backward. Returned in
-    enumeration order: by agent, claims when harmed, claims when unharmed,
-    then each response and escalation by its `.value`.
+    one-shot-deviation check rather than inducting backward. The check is
+    done per subgame: each claim subgame's eight choice triples are checked
+    once, then every profile is kept or dropped by its Stage-1 check on the
+    two continuation payoffs its triples reach. Returned in enumeration
+    order: by agent, claims when harmed, claims when unharmed, then each
+    response and escalation by its `.value`.
     """
-    table = _leaf_table(tree)
+    invalid, valid = _leaf_table(tree)
+    honest = [_subgame_value(invalid, *t) for t in _TRIPLES]
+    deviant = [_subgame_value(valid, *t) for t in _TRIPLES]
     return tuple(
-        profile for profile, bits in _PROFILE_BITS if _one_shot_ok(table, *bits)
+        profile
+        for profile, malicious, i, v in _PROFILE_TABLE
+        if _stage1_ok(malicious, honest[i], deviant[v])
     )
 
 
-_PROFILE_BITS = tuple((p, _profile_bits(p)) for p in _ALL_PROFILES)
+def _profile_table() -> tuple[tuple[StrategyProfile, bool, int, int], ...]:
+    """Each profile with its agent bit and the `_TRIPLES` index of its
+    invalid-claim and valid-claim choices, in `_ALL_PROFILES` order."""
+    table = []
+    for profile in _ALL_PROFILES:
+        malicious, invalid, valid = _subgame_choices(profile)
+        table.append((profile, malicious, _TRIPLES.index(invalid), _TRIPLES.index(valid)))
+    return tuple(table)
+
+
+_PROFILE_TABLE = _profile_table()
 
 
 def predict_honest_equilibrium(params: MechanismParams) -> bool:

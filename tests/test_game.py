@@ -1,4 +1,6 @@
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -181,6 +183,20 @@ class TestBruteForce:
         found = brute_force_spe(build_game(MechanismParams(*money, Pi_honest=pi_honest)))
         assert list(found) == sorted(found, key=key)
 
+    @given(
+        money=st.lists(st.integers(0, 4), min_size=9, max_size=9),
+        pi_honest=st.integers(-4, 4),
+    )
+    def test_matches_node_by_node_reference(self, money, pi_honest):
+        params = MechanismParams(*money, Pi_honest=pi_honest)
+        tree = build_game(params)
+        found = brute_force_spe(tree)
+        assert found == tuple(
+            p for p in _ALL_PROFILES if reference_subgame_perfect(params, p)
+        )
+        for profile in _ALL_PROFILES:
+            assert is_subgame_perfect(tree, profile) == (profile in found)
+
 
 def reference_outcome(profile) -> TerminalPath:
     """The path a profile reaches, worked out node by node."""
@@ -195,6 +211,39 @@ def reference_outcome(profile) -> TerminalPath:
     return TerminalPath(
         profile.agent, True, response, escalation is EscalationChoice.ESCALATE
     )
+
+
+HONEST, MALICIOUS = AgentAction.HONEST, AgentAction.MALICIOUS
+DENY = InsurerResponse.DENY
+
+# Each decision node: the profile field it sets, the payoff its mover
+# maximizes, and the upstream choices that reach it.
+NODES = (
+    ("agent", "pi_A", {}),
+    ("claims_when_unharmed", "pi_U", {"agent": HONEST}),
+    ("respond_invalid", "pi_I", {"agent": HONEST, "claims_when_unharmed": True}),
+    ("escalate_invalid", "pi_U",
+     {"agent": HONEST, "claims_when_unharmed": True, "respond_invalid": DENY}),
+    ("claims_when_harmed", "pi_U", {"agent": MALICIOUS}),
+    ("respond_valid", "pi_I", {"agent": MALICIOUS, "claims_when_harmed": True}),
+    ("escalate_valid", "pi_U",
+     {"agent": MALICIOUS, "claims_when_harmed": True, "respond_valid": DENY}),
+)
+
+
+def reference_subgame_perfect(params, profile) -> bool:
+    """No single-node deviation strictly pays its mover, checked at each of
+    the seven nodes in turn, with every leaf read through `leaf_payoffs`."""
+    leaves = {path: leaf_payoffs(params, path) for path in ALL_PATHS}
+    for field, mover, history in NODES:
+        at_node = replace(profile, **history)
+        stay = getattr(leaves[reference_outcome(at_node)], mover)
+        own = getattr(at_node, field)
+        for choice in (False, True) if isinstance(own, bool) else type(own):
+            deviated = replace(at_node, **{field: choice})
+            if getattr(leaves[reference_outcome(deviated)], mover) > stay:
+                return False
+    return True
 
 
 class TestOutcomePath:
