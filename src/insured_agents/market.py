@@ -4,6 +4,11 @@ Risk is experience-rated with a Beta-Bernoulli posterior over an agent's
 per-episode misbehavior probability. A hierarchical stack lets Layer-1
 specialist insurers issue domain certificates that multiplicatively
 discount the base risk the Layer-2 master insurer underwrites.
+
+Every rate (loading, propensity, base risk, discount, layer-1 cut, residual
+risk) is read by `money.rate`, as the exact decimal it is written as. A
+premium is computed on integers: the risk and the loading as numerators and
+denominators, rounded half-up once, at the end.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from fractions import Fraction
 
 from .ledger import AccountId, Ledger, Memo, PolicyRecord, Role
 from .mechanism import MechanismParams
-from .money import check_amount
+from .money import check_amount, rate
 
 
 @dataclass(frozen=True)
@@ -76,20 +81,30 @@ class AgentProfile:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
 
 
-def _loaded_premium(risk: Fraction, coverage: int, loading: float) -> int:
-    """risk x coverage x (1 + loading) in micro-units, rounded half-up; any
-    strictly positive expected loss prices at one micro-unit or more."""
+def _loaded_premium(risk_num: int, risk_den: int, coverage: int, loading: float) -> int:
+    """(risk_num / risk_den) x coverage x (1 + loading) in micro-units.
+
+    `loading` is read by `money.rate` as n/d. The exact price is then the
+    integer quotient num/den with num = risk_num x coverage x (d + n) and
+    den = risk_den x d, rounded half-up as (2 num + den) // (2 den): the
+    arithmetic is on ints only. Any strictly positive expected loss
+    prices at one micro-unit or more.
+    """
     check_amount(coverage)
-    if not (math.isfinite(loading) and loading >= 0):
-        raise ValueError(f"loading must be finite and non-negative, got {loading}")
-    raw = risk * coverage * (1 + Fraction(loading))
-    return max(int(raw + Fraction(1, 2)), 1) if raw > 0 else 0
+    try:
+        load = rate(loading)
+    except ValueError as exc:
+        raise ValueError(f"loading {exc}") from None
+    num = risk_num * coverage * (load.denominator + load.numerator)
+    den = risk_den * load.denominator
+    return max((2 * num + den) // (2 * den), 1) if num > 0 else 0
 
 
 def price_premium(posterior: RiskPosterior, coverage: int, loading: float) -> int:
     """Expected-loss premium at the posterior mean, with a proportional loading."""
-    mean = Fraction(posterior.alpha) / (Fraction(posterior.alpha) + Fraction(posterior.beta))
-    return _loaded_premium(mean, coverage, loading)
+    a_num, a_den = posterior.alpha.as_integer_ratio()
+    b_num, b_den = posterior.beta.as_integer_ratio()
+    return _loaded_premium(a_num * b_den, a_num * b_den + b_num * a_den, coverage, loading)
 
 
 def decide_purchase(agent: AgentProfile, quote: int, params: MechanismParams) -> bool:
@@ -98,14 +113,19 @@ def decide_purchase(agent: AgentProfile, quote: int, params: MechanismParams) ->
     The baseline value is the honest-path payoff net of the premium. An
     agent with misbehavior propensity adds the option value of profitable
     deviation (what a deviation nets beyond the honest path, if positive),
-    which is what drives adverse selection under flat pricing.
+    which is what drives adverse selection under flat pricing. With the
+    propensity read by `money.rate` as n/d, the test is exact:
+    (Pi_honest - quote) x d + n x bonus > 0.
     """
     check_amount(quote)
     deviation_bonus = max(
         0, agent.gain.mean - params.S_A - params.V_future - params.Pi_honest
     )
-    value = params.Pi_honest + agent.theta * deviation_bonus - quote
-    return value > 0
+    theta = rate(agent.theta)
+    return (
+        (params.Pi_honest - quote) * theta.denominator
+        + theta.numerator * deviation_bonus > 0
+    )
 
 
 @dataclass(frozen=True)
@@ -165,18 +185,18 @@ def compose_stack(
         raise ValueError(f"base_risk must lie in (0, 1], got {base_risk}")
     if not 0.0 <= layer1_cut <= 1.0:
         raise ValueError(f"layer1_cut must lie in [0, 1], got {layer1_cut}")
-    residual = Fraction(str(base_risk))
+    residual = rate(base_risk)
     live: list[tuple[Certificate, Fraction]] = []
     warnings: list[str] = []
     for cert in certificates:
         if cert.expired(tick):
             warnings.append(f"expired certificate {cert.domain} from {cert.issuer}")
             continue
-        discount = Fraction(str(cert.risk_discount))
+        discount = rate(cert.risk_discount)
         residual *= 1 - discount
         live.append((cert, discount))
     total = sum(d for _, d in live)
-    cut = Fraction(str(layer1_cut))
+    cut = rate(layer1_cut)
     return InsurerStack(
         master=master,
         layer1=tuple(cert for cert, _ in live),
@@ -191,7 +211,8 @@ def compose_stack(
 
 def stack_premium(stack: InsurerStack, coverage: int, loading: float) -> int:
     """Premium the master insurer quotes at the stack's residual risk."""
-    return _loaded_premium(Fraction(str(stack.residual_risk)), coverage, loading)
+    risk = rate(stack.residual_risk)
+    return _loaded_premium(risk.numerator, risk.denominator, coverage, loading)
 
 
 def underwrite_stack(

@@ -6,10 +6,17 @@ bonds, fees and premiums are non-negative; payoffs are signed deltas and
 may be negative. Arithmetic is exact: anything that would require
 rounding or exceed the representable range raises instead of silently
 truncating.
+
+Rates (a loading, a risk, a discount, a propensity) are not money. `rate`
+is the one place a rate given as a float becomes exact: it reads the
+float's shortest decimal text, so 0.2 is 1/5, not the binary value
+nearest to it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -87,3 +94,25 @@ def mul_exact(amount: int, c: Fraction) -> int:
             f"scaling {amount} by {c} yields non-integer micro-units"
         )
     return check_amount(int(scaled), signed=True)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def rate(x: float | int | Fraction) -> Fraction:
+    """A finite, non-negative rate as the exact rational its decimal text names.
+
+    A float reads as its shortest round-trip decimal (0.2 is 1/5), an int
+    as itself, and a Fraction passes through unchanged. Anything else,
+    booleans included, raises ValueError. Memoised: a scenario reads the
+    same few rates on every episode.
+    """
+    if isinstance(x, Fraction):
+        exact = x
+    elif isinstance(x, float) and math.isfinite(x):
+        exact = Fraction(repr(float(x)))
+    elif isinstance(x, int) and not isinstance(x, bool):
+        exact = Fraction(x)
+    else:
+        exact = None
+    if exact is None or exact < 0:
+        raise ValueError(f"must be finite and non-negative, got {x!r}")
+    return exact

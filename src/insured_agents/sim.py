@@ -29,11 +29,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -72,7 +70,7 @@ from .market import (
     update_posterior,
 )
 from .mechanism import MechanismParams
-from .money import MAX_AMOUNT, MoneyError, check_amount, format_units, units
+from .money import MAX_AMOUNT, MoneyError, check_amount, format_units, rate, units
 
 
 class AgentPolicy(Enum):
@@ -157,9 +155,11 @@ class ScenarioConfig:
                 raise ScenarioError("stack.layer1_cut",
                                     f"must lie in [0, 1], got {stack.layer1_cut}")
         for path, loading in loadings:
-            if not (math.isfinite(loading) and loading >= 0):
-                raise ScenarioError(path, f"must be finite and non-negative, got {loading}")
-            if self.params.L * (1 + Fraction(loading)) > MAX_AMOUNT:
+            try:
+                factor = 1 + rate(loading)
+            except ValueError as exc:
+                raise ScenarioError(path, str(exc)) from None
+            if self.params.L * factor > MAX_AMOUNT:
                 # A premium is at most L x (1 + loading): risk never exceeds 1.
                 raise ScenarioError(path, f"prices a premium beyond the representable "
                                           f"range at L = {self.params.L}, got {loading}")
@@ -167,6 +167,11 @@ class ScenarioConfig:
             check_amount(self.claim_bond)
         except MoneyError as exc:
             raise ScenarioError("claim_bond", str(exc)) from None
+        obligations = _obligations(self)
+        if obligations > _FUNDING_CAP:
+            raise ScenarioError("params", f"one episode's obligations of "
+                                          f"{format_units(obligations)} exceed the funding "
+                                          f"cap of {format_units(_FUNDING_CAP)}")
 
 
 @dataclass
@@ -236,13 +241,22 @@ def _solved_profile(ep: MechanismParams) -> StrategyProfile:
     return solve_spe(build_game(ep))[0]
 
 
-def _funding(config: ScenarioConfig) -> int:
+#: The most a wallet is funded with, so that no balance nears MAX_AMOUNT.
+_FUNDING_CAP = MAX_AMOUNT // 8
+
+
+def _obligations(config: ScenarioConfig) -> int:
+    """The most one episode can ask of a wallet: its harm, stake, bond, fee,
+    reputation cost, premium and claim bond, plus one unit."""
     p = config.params
-    per_episode = (
-        p.L + p.S_A + p.B + p.F + p.R + p.P + config.claim_bond + units(1)
-    )
-    total = config.episodes * per_episode + p.L
-    return min(total, MAX_AMOUNT // 8)
+    return p.L + p.S_A + p.B + p.F + p.R + p.P + config.claim_bond + units(1)
+
+
+def _funding(config: ScenarioConfig) -> int:
+    """Each wallet's deposit: every episode's obligations plus L, capped at
+    `_FUNDING_CAP` (which `validate` keeps one episode's obligations under)."""
+    total = config.episodes * _obligations(config) + config.params.L
+    return min(total, _FUNDING_CAP)
 
 
 class _World:
@@ -658,6 +672,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         return doc[key]
 
     def money(value, path: str) -> int:
+        of_type(value, path, (int, float), "a number")
         try:
             return units(value)
         except (ValueError, TypeError) as exc:

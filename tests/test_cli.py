@@ -143,6 +143,9 @@ class TestSimulate:
         ({"claim_bond": -1}, "claim_bond"),
         ({"pricing": "experience", "loading": 1e20}, "loading"),
         ({"stack": {"base_risk": 0.1, "loading": 1e20}}, "stack.loading"),
+        ({"claim_bond": "1"}, "claim_bond"),
+        ({"params": {**scenario_doc()["params"], "L": "100"}}, "params.L"),
+        ({"params": {**scenario_doc()["params"], "F": 2 * 10**12}}, "params"),
     ])
     def test_malformed_field_exits_two_with_its_path(self, overrides, path, tmp_path,
                                                      capsys):

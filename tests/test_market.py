@@ -1,11 +1,12 @@
 import itertools
 import math
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from insured_agents import (
     AgentProfile,
@@ -22,8 +23,8 @@ from insured_agents import (
     update_posterior,
 )
 from insured_agents.ledger import AccountId, InsufficientFunds, Ledger, Role
-from insured_agents.market import ExpiredCertificate
-from insured_agents.money import MAX_AMOUNT
+from insured_agents.market import ExpiredCertificate, InsurerStack
+from insured_agents.money import MAX_AMOUNT, rate
 from test_ledger import ledger_state
 
 
@@ -50,6 +51,66 @@ class TestPricePremium:
     def test_negative_loading_rejected(self):
         with pytest.raises(ValueError):
             price_premium(RiskPosterior(), units(100), loading=-0.1)
+
+    def test_half_rounds_up_at_a_decimal_loading(self):
+        # 1/2 x 10 x 13/10 = 6.5 exactly; binary 0.3 sits just below 3/10.
+        assert price_premium(RiskPosterior(1, 1), 10, 0.3) == 7
+
+
+def reference_premium(risk: Fraction, coverage: int, loading: str) -> int:
+    """risk x coverage x (1 + loading), the loading read as a decimal,
+    rounded half-up; a positive expected loss is at least one micro-unit."""
+    exact = risk * coverage * (1 + Fraction(loading))
+    if exact == 0:
+        return 0
+    return max(math.floor(exact + Fraction(1, 2)), 1)
+
+
+def decimal_text(low: str, high: str):
+    """Decimal strings in [low, high] with at most three places."""
+    return st.decimals(Decimal(low), Decimal(high), places=3).map(str)
+
+
+class TestPremiumMatchesExactReference:
+    @given(alpha=st.integers(1, 60), beta=st.integers(1, 60),
+           coverage=st.integers(0, 10**12), loading=decimal_text("0", "4"))
+    @example(alpha=1, beta=1, coverage=10, loading="0.3")  # 6.5 exactly
+    def test_price_premium(self, alpha, beta, coverage, loading):
+        assert price_premium(RiskPosterior(alpha, beta), coverage, float(loading)) == (
+            reference_premium(Fraction(alpha, alpha + beta), coverage, loading)
+        )
+
+    @given(risk=decimal_text("0.001", "1"),
+           coverage=st.integers(0, 10**12), loading=decimal_text("0", "4"))
+    @example(risk="0.5", coverage=10, loading="0.3")  # 6.5 exactly
+    def test_stack_premium(self, risk, coverage, loading):
+        stack = InsurerStack(master="m", layer1=(), residual_risk=float(risk),
+                             premium_shares=(), expires_at=math.inf)
+        assert stack_premium(stack, coverage, float(loading)) == (
+            reference_premium(Fraction(risk), coverage, loading)
+        )
+
+
+class TestRate:
+    @pytest.mark.parametrize("x, exact", [
+        (0.2, Fraction(1, 5)),
+        (0.3, Fraction(3, 10)),
+        (1e-4, Fraction(1, 10000)),
+        (0, Fraction(0)),
+        (3, Fraction(3)),
+        (Fraction(1, 3), Fraction(1, 3)),
+        (np.float64(0.1), Fraction(1, 10)),
+    ])
+    def test_reads_the_decimal_text(self, x, exact):
+        assert rate(x) == exact
+        assert type(rate(x)) is Fraction
+
+    @pytest.mark.parametrize("x", [
+        -0.1, -1, Fraction(-1, 2), float("inf"), float("nan"), True, "0.2", None,
+    ])
+    def test_refuses_anything_else(self, x):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            rate(x)
 
 
 class TestPosterior:
@@ -109,6 +170,13 @@ class TestDecidePurchase:
 
     def test_exact_tie_declines(self):
         assert not decide_purchase(self.agent(), units(5), self.params(units(5)))
+
+    def test_decision_is_exact(self):
+        # (0 - quote) + 0.1 x gain is +0.1 micro-units exactly; in floats
+        # 0.1 x gain rounds to the quote and the agent would decline.
+        agent = self.agent(theta=0.1, gain_mean=657784910279432361)
+        params = MechanismParams(L=1, G=0, S_A=0, S_I=1, B=0, F=0, R=0, V_future=0)
+        assert decide_purchase(agent, 65778491027943236, params)
 
     def test_risky_agent_values_coverage_more(self):
         # When deviation pays, willingness rises with theta.

@@ -384,6 +384,42 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=r"params\.L"):
             scenario_from_dict(doc)
 
+    def test_too_many_decimals_in_a_number_rejected(self):
+        doc = scenario_doc()
+        doc["params"]["L"] = 1.0000001
+        with pytest.raises(ScenarioError, match=r"params\.L: .*decimal places"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "name", ["L", "G", "S_A", "S_I", "B", "F", "R", "V_future", "P", "Pi_honest"]
+    )
+    def test_string_amount_has_its_path(self, name):
+        doc = scenario_doc()
+        doc["params"][name] = "100"
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert str(err.value) == f"params.{name}: must be a number, got '100'"
+
+    def test_obligations_past_the_funding_cap_rejected(self):
+        # At F = 2e12 units one escalated episode would owe more than a
+        # wallet is funded with; it used to play with the fee clamped.
+        doc = scenario_doc()
+        doc["params"]["F"] = 2 * 10**12
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.path == "params"
+        with pytest.raises(ScenarioError, match="funding cap"):
+            replay_game_path(make_params(F=units(2 * 10**12)), ALL_PATHS[-1])
+
+    def test_obligations_at_the_funding_cap_accepted(self):
+        config = make_config()
+        room = sim._FUNDING_CAP - sim._obligations(config)
+        at_cap = replace(config, params=replace(config.params, F=config.params.F + room))
+        at_cap.validate()
+        past_cap = replace(at_cap, claim_bond=1)
+        with pytest.raises(ScenarioError, match="^params: "):
+            past_cap.validate()
+
     def test_bad_policy_name(self):
         with pytest.raises(ScenarioError, match="policies"):
             scenario_from_dict(scenario_doc(policies={"agent": "chaotic"}))
@@ -411,6 +447,7 @@ class TestScenarioParsing:
         ("policies", {"opportunistic_p": True}, "policies.opportunistic_p"),
         ("policies", {"opportunistic_p": 1.5}, "policies.opportunistic_p"),
         ("policies", {"user": "sometimes"}, "policies.user"),
+        ("claim_bond", "1", "claim_bond"),
     ])
     def test_bad_top_level_field_has_its_path(self, field, value, path):
         with pytest.raises(ScenarioError) as err:
@@ -427,6 +464,7 @@ class TestScenarioParsing:
         ([{"id": "a0", "gain": 5}], "population[0].gain"),
         ([{"id": "a0", "gain": "fixed"}], "population[0].gain"),
         ([{"id": "a0", "gain": {"kind": "uniform"}}], "population[0].gain"),
+        ([{"id": "a0", "gain": {"mean": "40"}}], "population[0].gain.mean"),
     ])
     def test_bad_population_field_has_its_path(self, population, path):
         with pytest.raises(ScenarioError) as err:
