@@ -47,9 +47,12 @@ class MechanismParams:
     Pi_honest: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            check_amount(value, signed=(f.name == "Pi_honest"))
+        for name in _FIELDS:
+            check_amount(getattr(self, name), signed=(name == "Pi_honest"))
+
+
+#: MechanismParams' field names, in order, read once rather than per instance.
+_FIELDS = tuple(f.name for f in fields(MechanismParams))
 
 
 @dataclass(frozen=True)
@@ -81,5 +84,5 @@ def scale_params(params: MechanismParams, c: Fraction | int) -> MechanismParams:
     c = Fraction(c)
     if c <= 0:
         raise ValueError(f"scale factor must be positive, got {c}")
-    scaled = {f.name: mul_exact(getattr(params, f.name), c) for f in fields(params)}
+    scaled = {name: mul_exact(getattr(params, name), c) for name in _FIELDS}
     return replace(params, **scaled)

@@ -5,7 +5,9 @@ honest/malicious choice, an optional claim, an optional escalation to the
 verifier, and policy close-out. Every episode draws from its own RNG
 stream derived from (scenario seed, episode index), so results are
 independent of execution order and a (config, seed) pair fully determines
-every report field.
+every report field. That stream is exactly `np.random.default_rng([seed,
+index])`'s, but no episode builds a generator: the world derives the seeds
+of a block of episodes at once (`_seed_states`) and reseeds its one PCG64.
 
 An enforced episode first picks the `ALL_PATHS` member it will play: the
 solver's choices with the behavior policies written over them. The profile
@@ -227,8 +229,79 @@ _USER_ID = "user-0"
 _INSURER_ID = "insurer-0"
 
 
-def _episode_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
+#: Episodes whose seeds `_World` derives at once, in blocks aligned to it:
+#: enough to spread numpy's per-call cost thin, few enough that a block's
+#: Python ints do not raise the peak resident set (1024 raised it by 1 MB).
+_SEED_BLOCK = 256
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[int, ...]:
+    """The `hash_const` values a SeedSequence hash runs through: they depend
+    on the number of calls only, never on the data hashed."""
+    out = [init]
+    for _ in range(calls):
+        out.append(out[-1] * mult & _MASK32)
+    return tuple(out)
+
+
+# SeedSequence's constants; mix_entropy hashes 4 + 12 times, generate_state 8.
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The PCG64 (state, inc) of `np.random.default_rng([seed, i])` for every
+    i in [start, stop), for a seed and indices below 2**64.
+
+    This is numpy's seeding run on many indices at once, so each one costs
+    no per-call overhead; numpy's stream policy (NEP 19) keeps it fixed:
+    - `SeedSequence` (numpy/random/bit_generator.pyx): the entropy is the
+      seed's and the index's little-endian 32-bit words (one word for a
+      value below 2**32, two otherwise); `mix_entropy` hashes it into a pool
+      of four words, zero-padded, then mixes every pool word into every
+      other; `generate_state(4, uint64)` hashes the pool, cycled, into eight
+      words read in pairs as four uint64. All of it runs on uint32 arrays.
+    - `PCG64` (numpy/random/src/pcg64/pcg64.h): `pcg64_set_seed` reads
+      those as the 128-bit initstate and initseq, and
+      `pcg_setseq_128_srandom_r` sets inc = initseq << 1 | 1 and state =
+      (inc + initstate) x multiplier + inc, in Python ints.
+    """
+    index = np.arange(start, stop, dtype=np.uint64)
+    words = [np.full(stop - start, w, dtype=np.uint32)
+             for w in ([seed & _MASK32, seed >> 32] if seed >> 32 else [seed])]
+    # An index below 2**32 has one word; its zero high word is the padding.
+    words += [index.astype(np.uint32), (index >> 32).astype(np.uint32)]
+    words += [np.zeros(stop - start, dtype=np.uint32)] * (4 - len(words))
+    calls = iter(range(16))
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        k = next(calls)
+        value = (value ^ _MIX_HASH[k]) * _MIX_HASH[k + 1]
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src])
+                pool[dst] = mixed ^ mixed >> 16
+    state = []
+    for k in range(8):
+        value = (pool[k % 4] ^ _STATE_HASH[k]) * _STATE_HASH[k + 1]
+        state.append((value ^ value >> 16).astype(np.uint64))
+    seed_hi, seed_lo, seq_hi, seq_lo = (
+        (state[2 * k] | state[2 * k + 1] << 32).tolist() for k in range(4)
+    )
+    out = []
+    for hi, lo, inc_hi, inc_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        out.append((((hi << 64 | lo) + inc) * _PCG64_MULTIPLIER + inc & _MASK128, inc))
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -289,6 +362,10 @@ class _World:
             self.ledger.deposit(insurer, fund)
             for agent_wallet, _, _ in self.wallets.values():
                 self.ledger.deposit(agent_wallet, fund)
+        # One generator, reseeded for every episode from a block of derived
+        # seeds; both are made on the first episode.
+        self._rng: np.random.Generator | None = None
+        self._block, self._seeds = -1, []
 
     def _price_stack(self, tick: int) -> None:
         """Compose the stack of the certificates live at `tick` and price it;
@@ -299,6 +376,28 @@ class _World:
             layer1_cut=spec.layer1_cut,
         )
         self.fixed_ep = replace(params, P=stack_premium(self.stack, params.L, spec.loading))
+
+    def _episode_rng(self, index: int) -> np.random.Generator:
+        """Episode `index`'s generator: the world's one generator, reseeded to
+        the stream `np.random.default_rng([seed, index])` gives.
+
+        Seeds are derived a block of `_SEED_BLOCK` indices at a time, never
+        past the world's last episode.
+        """
+        block, offset = divmod(index, _SEED_BLOCK)
+        if block != self._block:
+            if self._rng is None:
+                self._rng = np.random.Generator(np.random.PCG64(0))
+            self._seeds.clear()  # free the finished block before building the next
+            start = block * _SEED_BLOCK
+            stop = min(start + _SEED_BLOCK, self.config.episodes)
+            self._block, self._seeds = block, _seed_states(self.config.seed, start, stop)
+        state, inc = self._seeds[offset]
+        self._rng.bit_generator.state = {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        return self._rng
 
     # -- per-episode decisions -------------------------------------------
 
@@ -365,7 +464,7 @@ class _World:
     def run_episode(self, index: int) -> EpisodeRecord:
         config = self.config
         agent = config.population[index % len(config.population)]
-        rng = _episode_rng(config.seed, index)
+        rng = self._episode_rng(index)
         record = EpisodeRecord(index=index, agent_id=agent.id, insurer_id=_INSURER_ID)
         tick0 = index * _TICKS_PER_EPISODE
         if self.stack is not None and tick0 >= self.stack.expires_at:

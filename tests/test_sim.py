@@ -8,8 +8,9 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from insured_agents import (
     ALL_PATHS,
@@ -192,6 +193,62 @@ class TestDeterminism:
                 (out / "sweep.csv").read_bytes(),
             ))
         assert outputs[0] == outputs[1]
+
+
+class TestEpisodeStream:
+    """A world reseeds one generator from seeds it derives in blocks; every
+    episode must still draw exactly the stream `default_rng([seed, index])`
+    gives. These tests and `tests/golden/` are the stream's only guard: the
+    baseline scenario never misbehaves, so its report is the same at any seed."""
+
+    @pytest.mark.filterwarnings("error")  # a uint32 overflow warning fails
+    @given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**33 - 2))
+    @example(seed=0, index=0)
+    @example(seed=2**32 - 1, index=sim._SEED_BLOCK - 1)  # either side of a block boundary
+    @example(seed=2**32, index=2**32 - 1)  # the index gains a second 32-bit word
+    @example(seed=2**64 - 1, index=2**32)
+    def test_derived_seeds_are_default_rng_states(self, seed, index):
+        expected = []
+        for i in (index, index + 1):
+            state = np.random.default_rng([seed, i]).bit_generator.state["state"]
+            expected.append((state["state"], state["inc"]))
+        assert sim._seed_states(seed, index, index + 2) == expected
+
+    def test_each_episode_reseeds_to_its_own_stream(self):
+        config = make_config(seed=2**40 + 3, episodes=sim._SEED_BLOCK + 5)
+        world = _World(config)
+        for index in range(config.episodes):
+            rng = world._episode_rng(index)
+            expected = np.random.default_rng([config.seed, index])
+            assert rng.bit_generator.state == expected.bit_generator.state, index
+            # A 32-bit draw leaves half a word buffered; a reseed must drop it.
+            assert rng.integers(2**32, dtype=np.uint32) == expected.integers(
+                2**32, dtype=np.uint32)
+        assert len(world._seeds) == 5  # no seed past the last episode
+
+    def test_episodes_play_the_default_rng_stream(self, monkeypatch):
+        gain = {"kind": "geometric", "mean": 200}
+        stack = {"base_risk": 0.1, "loading": 0.2, "certificates": [
+            {"issuer": "code-insurer", "domain": "code", "discount": 0.5},
+        ]}
+        runs = []
+        for seed in (0, 7, 2**63 + 5):  # a seed of one 32-bit word and of two
+            config = scenario_from_dict(scenario_doc(
+                seed=seed, episodes=sim._SEED_BLOCK + 30, stack=stack,
+                params={**scenario_doc()["params"], "Pi_honest": 200},
+                population=[{"id": "a0", "theta": 0.1, "gain": gain},
+                            {"id": "a1", "theta": 0.4, "gain": gain}],
+                policies={"agent": "opportunistic", "opportunistic_p": 0.5},
+            ))
+            with monkeypatch.context() as patch:
+                patch.setattr(_World, "_episode_rng", lambda world, index: (
+                    np.random.default_rng([world.config.seed, index])
+                ))
+                _, expected = run_scenario_with_records(config)
+            _, records = run_scenario_with_records(config)
+            assert records == expected, f"seed {seed}"
+            runs.append(records)
+        assert runs[0] != runs[1] != runs[2] != runs[0]  # the scenario reads its seed
 
 
 class TestDeterrence:
