@@ -22,15 +22,11 @@ import sys
 
 from .game import build_game, brute_force_spe, solve_spe
 from .market import Certificate, compose_stack, stack_premium
-from .mechanism import MechanismParams, check_conditions
+from .mechanism import FIELDS, REQUIRED, SIGNED, MechanismParams, check_conditions
 from .money import MoneyError, format_units, units
 from .sim import (
     ScenarioError, load_scenario, run_scenario_with_records, sweep, sweep_configs,
 )
-
-
-class UsageError(Exception):
-    pass
 
 
 def _money_flag(text: str) -> int:
@@ -49,36 +45,23 @@ def _unsigned_money_flag(text: str) -> int:
 
 
 def _add_param_flags(parser: argparse.ArgumentParser, *, pi_required: bool) -> None:
-    for flag, dest in (
-        ("--L", "L"),
-        ("--G", "G"),
-        ("--S-A", "S_A"),
-        ("--S-I", "S_I"),
-        ("--B", "B"),
-        ("--F", "F"),
-        ("--R", "R"),
-        ("--V-future", "V_future"),
-    ):
+    """One flag per mechanism parameter: `--` and its name with `_` as `-`,
+    but `--pi-honest` in lower case. A flag left out leaves its parameter at
+    the MechanismParams default."""
+    for name in FIELDS:
+        flag = "--" + name.replace("_", "-")
+        pi = flag.lower() == "--pi-honest"  # the one flag spelled in lower case
+        signed = name in SIGNED
         parser.add_argument(
-            flag, dest=dest, type=_unsigned_money_flag, required=True,
-            help=f"mechanism parameter {dest} (decimal currency units)",
+            flag.lower() if pi else flag, dest=name, default=argparse.SUPPRESS,
+            type=_money_flag if signed else _unsigned_money_flag,
+            required=name in REQUIRED or (pi and pi_required),
+            help=f"mechanism parameter {name} ({'signed ' if signed else ''}decimal units)",
         )
-    parser.add_argument(
-        "--P", dest="P", type=_unsigned_money_flag, default=0,
-        help="premium (decimal currency units, default 0)",
-    )
-    parser.add_argument(
-        "--pi-honest", dest="Pi_honest", type=_money_flag,
-        default=None if pi_required else 0, required=pi_required,
-        help="agent's honest-path payoff (signed decimal units)",
-    )
 
 
 def _params_from_args(args: argparse.Namespace) -> MechanismParams:
-    return MechanismParams(
-        L=args.L, G=args.G, S_A=args.S_A, S_I=args.S_I, B=args.B, F=args.F,
-        R=args.R, V_future=args.V_future, P=args.P, Pi_honest=args.Pi_honest,
-    )
+    return MechanismParams(**{k: v for k, v in vars(args).items() if k in FIELDS})
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -146,29 +129,29 @@ def _parse_grid(spec: str) -> list[tuple[str, list[int]]]:
     grid: list[tuple[str, list[int]]] = []
     for chunk in filter(None, (part.strip() for part in spec.split(";"))):
         if "=" not in chunk:
-            raise UsageError(f"grid entry {chunk!r} is not name=v1,v2,...")
+            raise ValueError(f"grid entry {chunk!r} is not name=v1,v2,...")
         name, _, rest = chunk.partition("=")
         name = name.strip()
         try:
             values = [units(v.strip()) for v in rest.split(",") if v.strip()]
         except MoneyError as exc:
-            raise UsageError(f"grid entry {name}: {exc}") from None
+            raise ValueError(f"grid entry {name}: {exc}") from None
         if not values:
-            raise UsageError(f"grid entry {name} has no values")
+            raise ValueError(f"grid entry {name} has no values")
         grid.append((name, values))
     if not grid:
-        raise UsageError("empty grid spec")
+        raise ValueError("empty grid spec")
     return grid
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         if args.jobs < 1:
-            raise UsageError("--jobs must be at least 1")
+            raise ValueError("--jobs must be at least 1")
         grid = _parse_grid(args.grid)
         config = load_scenario(args.scenario)
         sweep_configs(config, grid)  # a malformed grid fails before the CSV opens
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with _open_output(args.out) as fh:

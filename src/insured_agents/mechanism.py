@@ -13,7 +13,7 @@ Equality in a strict condition counts as a violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
 
 from .money import check_amount, mul_exact
@@ -47,12 +47,18 @@ class MechanismParams:
     Pi_honest: int = 0
 
     def __post_init__(self) -> None:
-        for name in _FIELDS:
-            check_amount(getattr(self, name), signed=(name == "Pi_honest"))
+        for name in FIELDS:
+            check_amount(getattr(self, name), signed=name in SIGNED)
 
 
-#: MechanismParams' field names, in order, read once rather than per instance.
-_FIELDS = tuple(f.name for f in fields(MechanismParams))
+#: The one list of mechanism parameters: MechanismParams' field names, in
+#: order, read once rather than per instance. A scenario's `params`, a sweep
+#: axis and a CLI flag each name one of these.
+FIELDS = tuple(f.name for f in fields(MechanismParams))
+#: The parameters a parameter set must name: those with no default.
+REQUIRED = tuple(f.name for f in fields(MechanismParams) if f.default is MISSING)
+#: The parameters that may be negative: a payoff, where the rest are amounts.
+SIGNED = ("Pi_honest",)
 
 
 @dataclass(frozen=True)
@@ -84,5 +90,5 @@ def scale_params(params: MechanismParams, c: Fraction | int) -> MechanismParams:
     c = Fraction(c)
     if c <= 0:
         raise ValueError(f"scale factor must be positive, got {c}")
-    scaled = {name: mul_exact(getattr(params, name), c) for name in _FIELDS}
+    scaled = {name: mul_exact(getattr(params, name), c) for name in FIELDS}
     return replace(params, **scaled)

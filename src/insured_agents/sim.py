@@ -32,7 +32,7 @@ import functools
 import itertools
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -71,7 +71,7 @@ from .market import (
     underwrite_stack,
     update_posterior,
 )
-from .mechanism import MechanismParams
+from .mechanism import FIELDS, REQUIRED, SIGNED, MechanismParams
 from .money import MAX_AMOUNT, MoneyError, check_amount, format_units, rate, units
 
 
@@ -137,13 +137,21 @@ class ScenarioConfig:
     loading: float = 0.0
     stack: StackSpec | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Every rule a scenario obeys, however it is built: each violation
+        raises ScenarioError at the field path a scenario file gives it."""
         if self.seed < 0 or self.seed >= 2**64:
             raise ScenarioError("seed", "must be an unsigned 64-bit integer")
         if self.episodes < 1:
             raise ScenarioError("episodes", "must be at least 1")
         if not self.population:
             raise ScenarioError("population", "must list at least one agent profile")
+        ids = set()
+        for i, agent in enumerate(self.population):
+            if agent.id in ids:
+                # Profiles with one id would share a posterior and a wallet.
+                raise ScenarioError(f"population[{i}].id", f"duplicate id {agent.id!r}")
+            ids.add(agent.id)
         if self.pricing not in ("flat", "experience"):
             raise ScenarioError("pricing", f"unknown pricing mode {self.pricing!r}")
         loadings = [("loading", self.loading)]
@@ -156,6 +164,11 @@ class ScenarioConfig:
             if not 0.0 <= stack.layer1_cut <= 1.0:
                 raise ScenarioError("stack.layer1_cut",
                                     f"must lie in [0, 1], got {stack.layer1_cut}")
+            for j, cert in enumerate(stack.certificates):
+                if cert.issuer == _INSURER_ID:
+                    # The master would pay its own layer-1 share: `pay` refuses that.
+                    raise ScenarioError(f"stack.certificates[{j}].issuer",
+                                        f"{cert.issuer!r} is the master insurer's id")
         for path, loading in loadings:
             try:
                 factor = 1 + rate(loading)
@@ -327,7 +340,7 @@ def _obligations(config: ScenarioConfig) -> int:
 
 def _funding(config: ScenarioConfig) -> int:
     """Each wallet's deposit: every episode's obligations plus L, capped at
-    `_FUNDING_CAP` (which `validate` keeps one episode's obligations under)."""
+    `_FUNDING_CAP` (which `ScenarioConfig` keeps one episode's obligations under)."""
     total = config.episodes * _obligations(config) + config.params.L
     return min(total, _FUNDING_CAP)
 
@@ -336,7 +349,6 @@ class _World:
     """Mutable scenario state: ledger, posteriors, tick clock."""
 
     def __init__(self, config: ScenarioConfig):
-        config.validate()
         self.config = config
         self.ledger = Ledger()
         self.posteriors: dict[str, RiskPosterior] = {
@@ -560,7 +572,8 @@ def run_scenario_with_records(
     supply_before = world.ledger.total_supply()
     records = [world.run_episode(i) for i in range(config.episodes)]
     supply_after = world.ledger.total_supply()
-    assert supply_before == supply_after, "ledger conservation violated in scenario"
+    if supply_before != supply_after:  # a raise, so that `python -O` keeps the check
+        raise AssertionError("ledger conservation violated in scenario")
     return _aggregate(config, records), records
 
 
@@ -688,7 +701,7 @@ def replay_game_path(
 def sweep_configs(
     config: ScenarioConfig, grid: list[tuple[str, list[int]]]
 ) -> list[ScenarioConfig]:
-    """Every grid cell's config, row-major, each built and validated.
+    """Every grid cell's config, row-major, each built (and so validated).
 
     `grid` maps distinct MechanismParams field names to value lists. An
     empty grid or axis and an unknown or repeated name raise ValueError; a
@@ -697,9 +710,8 @@ def sweep_configs(
     if not grid or any(not values for _, values in grid):
         raise ValueError("sweep grid must be non-empty in every dimension")
     names = [name for name, _ in grid]
-    known = {f.name for f in fields(MechanismParams)}
     for i, name in enumerate(names):
-        if name not in known:
+        if name not in FIELDS:
             raise ValueError(f"unknown grid parameter {name!r}")
         if name in names[:i]:
             raise ValueError(f"grid parameter {name!r} is repeated")
@@ -708,7 +720,6 @@ def sweep_configs(
         cell = dict(zip(names, values))
         try:
             cell_config = replace(config, params=replace(config.params, **cell))
-            cell_config.validate()
         except ValueError as exc:
             where = ", ".join(f"{name}={_grid_value(v)}" for name, v in cell.items())
             raise ScenarioError(f"sweep cell {where}", str(exc)) from None
@@ -761,21 +772,29 @@ def sweep(
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed scenario document.
 
-    Raises ScenarioError with a field path on any malformed input. A field
-    takes only its own JSON type: no string stands in for a number and no
-    boolean for a number or a string.
+    Raises ScenarioError with a field path on any malformed input. This
+    checks the document's shape: a field takes only its own JSON type, so no
+    string stands in for a number and no boolean for a number or a string.
+    The values' own rules belong to the classes built from them, above all
+    ScenarioConfig, which holds a config built in code to the same rules.
     """
-    def need(key: str):
-        if key not in doc:
-            raise ScenarioError(key, "missing required field")
-        return doc[key]
+    def at(path: str, key: str) -> str:
+        return key if path == "$" else f"{path}.{key}"
 
-    def money(value, path: str) -> int:
+    def need(value: dict, path: str, key: str):
+        if key not in value:
+            raise ScenarioError(at(path, key), "missing required field")
+        return value[key]
+
+    def money(value, path: str, signed: bool = False) -> int:
         of_type(value, path, (int, float), "a number")
         try:
-            return units(value)
+            amount = units(value)
         except (ValueError, TypeError) as exc:
             raise ScenarioError(path, str(exc)) from None
+        if amount < 0 and not signed:
+            raise ScenarioError(path, f"must be non-negative, got {value!r}")
+        return amount
 
     def of_type(value, path: str, kind: type, what: str):
         if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
@@ -797,8 +816,12 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     def flag(value, path: str) -> bool:
         return of_type(value, path, bool, "true or false")
 
-    def obj(value, path: str) -> dict:
-        return of_type(value, path, dict, "an object")
+    def obj(value, path: str, keys: tuple[str, ...]) -> dict:
+        """`value` as an object, each of whose keys is one of `keys`."""
+        for key in of_type(value, path, dict, "an object"):
+            if key not in keys:
+                raise ScenarioError(at(path, key), "unknown field")
+        return value
 
     def build(path: str, cls, *args, **kwargs):
         """cls(...), with a ValueError from its own checks reported at `path`."""
@@ -807,42 +830,33 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         except ValueError as exc:
             raise ScenarioError(path, str(exc)) from None
 
-    obj(doc, "$")
-    version = doc.get("schema_version")
+    version = of_type(doc, "$", dict, "an object").get("schema_version")
     if version != 1:
         raise ScenarioError("schema_version", f"unsupported version {version!r}")
+    obj(doc, "$", ("schema_version", "seed", "episodes", "params", "population", "policies",
+                   "enforcement_enabled", "claim_bond", "pricing", "loading", "stack"))
 
-    raw_params = obj(need("params"), "params")
-    param_fields = {}
-    for name in ("L", "G", "S_A", "S_I", "B", "F", "R", "V_future"):
-        if name not in raw_params:
-            raise ScenarioError(f"params.{name}", "missing required field")
-        param_fields[name] = money(raw_params[name], f"params.{name}")
-    for name in ("P", "Pi_honest"):
-        if name in raw_params:
-            param_fields[name] = money(raw_params[name], f"params.{name}")
-    params = build("params", MechanismParams, **param_fields)
+    raw_params = obj(need(doc, "$", "params"), "params", FIELDS)
+    for name in REQUIRED:
+        need(raw_params, "params", name)
+    params = MechanismParams(**{
+        name: money(value, f"params.{name}", signed=name in SIGNED)
+        for name, value in raw_params.items()
+    })
 
-    raw_population = need("population")
-    if not isinstance(raw_population, list) or not raw_population:
-        raise ScenarioError("population", "must be a non-empty list")
     population = []
+    raw_population = of_type(need(doc, "$", "population"), "population", list, "a list")
     for i, entry in enumerate(raw_population):
         path = f"population[{i}]"
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise ScenarioError(path, "each profile needs an 'id'")
-        agent_id = text(entry["id"], f"{path}.id")
-        if any(agent.id == agent_id for agent in population):
-            # Profiles with one id would share a posterior and a wallet.
-            raise ScenarioError(f"{path}.id", f"duplicate id {agent_id!r}")
-        gain_doc = obj(
-            entry.get("gain", {"kind": "fixed", "mean": raw_params.get("G", 0)}),
-            f"{path}.gain",
-        )
-        gain = build(
-            f"{path}.gain", GainModel, kind=gain_doc.get("kind", "fixed"),
-            mean=money(gain_doc.get("mean", 0), f"{path}.gain.mean"),
-        )
+        obj(entry, path, ("id", "theta", "gain", "audit_access"))
+        agent_id = text(need(entry, path, "id"), f"{path}.id")
+        gain = GainModel(mean=params.G)
+        if "gain" in entry:
+            gain_doc = obj(entry["gain"], f"{path}.gain", ("kind", "mean"))
+            gain = build(
+                f"{path}.gain", GainModel, kind=gain_doc.get("kind", "fixed"),
+                mean=money(gain_doc.get("mean", 0), f"{path}.gain.mean"),
+            )
         population.append(build(  # theta is the only field AgentProfile checks
             f"{path}.theta", AgentProfile, id=agent_id,
             theta=number(entry.get("theta", 0.0), f"{path}.theta"),
@@ -852,7 +866,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             ),
         ))
 
-    raw_policy = obj(doc.get("policies", {}), "policies")
+    raw_policy = obj(doc.get("policies", {}), "policies",
+                     ("agent", "user", "insurer", "opportunistic_p"))
     policy = build(
         "policies.opportunistic_p", BehaviorPolicy,  # its only checked field
         agent=build("policies.agent", AgentPolicy,
@@ -867,42 +882,33 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 
     stack_spec = None
     if doc.get("stack") is not None:
-        raw_stack = obj(doc["stack"], "stack")
-        if "base_risk" not in raw_stack:
-            raise ScenarioError("stack.base_risk", "missing required field")
+        raw_stack = obj(doc["stack"], "stack",
+                        ("base_risk", "certificates", "layer1_cut", "loading"))
         raw_certs = of_type(raw_stack.get("certificates", []), "stack.certificates",
                             list, "a list")
         certs = []
         for j, c in enumerate(raw_certs):
             path = f"stack.certificates[{j}]"
-            obj(c, path)
-            for key in ("issuer", "domain", "discount"):
-                if key not in c:
-                    raise ScenarioError(f"{path}.{key}", "missing required field")
-            issuer = text(c["issuer"], f"{path}.issuer")
-            if issuer == _INSURER_ID:
-                # The master would pay its own layer-1 share: `pay` refuses that.
-                raise ScenarioError(f"{path}.issuer",
-                                    f"{issuer!r} is the master insurer's id")
+            obj(c, path, ("issuer", "domain", "discount", "expiry_tick"))
             expiry_tick = c.get("expiry_tick")
             certs.append(build(
                 f"{path}.discount", Certificate,
-                issuer=issuer,
-                domain=text(c["domain"], f"{path}.domain"),
-                risk_discount=number(c["discount"], f"{path}.discount"),
+                issuer=text(need(c, path, "issuer"), f"{path}.issuer"),
+                domain=text(need(c, path, "domain"), f"{path}.domain"),
+                risk_discount=number(need(c, path, "discount"), f"{path}.discount"),
                 expiry_tick=(None if expiry_tick is None
                              else integer(expiry_tick, f"{path}.expiry_tick")),
             ))
         stack_spec = StackSpec(
-            base_risk=number(raw_stack["base_risk"], "stack.base_risk"),
+            base_risk=number(need(raw_stack, "stack", "base_risk"), "stack.base_risk"),
             certificates=tuple(certs),
             layer1_cut=number(raw_stack.get("layer1_cut", 0.2), "stack.layer1_cut"),
             loading=number(raw_stack.get("loading", 0.0), "stack.loading"),
         )
 
-    config = ScenarioConfig(
-        seed=integer(need("seed"), "seed"),
-        episodes=integer(need("episodes"), "episodes"),
+    return ScenarioConfig(
+        seed=integer(need(doc, "$", "seed"), "seed"),
+        episodes=integer(need(doc, "$", "episodes"), "episodes"),
         params=params,
         population=tuple(population),
         policy=policy,
@@ -914,8 +920,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         loading=number(doc.get("loading", 0.0), "loading"),
         stack=stack_spec,
     )
-    config.validate()
-    return config
 
 
 def load_scenario(path: str) -> ScenarioConfig:

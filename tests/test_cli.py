@@ -63,6 +63,14 @@ class TestCheck:
         flags[1] = value
         assert main(["check", *flags]) == 2
 
+    @pytest.mark.parametrize("flags, code", [
+        (["--P", "1", "--pi-honest", "-5"], 0),  # the honest payoff is signed
+        (["--P", "-1"], 2),
+        (["--Pi-honest", "5"], 2),  # the one flag spelled in lower case
+    ])
+    def test_optional_parameter_flags(self, flags, code, capsys):
+        assert main(["check", *BASE_FLAGS, *flags]) == code
+
     def test_sub_unit_precision_rejected(self, capsys):
         flags = list(BASE_FLAGS)
         flags[1] = "1.0000001"
@@ -146,6 +154,11 @@ class TestSimulate:
         ({"claim_bond": "1"}, "claim_bond"),
         ({"params": {**scenario_doc()["params"], "L": "100"}}, "params.L"),
         ({"params": {**scenario_doc()["params"], "F": 2 * 10**12}}, "params"),
+        ({"polices": {"agent": "always_malicious"}}, "polices"),
+        ({"params": {**scenario_doc()["params"], "Q": 1}}, "params.Q"),
+        ({"population": [{"id": "a0", "thetaa": 0.3}]}, "population[0].thetaa"),
+        ({"params": {**scenario_doc()["params"], "L": -100}}, "params.L"),
+        ({"population": [{"id": "a0", "gain": {"mean": -3}}]}, "population[0].gain.mean"),
     ])
     def test_malformed_field_exits_two_with_its_path(self, overrides, path, tmp_path,
                                                      capsys):

@@ -34,13 +34,14 @@ from insured_agents import (
 from insured_agents import sim
 from insured_agents.game import _ALL_PROFILES, InsurerResponse
 from insured_agents.ledger import AccountId, Role
-from insured_agents.market import RiskPosterior, price_premium
+from insured_agents.market import Certificate, RiskPosterior, price_premium
 from insured_agents.sim import (
     AgentPolicy,
     BehaviorPolicy,
     InsurerPolicy,
     ScenarioConfig,
     ScenarioError,
+    StackSpec,
     UserPolicy,
     _solved_profile,
     _World,
@@ -472,10 +473,8 @@ class TestScenarioParsing:
         config = make_config()
         room = sim._FUNDING_CAP - sim._obligations(config)
         at_cap = replace(config, params=replace(config.params, F=config.params.F + room))
-        at_cap.validate()
-        past_cap = replace(at_cap, claim_bond=1)
         with pytest.raises(ScenarioError, match="^params: "):
-            past_cap.validate()
+            replace(at_cap, claim_bond=1)
 
     def test_bad_policy_name(self):
         with pytest.raises(ScenarioError, match="policies"):
@@ -505,6 +504,11 @@ class TestScenarioParsing:
         ("policies", {"opportunistic_p": 1.5}, "policies.opportunistic_p"),
         ("policies", {"user": "sometimes"}, "policies.user"),
         ("claim_bond", "1", "claim_bond"),
+        ("polices", {"agent": "always_malicious"}, "polices"),
+        ("policies", {"agnet": "always_malicious"}, "policies.agnet"),
+        ("params", {**scenario_doc()["params"], "Q": 1}, "params.Q"),
+        ("params", {**scenario_doc()["params"], "L": -100}, "params.L"),
+        ("params", {**scenario_doc()["params"], "P": -0.5}, "params.P"),
     ])
     def test_bad_top_level_field_has_its_path(self, field, value, path):
         with pytest.raises(ScenarioError) as err:
@@ -522,6 +526,12 @@ class TestScenarioParsing:
         ([{"id": "a0", "gain": "fixed"}], "population[0].gain"),
         ([{"id": "a0", "gain": {"kind": "uniform"}}], "population[0].gain"),
         ([{"id": "a0", "gain": {"mean": "40"}}], "population[0].gain.mean"),
+        ([{"id": "a0", "gain": {"mean": -3}}], "population[0].gain.mean"),
+        ([{"id": "a0", "gain": {"kind": "fixed", "mu": 3}}], "population[0].gain.mu"),
+        ([{"id": "a0", "thetaa": 0.5}], "population[0].thetaa"),
+        ([{"theta": 0.5}], "population[0].id"),
+        ([5], "population[0]"),
+        ([], "population"),
     ])
     def test_bad_population_field_has_its_path(self, population, path):
         with pytest.raises(ScenarioError) as err:
@@ -543,6 +553,7 @@ class TestScenarioParsing:
         ({"base_risk": 0.1, "certificates": "ab"}, "stack.certificates"),
         ({"base_risk": 0.1, "certificates": {"issuer": "i0"}}, "stack.certificates"),
         ({"base_risk": 0.1, "certificates": [5]}, "stack.certificates[0]"),
+        ({"base_risk": 0.1, "loadng": 0.2}, "stack.loadng"),
     ])
     def test_bad_stack_field_has_its_path(self, stack, path):
         with pytest.raises(ScenarioError) as err:
@@ -559,6 +570,7 @@ class TestScenarioParsing:
         ("expiry_tick", 2.5),
         ("expiry_tick", False),
         ("issuer", "insurer-0"),  # the master insurer would pay itself its share
+        ("expiry", 10),
     ])
     def test_bad_certificate_field_has_its_path(self, field, value):
         cert = {"issuer": "i0", "domain": "safety", "discount": 0.5, field: value}
@@ -589,6 +601,25 @@ class TestScenarioParsing:
             scenario_from_dict(doc)
         assert err.value.path == "params.L"
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"params": {**scenario_doc()["params"], "L": -100}},
+         "params.L: must be non-negative, got -100"),
+        ({"population": [{"id": "a0", "gain": {"mean": -3}}]},
+         "population[0].gain.mean: must be non-negative, got -3"),
+        ({"claim_bond": -2.5}, "claim_bond: must be non-negative, got -2.5"),
+    ])
+    def test_negative_amount_is_shown_as_written(self, overrides, message):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(scenario_doc(**overrides))
+        assert str(err.value) == message
+
+    def test_negative_honest_payoff_accepted(self):
+        # Pi_honest is the one signed parameter: a payoff, not an amount.
+        config = scenario_from_dict(scenario_doc(
+            params={**scenario_doc()["params"], "Pi_honest": -5},
+        ))
+        assert config.params.Pi_honest == units(-5)
+
     def test_boolean_flags_round_trip(self):
         doc = scenario_doc(
             enforcement_enabled=False,
@@ -615,6 +646,26 @@ class TestScenarioParsing:
         assert config.stack is not None
         report = run_scenario(replace(config, episodes=5))
         assert report.completed == 5
+
+
+class TestConfigBuiltInCode:
+    """A ScenarioConfig obeys a scenario file's rules however it is built."""
+
+    def test_duplicate_agent_ids_rejected(self):
+        # They would share one wallet and one posterior.
+        with pytest.raises(ScenarioError) as err:
+            make_config(population=(AgentProfile(id="a0"), AgentProfile(id="a0")))
+        assert err.value.path == "population[1].id"
+
+    def test_certificate_from_the_master_insurer_rejected(self):
+        # The master would pay itself its own layer-1 share, which `pay` refuses.
+        stack = StackSpec(base_risk=0.1, certificates=(
+            Certificate(issuer="i0", domain="code", risk_discount=0.5),
+            Certificate(issuer="insurer-0", domain="safety", risk_discount=0.5),
+        ))
+        with pytest.raises(ScenarioError) as err:
+            make_config(stack=stack)
+        assert err.value.path == "stack.certificates[1].issuer"
 
 
 class TestSolvedProfileMemo:
@@ -835,6 +886,29 @@ class TestConservation:
         )
         report = run_scenario(config)
         assert report.verifier_invocations == 100
+
+    def test_conservation_is_checked_under_python_o(self):
+        # An `assert` statement would vanish under -O; the check must not.
+        script = (
+            "import itertools, sys\n"
+            "from insured_agents import sim\n"
+            "from insured_agents.ledger import Ledger\n"
+            "if not sys.flags.optimize:\n"
+            "    sys.exit('not optimized')\n"
+            "drift = itertools.count()\n"
+            "Ledger.total_supply = lambda self: next(drift)\n"
+            f"sim.run_scenario(sim.load_scenario({str(BASELINE)!r}))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 1
+        assert run.stderr.splitlines()[-1] == (
+            "AssertionError: ledger conservation violated in scenario"
+        )
 
 
 class TestAbortedEpisodes:
