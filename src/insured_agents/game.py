@@ -10,15 +10,16 @@ bond, and both escalation parties pay the verifier fee F. A claim is
 valid exactly when the agent misbehaved, so validity is pinned by the
 Stage-1 action and the tree has eight terminal paths.
 
-`build_game` computes the eight leaves once, in `ALL_PATHS` order: the
-honest agent's (invalid-claim) subtree, then the malicious agent's
-(valid-claim) one, each as (no-claim, accept, deny+drop, deny+escalate).
-The backward-induction solver `solve_spe` and the brute-force oracle
-`brute_force_spe` both read that per-validity table by position; they share
-its layout and nothing of their decision logic. The oracle still filters
-all 128 pure profiles, but does its one-shot-deviation check per subgame:
-each claim subgame's eight choice triples are checked once, and a profile
-then needs only the Stage-1 check on the two continuation payoffs.
+The leaf formulas live in one table, written out in `build_game` in
+`ALL_PATHS` order: the honest agent's (invalid-claim) subtree, then the
+malicious agent's (valid-claim) one, each as (no-claim, accept, deny+drop,
+deny+escalate); `leaf_payoffs` reads its entries. The backward-induction
+solver `solve_spe` and the brute-force oracle `brute_force_spe` both read
+that per-validity table by position; they share its layout and nothing of
+their decision logic. The oracle checks each claim subgame's eight choice
+triples once, then visits only the (agent, triple, triple) combinations
+whose two subgames pass, and keeps those whose Stage-1 choice is a best
+reply to the two continuation payoffs.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .mechanism import MechanismParams, check_conditions
 
@@ -114,61 +116,13 @@ def path_of(malicious: bool, claims: bool, accepts: bool, escalates: bool) -> Te
     return ALL_PATHS[4 * malicious + step]
 
 
-@dataclass(frozen=True)
-class LeafPayoffs:
+class LeafPayoffs(NamedTuple):
     """Per-party payoff deltas (signed micro-units) at one terminal path."""
 
     pi_A: int
     pi_I: int
     pi_U: int
     verifier_invoked: bool
-
-
-def leaf_payoffs(params: MechanismParams, path: TerminalPath) -> LeafPayoffs:
-    """Payoffs at a terminal path.
-
-    The four dispute-side payoffs follow the mechanism's accounting:
-    winner of an escalation collects the loser's forfeited bond, both
-    escalation parties pay the verifier fee, a caught misbehaving agent
-    loses its deductible and future value, and an insurer caught denying
-    a valid claim additionally bears the reputation cost R.
-    """
-    p = params
-    malicious = path.agent is AgentAction.MALICIOUS
-    pi_honest = p.Pi_honest
-    if not path.claimed:
-        if malicious:
-            return LeafPayoffs(pi_A=p.G, pi_I=p.P, pi_U=-p.L, verifier_invoked=False)
-        return LeafPayoffs(pi_A=pi_honest, pi_I=p.P, pi_U=0, verifier_invoked=False)
-    if path.response is InsurerResponse.ACCEPT:
-        if malicious:
-            return LeafPayoffs(
-                pi_A=p.G - p.S_A - p.V_future,
-                pi_I=-p.L + p.S_A,
-                pi_U=0,
-                verifier_invoked=False,
-            )
-        return LeafPayoffs(
-            pi_A=pi_honest, pi_I=-p.L + p.P, pi_U=p.L, verifier_invoked=False
-        )
-    if not path.escalated:
-        if malicious:
-            return LeafPayoffs(pi_A=p.G, pi_I=p.P, pi_U=-p.L, verifier_invoked=False)
-        return LeafPayoffs(pi_A=pi_honest, pi_I=p.P, pi_U=0, verifier_invoked=False)
-    # Escalated: the verifier rules for the honest side.
-    if malicious:
-        return LeafPayoffs(
-            pi_A=p.G - p.S_A - p.V_future,
-            pi_I=-p.L - p.B - p.F - p.R,
-            pi_U=p.L + p.B - p.F,
-            verifier_invoked=True,
-        )
-    return LeafPayoffs(
-        pi_A=pi_honest,
-        pi_I=p.P + p.B - p.F,
-        pi_U=-p.B - p.F,
-        verifier_invoked=True,
-    )
 
 
 @dataclass(frozen=True)
@@ -181,8 +135,36 @@ class GameTree:
 
 
 def build_game(params: MechanismParams) -> GameTree:
-    """Build the fixed tree: each terminal path's payoffs, in `ALL_PATHS` order."""
-    return GameTree(params, tuple([leaf_payoffs(params, path) for path in ALL_PATHS]))
+    """Build the fixed tree: each terminal path's payoffs, in `ALL_PATHS` order.
+
+    The payoffs follow the mechanism's accounting: the winner of an
+    escalation collects the loser's forfeited bond, both escalation parties
+    pay the verifier fee, a caught misbehaving agent loses its deductible
+    and future value, and an insurer caught denying a valid claim
+    additionally bears the reputation cost R. The verifier rules for the
+    honest side.
+    """
+    p = params
+    honest, G, P, L, B, F = p.Pi_honest, p.G, p.P, p.L, p.B, p.F
+    caught = G - p.S_A - p.V_future
+    unclaimed = LeafPayoffs(honest, P, 0, False)
+    unpaid = LeafPayoffs(G, P, -L, False)
+    return GameTree(params, (
+        # (pi_A, pi_I, pi_U, verifier_invoked)
+        unclaimed,                                           # H/NoClaim
+        LeafPayoffs(honest, P - L, L, False),                # H/Claim/Accept
+        unclaimed,                                           # H/Claim/Deny/Drop
+        LeafPayoffs(honest, P + B - F, -B - F, True),        # H/Claim/Deny/Escalate
+        unpaid,                                              # M/NoClaim
+        LeafPayoffs(caught, p.S_A - L, 0, False),            # M/Claim/Accept
+        unpaid,                                              # M/Claim/Deny/Drop
+        LeafPayoffs(caught, -L - B - F - p.R, L + B - F, True),  # M/Claim/Deny/Escalate
+    ))
+
+
+def leaf_payoffs(params: MechanismParams, path: TerminalPath) -> LeafPayoffs:
+    """Payoffs at a terminal path: its entry in `build_game`'s table."""
+    return build_game(params).leaves[ALL_PATHS.index(path)]
 
 
 @dataclass(frozen=True)
@@ -358,38 +340,47 @@ def is_subgame_perfect(tree: GameTree, profile: StrategyProfile) -> bool:
 _TRIPLES = tuple(itertools.product((False, True), repeat=3))
 
 
-def brute_force_spe(tree: GameTree) -> tuple[StrategyProfile, ...]:
-    """Enumerate all pure profiles; keep the subgame-perfect ones.
+# The `_ALL_PROFILES` position of each profile, keyed by its agent bit and
+# the `_TRIPLES` index of its invalid-claim and valid-claim choices.
+_POSITION = {
+    (malicious, _TRIPLES.index(invalid), _TRIPLES.index(valid)): position
+    for position, (malicious, invalid, valid)
+    in enumerate(map(_subgame_choices, _ALL_PROFILES))
+}
 
-    Independent of solve_spe: it filters the full profile space with the
-    one-shot-deviation check rather than inducting backward. The check is
-    done per subgame: each claim subgame's eight choice triples are checked
-    once, then every profile is kept or dropped by its Stage-1 check on the
-    two continuation payoffs its triples reach. Returned in enumeration
-    order: by agent, claims when harmed, claims when unharmed, then each
-    response and escalation by its `.value`.
+
+def _passing(subtree: tuple[LeafPayoffs, ...]) -> list[tuple[int, int]]:
+    """(`_TRIPLES` index, agent's continuation payoff) of each choice triple
+    that passes the subgame's one-shot-deviation check."""
+    return [
+        (index, value)
+        for index, triple in enumerate(_TRIPLES)
+        if (value := _subgame_value(subtree, *triple)) is not None
+    ]
+
+
+def brute_force_spe(tree: GameTree) -> tuple[StrategyProfile, ...]:
+    """Every subgame-perfect pure profile, by the one-shot-deviation check.
+
+    Independent of solve_spe: it checks the deviation property rather than
+    inducting backward. Each claim subgame's eight choice triples are
+    checked once; a profile whose subgame fails is never subgame perfect,
+    so only the (agent, invalid-claim triple, valid-claim triple)
+    combinations whose two triples pass are visited, and each is kept when
+    its Stage-1 choice is a best reply to the two continuation payoffs.
+    Returned in enumeration order: by agent, claims when harmed, claims when
+    unharmed, then each response and escalation by its `.value`.
     """
     invalid, valid = _leaf_table(tree)
-    honest = [_subgame_value(invalid, *t) for t in _TRIPLES]
-    deviant = [_subgame_value(valid, *t) for t in _TRIPLES]
-    return tuple(
-        profile
-        for profile, malicious, i, v in _PROFILE_TABLE
-        if _stage1_ok(malicious, honest[i], deviant[v])
+    deviants = _passing(valid)
+    positions = sorted(
+        _POSITION[malicious, i, v]
+        for i, honest in _passing(invalid)
+        for v, deviant in deviants
+        for malicious in (False, True)
+        if _stage1_ok(malicious, honest, deviant)
     )
-
-
-def _profile_table() -> tuple[tuple[StrategyProfile, bool, int, int], ...]:
-    """Each profile with its agent bit and the `_TRIPLES` index of its
-    invalid-claim and valid-claim choices, in `_ALL_PROFILES` order."""
-    table = []
-    for profile in _ALL_PROFILES:
-        malicious, invalid, valid = _subgame_choices(profile)
-        table.append((profile, malicious, _TRIPLES.index(invalid), _TRIPLES.index(valid)))
-    return tuple(table)
-
-
-_PROFILE_TABLE = _profile_table()
+    return tuple([_ALL_PROFILES[position] for position in positions])
 
 
 def predict_honest_equilibrium(params: MechanismParams) -> bool:

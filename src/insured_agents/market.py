@@ -88,7 +88,8 @@ def _loaded_premium(risk_num: int, risk_den: int, coverage: int, loading: float)
     integer quotient num/den with num = risk_num x coverage x (d + n) and
     den = risk_den x d, rounded half-up as (2 num + den) // (2 den): the
     arithmetic is on ints only. Any strictly positive expected loss
-    prices at one micro-unit or more.
+    prices at one micro-unit or more; a price past `MAX_AMOUNT` raises
+    `MoneyOverflowError`.
     """
     check_amount(coverage)
     try:
@@ -97,7 +98,7 @@ def _loaded_premium(risk_num: int, risk_den: int, coverage: int, loading: float)
         raise ValueError(f"loading {exc}") from None
     num = risk_num * coverage * (load.denominator + load.numerator)
     den = risk_den * load.denominator
-    return max((2 * num + den) // (2 * den), 1) if num > 0 else 0
+    return check_amount(max((2 * num + den) // (2 * den), 1) if num > 0 else 0)
 
 
 def price_premium(posterior: RiskPosterior, coverage: int, loading: float) -> int:

@@ -853,8 +853,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         gain = GainModel(mean=params.G)
         if "gain" in entry:
             gain_doc = obj(entry["gain"], f"{path}.gain", ("kind", "mean"))
-            gain = build(
-                f"{path}.gain", GainModel, kind=gain_doc.get("kind", "fixed"),
+            gain = build(  # money() has checked the mean, so only the kind can fail
+                f"{path}.gain.kind", GainModel, kind=gain_doc.get("kind", "fixed"),
                 mean=money(gain_doc.get("mean", 0), f"{path}.gain.mean"),
             )
         population.append(build(  # theta is the only field AgentProfile checks

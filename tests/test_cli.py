@@ -266,6 +266,14 @@ class TestStack:
     def test_bad_base_risk_exits_two(self, capsys):
         assert main(["stack", "--base-risk", "0", "--coverage", "100"]) == 2
 
+    def test_premium_past_max_amount_exits_two_before_any_output(self, capsys):
+        code = main(["stack", "--base-risk", "0.1", "--coverage", "100",
+                     "--loading", "1e300"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds representable range" in captured.err
+
     @pytest.mark.parametrize("loading", ["inf", "-inf", "nan", "-0.5"])
     def test_bad_loading_exits_two(self, loading, capsys):
         code = main(["stack", "--base-risk", "0.1", "--coverage", "100",

@@ -11,6 +11,7 @@ from insured_agents import (
     COMPLIANT_PROFILE,
     EscalationChoice,
     InsurerResponse,
+    LeafPayoffs,
     MechanismParams,
     TerminalPath,
     build_game,
@@ -21,6 +22,7 @@ from insured_agents import (
     solve_spe,
 )
 from insured_agents.game import _ALL_PROFILES, _leaf_table, is_subgame_perfect
+from insured_agents.money import MAX_AMOUNT
 
 from conftest import random_params, equilibrium_params
 
@@ -104,6 +106,35 @@ class TestBuildGame:
             assert len(subtree) == len(paths)
             for slot, path in zip(subtree, paths):
                 assert slot == leaf_payoffs(params, path)
+
+    @given(
+        money=st.lists(st.integers(0, MAX_AMOUNT), min_size=9, max_size=9),
+        pi_honest=st.integers(-MAX_AMOUNT, MAX_AMOUNT),
+    )
+    def test_leaves_match_the_paper_formulas(self, money, pi_honest):
+        p = MechanismParams(*money, Pi_honest=pi_honest)
+        # (pi_A, pi_I, pi_U, verifier_invoked) at each terminal path.
+        formulas = {
+            "H/NoClaim": (p.Pi_honest, p.P, 0, False),
+            "H/Claim/Accept": (p.Pi_honest, -p.L + p.P, p.L, False),
+            "H/Claim/Deny/Drop": (p.Pi_honest, p.P, 0, False),
+            "H/Claim/Deny/Escalate": (p.Pi_honest, p.P + p.B - p.F, -p.B - p.F, True),
+            "M/NoClaim": (p.G, p.P, -p.L, False),
+            "M/Claim/Accept": (p.G - p.S_A - p.V_future, -p.L + p.S_A, 0, False),
+            "M/Claim/Deny/Drop": (p.G, p.P, -p.L, False),
+            "M/Claim/Deny/Escalate": (
+                p.G - p.S_A - p.V_future, -p.L - p.B - p.F - p.R, p.L + p.B - p.F, True,
+            ),
+        }
+        leaves = build_game(p).leaves
+        assert [path.describe() for path in ALL_PATHS] == list(formulas)
+        assert len(leaves) == len(formulas)
+        for path, leaf in zip(ALL_PATHS, leaves):
+            assert type(leaf) is LeafPayoffs
+            expected = formulas[path.describe()]
+            for field, value in zip(LeafPayoffs._fields, expected, strict=True):
+                assert getattr(leaf, field) == value, (path.describe(), field)
+            assert type(leaf.verifier_invoked) is bool
 
     def test_invalid_path_shapes_rejected(self):
         with pytest.raises(ValueError):

@@ -524,7 +524,7 @@ class TestScenarioParsing:
         ([{"id": "a0"}, {"id": "a0"}], "population[1].id"),
         ([{"id": "a0", "gain": 5}], "population[0].gain"),
         ([{"id": "a0", "gain": "fixed"}], "population[0].gain"),
-        ([{"id": "a0", "gain": {"kind": "uniform"}}], "population[0].gain"),
+        ([{"id": "a0", "gain": {"kind": "uniform"}}], "population[0].gain.kind"),
         ([{"id": "a0", "gain": {"mean": "40"}}], "population[0].gain.mean"),
         ([{"id": "a0", "gain": {"mean": -3}}], "population[0].gain.mean"),
         ([{"id": "a0", "gain": {"kind": "fixed", "mu": 3}}], "population[0].gain.mu"),
@@ -532,6 +532,7 @@ class TestScenarioParsing:
         ([{"theta": 0.5}], "population[0].id"),
         ([5], "population[0]"),
         ([], "population"),
+        ([{"id": "a0", "gain": {"kind": 5}}], "population[0].gain.kind"),
     ])
     def test_bad_population_field_has_its_path(self, population, path):
         with pytest.raises(ScenarioError) as err:
