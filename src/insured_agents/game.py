@@ -130,7 +130,6 @@ class GameTree:
     """The payoffs at every terminal path: `leaves[i]` is the payoff at
     `ALL_PATHS[i]`."""
 
-    params: MechanismParams
     leaves: tuple[LeafPayoffs, ...]
 
 
@@ -149,7 +148,7 @@ def build_game(params: MechanismParams) -> GameTree:
     caught = G - p.S_A - p.V_future
     unclaimed = LeafPayoffs(honest, P, 0, False)
     unpaid = LeafPayoffs(G, P, -L, False)
-    return GameTree(params, (
+    return GameTree((
         # (pi_A, pi_I, pi_U, verifier_invoked)
         unclaimed,                                           # H/NoClaim
         LeafPayoffs(honest, P - L, L, False),                # H/Claim/Accept

@@ -11,6 +11,11 @@ Its state is its books (balances, transfers, policies, claims, shortfalls);
 defaulted parties and claim numbers are read off them. Amounts are checked
 once, where they enter an operation; a transfer itself is a plain record.
 
+Each account is named once, where its record is filed: a `PolicyRecord`
+carries its agent and insurer wallets and its stake escrow, a `ClaimRecord`
+its claimant's wallet and its bond escrow, and later operations read them.
+`_require` is the single funding pre-check.
+
 Lifecycle: underwrite -> (verify_coverage) -> file_claim ->
 respond_claim -> [escalate -> adjudicate] -> expire_policy.
 """
@@ -133,8 +138,9 @@ _CLAIM_TRANSITIONS = {
 @dataclass
 class PolicyRecord:
     id: str
-    agent: str
-    insurer: str
+    agent: AccountId
+    insurer: AccountId
+    escrow: AccountId
     coverage: int
     deductible: int
     premium: int
@@ -159,7 +165,8 @@ class CoverageCredential:
 class ClaimRecord:
     id: str
     policy_id: str
-    claimant: str
+    claimant: AccountId
+    bond_escrow: AccountId
     amount: int
     validity: ClaimValidity  # ground truth: visible to the verifier and audit access
     state: ClaimState = ClaimState.FILED
@@ -264,6 +271,12 @@ class Ledger:
             raise LedgerError("payment source and destination must differ")
         self._transfer(src, dst, amount, tick, memo)
 
+    def _require(self, party: AccountId, amount: int) -> None:
+        """The one funding pre-check: refuse before anything moves."""
+        available = self.balances.get(party, 0)
+        if available < amount:
+            raise InsufficientFunds(party, amount, available)
+
     def _transfer(
         self, src: AccountId, dst: AccountId, amount: int, tick: int, memo: Memo
     ) -> None:
@@ -296,14 +309,13 @@ class Ledger:
         Those fields never change after underwrite, so a credential issued at
         any time in the policy's life is the same.
         """
+        insurer = policy.insurer.owner
         return CoverageCredential(
             policy_id=policy.id,
-            insurer=policy.insurer,
+            insurer=insurer,
             coverage=policy.coverage,
             expiry_tick=policy.expiry_tick,
-            tag=_credential_tag(
-                policy.id, policy.insurer, policy.coverage, policy.expiry_tick
-            ),
+            tag=_credential_tag(policy.id, insurer, policy.coverage, policy.expiry_tick),
         )
 
     def verify_coverage(
@@ -322,7 +334,7 @@ class Ledger:
         if policy is None:
             return VerificationResult(False, "UnknownPolicy")
         if (
-            policy.insurer != credential.insurer
+            policy.insurer.owner != credential.insurer
             or policy.coverage != credential.coverage
             or policy.expiry_tick != credential.expiry_tick
         ):
@@ -364,22 +376,11 @@ class Ledger:
             check_amount(amount)
         if policy_id in self.policies:
             raise DuplicatePolicy(policy_id)
-        agent_wallet = AccountId(Role.AGENT_WALLET, agent)
-        insurer_wallet = AccountId(Role.INSURER_WALLET, insurer)
-        escrow = AccountId(Role.STAKE_ESCROW, policy_id)
-        if self.balance(insurer_wallet) < coverage:
-            raise InsufficientFunds(insurer_wallet, coverage, self.balance(insurer_wallet))
-        if self.balance(agent_wallet) < premium + deductible:
-            raise InsufficientFunds(
-                agent_wallet, premium + deductible, self.balance(agent_wallet)
-            )
-        self._transfer(insurer_wallet, escrow, coverage, tick, Memo.STAKE_POST)
-        self._transfer(agent_wallet, escrow, deductible, tick, Memo.DEDUCTIBLE_POST)
-        self._transfer(agent_wallet, insurer_wallet, premium, tick, Memo.PREMIUM)
         policy = PolicyRecord(
             id=policy_id,
-            agent=agent,
-            insurer=insurer,
+            agent=AccountId(Role.AGENT_WALLET, agent),
+            insurer=AccountId(Role.INSURER_WALLET, insurer),
+            escrow=AccountId(Role.STAKE_ESCROW, policy_id),
             coverage=coverage,
             deductible=deductible,
             premium=premium,
@@ -389,6 +390,11 @@ class Ledger:
             escrowed_stake=coverage,
             escrowed_deductible=deductible,
         )
+        self._require(policy.insurer, coverage)
+        self._require(policy.agent, premium + deductible)
+        self._transfer(policy.insurer, policy.escrow, coverage, tick, Memo.STAKE_POST)
+        self._transfer(policy.agent, policy.escrow, deductible, tick, Memo.DEDUCTIBLE_POST)
+        self._transfer(policy.agent, policy.insurer, premium, tick, Memo.PREMIUM)
         self._file(self.policies, policy)
         return policy
 
@@ -415,21 +421,19 @@ class Ledger:
             )
         if amount > policy.escrowed_stake:
             raise OverCoverage(f"claim {amount} exceeds available coverage")
-        user_wallet = AccountId(Role.USER_WALLET, claimant)
-        if self.balance(user_wallet) < claim_bond:
-            raise InsufficientFunds(user_wallet, claim_bond, self.balance(user_wallet))
         claim_id = f"{policy_id}/claim-{len(self.claims) + 1}"
-        bond_escrow = AccountId(Role.BOND_ESCROW, claim_id)
-        self._transfer(user_wallet, bond_escrow, claim_bond, tick, Memo.CLAIM_BOND)
         claim = ClaimRecord(
             id=claim_id,
             policy_id=policy_id,
-            claimant=claimant,
+            claimant=AccountId(Role.USER_WALLET, claimant),
+            bond_escrow=AccountId(Role.BOND_ESCROW, claim_id),
             amount=amount,
             validity=validity,
             filed_tick=tick,
             claim_bond=claim_bond,
         )
+        self._require(claim.claimant, claim_bond)
+        self._transfer(claim.claimant, claim.bond_escrow, claim_bond, tick, Memo.CLAIM_BOND)
         self._file(self.claims, claim)
         return claim
 
@@ -448,9 +452,8 @@ class Ledger:
             claim.state = ClaimState.DENIED
             return claim
         policy = self._policy(claim.policy_id)
-        insurer_wallet = AccountId(Role.INSURER_WALLET, policy.insurer)
-        self._compensate(policy, claim, insurer_wallet, tick)
-        self._resolve(claim, target, tick, AccountId(Role.USER_WALLET, claim.claimant))
+        self._compensate(policy, claim, policy.insurer, tick)
+        self._resolve(claim, target, tick, claim.claimant)
         self._exhaust_if_depleted(policy, tick)
         return claim
 
@@ -459,16 +462,11 @@ class Ledger:
         claim = self._claim(claim_id)
         self._check_transition(claim, ClaimState.ESCALATED)
         policy = self._policy(claim.policy_id)
-        user_wallet = AccountId(Role.USER_WALLET, claim.claimant)
-        insurer_wallet = AccountId(Role.INSURER_WALLET, policy.insurer)
         bond = policy.bond
-        if self.balance(user_wallet) < bond:
-            raise InsufficientFunds(user_wallet, bond, self.balance(user_wallet))
-        if self.balance(insurer_wallet) < bond:
-            raise InsufficientFunds(insurer_wallet, bond, self.balance(insurer_wallet))
-        bond_escrow = AccountId(Role.BOND_ESCROW, claim.id)
-        self._transfer(user_wallet, bond_escrow, bond, tick, Memo.BOND_POST)
-        self._transfer(insurer_wallet, bond_escrow, bond, tick, Memo.BOND_POST)
+        self._require(claim.claimant, bond)
+        self._require(policy.insurer, bond)
+        self._transfer(claim.claimant, claim.bond_escrow, bond, tick, Memo.BOND_POST)
+        self._transfer(policy.insurer, claim.bond_escrow, bond, tick, Memo.BOND_POST)
         claim.state = ClaimState.ESCALATED
         return claim
 
@@ -492,20 +490,17 @@ class Ledger:
         target = ClaimState.UPHELD_VALID if valid else ClaimState.UPHELD_INVALID
         self._check_transition(claim, target)
         policy = self._policy(claim.policy_id)
-        user_wallet = AccountId(Role.USER_WALLET, claim.claimant)
-        insurer_wallet = AccountId(Role.INSURER_WALLET, policy.insurer)
         if valid:
             self._compensate(policy, claim, FEE_SINK, tick)
-        winner = user_wallet if valid else insurer_wallet
-        bond_escrow = AccountId(Role.BOND_ESCROW, claim.id)
-        self._transfer(bond_escrow, winner, policy.bond, tick, Memo.BOND_FORFEIT)
-        self._transfer(bond_escrow, winner, policy.bond, tick, Memo.BOND_RETURN)
+        winner = claim.claimant if valid else policy.insurer
+        self._transfer(claim.bond_escrow, winner, policy.bond, tick, Memo.BOND_FORFEIT)
+        self._transfer(claim.bond_escrow, winner, policy.bond, tick, Memo.BOND_RETURN)
         self._resolve(claim, target, tick, winner)
-        self._transfer_clamped(user_wallet, FEE_SINK, fee, tick, Memo.VERIFIER_FEE)
-        self._transfer_clamped(insurer_wallet, FEE_SINK, fee, tick, Memo.VERIFIER_FEE)
+        self._transfer_clamped(claim.claimant, FEE_SINK, fee, tick, Memo.VERIFIER_FEE)
+        self._transfer_clamped(policy.insurer, FEE_SINK, fee, tick, Memo.VERIFIER_FEE)
         if valid:
             self._transfer_clamped(
-                insurer_wallet, FEE_SINK, reputation_cost, tick, Memo.REPUTATION_PENALTY
+                policy.insurer, FEE_SINK, reputation_cost, tick, Memo.REPUTATION_PENALTY
             )
             self._exhaust_if_depleted(policy, tick)
         return claim
@@ -514,9 +509,8 @@ class Ledger:
         """User abandons a denied claim; the filing bond is forfeited."""
         claim = self._claim(claim_id)
         self._check_transition(claim, ClaimState.DROPPED)
-        policy = self._policy(claim.policy_id)
-        insurer_wallet = AccountId(Role.INSURER_WALLET, policy.insurer)
-        self._resolve(claim, ClaimState.DROPPED, tick, insurer_wallet)
+        insurer = self._policy(claim.policy_id).insurer
+        self._resolve(claim, ClaimState.DROPPED, tick, insurer)
         return claim
 
     def expire_policy(self, policy_id: str, tick: int) -> PolicyRecord:
@@ -585,14 +579,11 @@ class Ledger:
                 f"claim {claim.id} for {claim.amount} exceeds the remaining "
                 f"stake {policy.escrowed_stake}"
             )
-        escrow = AccountId(Role.STAKE_ESCROW, policy.id)
-        user_wallet = AccountId(Role.USER_WALLET, claim.claimant)
-        self._transfer(escrow, user_wallet, claim.amount, tick, Memo.COMPENSATION)
+        self._transfer(policy.escrow, claim.claimant, claim.amount, tick, Memo.COMPENSATION)
         policy.escrowed_stake -= claim.amount
         if claim.validity is ClaimValidity.VALID and policy.escrowed_deductible > 0:
-            self._transfer(
-                escrow, seize_to, policy.escrowed_deductible, tick, Memo.DEDUCTIBLE_SEIZE
-            )
+            self._transfer(policy.escrow, seize_to, policy.escrowed_deductible, tick,
+                           Memo.DEDUCTIBLE_SEIZE)
             policy.escrowed_deductible = 0
 
     def _resolve(self, claim: ClaimRecord, state: ClaimState, tick: int,
@@ -601,24 +592,18 @@ class Ledger:
         claimant's wallet, or forfeited to the insurer's."""
         returned = bond_to.role is Role.USER_WALLET
         memo = Memo.BOND_RETURN if returned else Memo.BOND_FORFEIT
-        bond_escrow = AccountId(Role.BOND_ESCROW, claim.id)
-        self._transfer(bond_escrow, bond_to, claim.claim_bond, tick, memo)
+        self._transfer(claim.bond_escrow, bond_to, claim.claim_bond, tick, memo)
         claim.state = state
         claim.resolved_tick = tick
 
     def _release_escrow(self, policy: PolicyRecord, tick: int) -> None:
-        escrow = AccountId(Role.STAKE_ESCROW, policy.id)
         if policy.escrowed_stake > 0:
-            self._transfer(
-                escrow, AccountId(Role.INSURER_WALLET, policy.insurer),
-                policy.escrowed_stake, tick, Memo.STAKE_RETURN,
-            )
+            self._transfer(policy.escrow, policy.insurer, policy.escrowed_stake, tick,
+                           Memo.STAKE_RETURN)
             policy.escrowed_stake = 0
         if policy.escrowed_deductible > 0:
-            self._transfer(
-                escrow, AccountId(Role.AGENT_WALLET, policy.agent),
-                policy.escrowed_deductible, tick, Memo.STAKE_RETURN,
-            )
+            self._transfer(policy.escrow, policy.agent, policy.escrowed_deductible, tick,
+                           Memo.STAKE_RETURN)
             policy.escrowed_deductible = 0
 
     def _exhaust_if_depleted(self, policy: PolicyRecord, tick: int) -> None:

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .ledger import AccountId, Ledger, Memo, PolicyRecord, Role
 from .mechanism import MechanismParams
-from .money import check_amount, rate
+from .money import MoneyOverflowError, check_amount, rate
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def _loaded_premium(risk_num: int, risk_den: int, coverage: int, loading: float)
     den = risk_den x d, rounded half-up as (2 num + den) // (2 den): the
     arithmetic is on ints only. Any strictly positive expected loss
     prices at one micro-unit or more; a price past `MAX_AMOUNT` raises
-    `MoneyOverflowError`.
+    `MoneyOverflowError` naming the premium and the loading.
     """
     check_amount(coverage)
     try:
@@ -98,7 +98,10 @@ def _loaded_premium(risk_num: int, risk_den: int, coverage: int, loading: float)
         raise ValueError(f"loading {exc}") from None
     num = risk_num * coverage * (load.denominator + load.numerator)
     den = risk_den * load.denominator
-    return check_amount(max((2 * num + den) // (2 * den), 1) if num > 0 else 0)
+    try:
+        return check_amount(max((2 * num + den) // (2 * den), 1) if num > 0 else 0)
+    except MoneyOverflowError as exc:
+        raise MoneyOverflowError(f"premium at loading {loading!r}: {exc}") from None
 
 
 def price_premium(posterior: RiskPosterior, coverage: int, loading: float) -> int:
@@ -246,10 +249,9 @@ def underwrite_stack(
             premium=premium, bond=bond, claim_deadline=claim_deadline,
             expiry_tick=expiry_tick, tick=tick,
         )
-        master_wallet = AccountId(Role.INSURER_WALLET, stack.master)
         for issuer, fraction in stack.premium_shares:
             share = premium * fraction.numerator // fraction.denominator
             if share > 0:
-                ledger.pay(master_wallet, AccountId(Role.INSURER_WALLET, issuer),
+                ledger.pay(policy.insurer, AccountId(Role.INSURER_WALLET, issuer),
                            share, tick, Memo.PREMIUM)
     return policy

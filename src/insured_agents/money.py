@@ -47,7 +47,11 @@ def check_amount(amount: int, *, signed: bool = False) -> int:
     if not isinstance(amount, int) or isinstance(amount, bool):
         raise MoneyError(f"amount must be an int of micro-units, got {amount!r}")
     if abs(amount) > MAX_AMOUNT:
-        raise MoneyOverflowError(f"amount {amount} exceeds representable range")
+        # Its size, not its digits: `str()` refuses an int past 4300 digits.
+        raise MoneyOverflowError(
+            f"a {amount.bit_length()}-bit amount exceeds representable range "
+            f"({MAX_AMOUNT.bit_length()} bits)"
+        )
     if not signed and amount < 0:
         raise MoneyError(f"amount must be non-negative, got {amount}")
     return amount

@@ -273,6 +273,9 @@ class TestStack:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "exceeds representable range" in captured.err
+        # One short line that names the quantity and the input.
+        assert "premium" in captured.err and "loading" in captured.err
+        assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 200
 
     @pytest.mark.parametrize("loading", ["inf", "-inf", "nan", "-0.5"])
     def test_bad_loading_exits_two(self, loading, capsys):

@@ -299,6 +299,58 @@ class TestEscalation:
         assert USER in ledger.defaulted
 
 
+def _denied_claim(ledger):
+    policy = underwrite(ledger)
+    claim = ledger.file_claim("pol-1", "user", 100, ClaimValidity.VALID, tick=1)
+    ledger.respond_claim(claim.id, accept=False, tick=2)
+    return policy, claim
+
+
+def _refuse_stake(ledger):
+    return lambda: underwrite(ledger), INSURER
+
+
+def _refuse_premium_and_deductible(ledger):
+    return lambda: underwrite(ledger), AGENT
+
+
+def _refuse_claim_bond(ledger):
+    underwrite(ledger)
+    return lambda: ledger.file_claim(
+        "pol-1", "user", 100, ClaimValidity.VALID, claim_bond=1001, tick=1
+    ), USER
+
+
+def _refuse_claimant_escalation_bond(ledger):
+    _, claim = _denied_claim(ledger)
+    return lambda: ledger.escalate(claim.id, tick=3), claim.claimant
+
+
+def _refuse_insurer_escalation_bond(ledger):
+    policy, claim = _denied_claim(ledger)
+    return lambda: ledger.escalate(claim.id, tick=3), policy.insurer
+
+
+@pytest.mark.parametrize("funds, refusal", [
+    pytest.param(dict(insurer=149), _refuse_stake, id="stake"),  # 150
+    pytest.param(dict(agent=37), _refuse_premium_and_deductible,
+                 id="premium_and_deductible"),  # 8 + 30
+    pytest.param({}, _refuse_claim_bond, id="claim_bond"),  # 1001 against 1000
+    pytest.param(dict(user=19), _refuse_claimant_escalation_bond,
+                 id="claimant_escalation_bond"),  # 20
+    pytest.param(dict(insurer=150), _refuse_insurer_escalation_bond,
+                 id="insurer_escalation_bond"),  # 20 against 150 - 150 + 8
+])
+def test_funding_refusal_names_the_account_and_moves_nothing(funds, refusal):
+    ledger = funded_ledger(**funds)
+    operation, party = refusal(ledger)
+    before = ledger_state(ledger)
+    with pytest.raises(InsufficientFunds) as err:
+        operation()
+    assert err.value.party == party
+    assert ledger_state(ledger) == before
+
+
 class TestExpiry:
     def test_clean_expiry_returns_everything(self):
         ledger = funded_ledger()

@@ -277,7 +277,7 @@ class TestUnderwriteStack:
             bond=units(5), premium=units("3.6"), claim_deadline=10, expiry_tick=50,
             tick=0,
         )
-        assert policy.insurer == "master"
+        assert policy.insurer == AccountId(Role.INSURER_WALLET, "master")
         assert policy.escrowed_stake == units(100)
         credential = ledger.issue_credential(policy)
         assert ledger.verify_coverage(credential, min_coverage=units(100), tick=1)

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from insured_agents import MechanismParams, check_conditions, scale_params, units
-from insured_agents.money import MoneyError, RoundingForbiddenError
+from insured_agents.money import (
+    MAX_AMOUNT,
+    MoneyError,
+    MoneyOverflowError,
+    RoundingForbiddenError,
+    check_amount,
+)
 
 
 def make(**overrides) -> MechanismParams:
@@ -43,6 +49,15 @@ def test_boundaries_strict_vs_non_strict():
 def test_negative_unsigned_field_rejected():
     with pytest.raises(MoneyError):
         make(L=-1)
+
+
+@pytest.mark.parametrize("amount", [MAX_AMOUNT + 1, 10**5000],
+                         ids=["max_plus_one", "5001_digits"])
+def test_overflow_message_names_the_size_not_the_digits(amount):
+    # 10**5000 has too many digits for `str()`, so the message must not print it.
+    with pytest.raises(MoneyOverflowError, match="exceeds representable range") as err:
+        check_amount(amount)
+    assert len(str(err.value)) < 200
 
 
 def test_pi_honest_may_be_negative():

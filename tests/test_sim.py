@@ -338,7 +338,7 @@ class TestLedgerGameConsistency:
         # when F < L + B + claim bond (here 120), against the paper's
         # F < 2L + B (here 220); in between the two trees part ways.
         def ledger_tree(params):
-            return GameTree(params, tuple(
+            return GameTree(tuple(
                 LeafPayoffs(*replay_game_path(params, path), bool(path.escalated))
                 for path in ALL_PATHS
             ))
