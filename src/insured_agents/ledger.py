@@ -126,6 +126,8 @@ class ClaimState(Enum):
     UPHELD_INVALID = "upheld_invalid"
     DROPPED = "dropped"
 
+    __hash__ = object.__hash__  # by identity, in C, as for `Role`
+
 
 #: Claim transitions; states absent from the map are terminal.
 _CLAIM_TRANSITIONS = {
@@ -563,8 +565,7 @@ class Ledger:
 
     @staticmethod
     def _check_transition(claim: ClaimRecord, target: ClaimState) -> None:
-        allowed = _CLAIM_TRANSITIONS.get(claim.state, set())
-        if target not in allowed:
+        if target not in _CLAIM_TRANSITIONS.get(claim.state, ()):
             raise WrongState(
                 f"claim {claim.id} cannot go {claim.state.value} -> {target.value}"
             )

@@ -184,11 +184,20 @@ def compose_stack(
     product with a warning record. Exact rational arithmetic makes the
     result independent of certificate order. A `layer1_cut` of every premium
     flows to the live issuers, split in proportion to their discounts.
+    Each certificate names its own non-empty domain: one listed twice would
+    discount the risk twice and pay its issuer two shares.
     """
     if not 0.0 < base_risk <= 1.0:
         raise ValueError(f"base_risk must lie in (0, 1], got {base_risk}")
     if not 0.0 <= layer1_cut <= 1.0:
         raise ValueError(f"layer1_cut must lie in [0, 1], got {layer1_cut}")
+    domains: set[str] = set()
+    for cert in certificates:
+        if not cert.domain:
+            raise ValueError(f"certificate from {cert.issuer!r} has an empty domain")
+        if cert.domain in domains:
+            raise ValueError(f"certificate domain {cert.domain!r} is repeated")
+        domains.add(cert.domain)
     residual = rate(base_risk)
     live: list[tuple[Certificate, Fraction]] = []
     warnings: list[str] = []

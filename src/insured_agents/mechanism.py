@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
 
-from .money import check_amount, mul_exact
+from .money import MAX_AMOUNT, check_amount, mul_exact
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,21 @@ class MechanismParams:
     Pi_honest: int = 0
 
     def __post_init__(self) -> None:
-        for name in FIELDS:
-            check_amount(getattr(self, name), signed=name in SIGNED)
+        # Every field at once: exact ints, in range. Only a failure runs the
+        # per-field checks, which raise for the first bad field in order.
+        m = MAX_AMOUNT
+        if not (
+            type(self.L) is int and type(self.G) is int and type(self.S_A) is int
+            and type(self.S_I) is int and type(self.B) is int and type(self.F) is int
+            and type(self.R) is int and type(self.V_future) is int
+            and type(self.P) is int and type(self.Pi_honest) is int
+            and 0 <= self.L <= m and 0 <= self.G <= m and 0 <= self.S_A <= m
+            and 0 <= self.S_I <= m and 0 <= self.B <= m and 0 <= self.F <= m
+            and 0 <= self.R <= m and 0 <= self.V_future <= m and 0 <= self.P <= m
+            and -m <= self.Pi_honest <= m
+        ):
+            for name in FIELDS:
+                check_amount(getattr(self, name), signed=name in SIGNED)
 
 
 #: The one list of mechanism parameters: MechanismParams' field names, in

@@ -44,6 +44,8 @@ def check_amount(amount: int, *, signed: bool = False) -> int:
     Unsigned amounts must be >= 0; signed amounts (payoff deltas) may be
     negative but must stay within the representable range.
     """
+    if type(amount) is int and 0 <= amount <= MAX_AMOUNT:
+        return amount  # the common case, valid signed or not
     if not isinstance(amount, int) or isinstance(amount, bool):
         raise MoneyError(f"amount must be an int of micro-units, got {amount!r}")
     if abs(amount) > MAX_AMOUNT:

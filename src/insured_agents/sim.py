@@ -10,9 +10,11 @@ index])`'s, but no episode builds a generator: the world derives the seeds
 of a block of episodes at once (`_seed_states`) and reseeds its one PCG64.
 
 An enforced episode first picks the `ALL_PATHS` member it will play: the
-solver's choices with the behavior policies written over them. The profile
-is solved once per distinct episode parameter set and kept in a bounded
-memo (`_solved_profile`). `_World._settle` underwrites the episode and
+solver's choices with the behavior policies written over them. A world
+whose agent, user and insurer policies are all behavioral reads no choice
+of the solver's, so its episodes solve no game. Otherwise the profile is
+solved once per distinct episode parameter set and kept in a bounded memo
+(`_solved_profile`). `_World._settle` underwrites the episode and
 `play_path` drives that path through the ledger, in one atomic block;
 `replay_game_path`, which criterion 6 checks against the game tree, settles
 its path as the only episode of a one-agent world through the same step.
@@ -164,11 +166,19 @@ class ScenarioConfig:
             if not 0.0 <= stack.layer1_cut <= 1.0:
                 raise ScenarioError("stack.layer1_cut",
                                     f"must lie in [0, 1], got {stack.layer1_cut}")
+            domains = set()
             for j, cert in enumerate(stack.certificates):
                 if cert.issuer == _INSURER_ID:
                     # The master would pay its own layer-1 share: `pay` refuses that.
                     raise ScenarioError(f"stack.certificates[{j}].issuer",
                                         f"{cert.issuer!r} is the master insurer's id")
+                if not cert.domain:
+                    raise ScenarioError(f"stack.certificates[{j}].domain", "must not be empty")
+                if cert.domain in domains:
+                    # It would discount the risk twice and pay two layer-1 shares.
+                    raise ScenarioError(f"stack.certificates[{j}].domain",
+                                        f"duplicate domain {cert.domain!r}")
+                domains.add(cert.domain)
         for path, loading in loadings:
             try:
                 factor = 1 + rate(loading)
@@ -350,6 +360,14 @@ class _World:
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
+        policy = config.policy
+        # Whether any policy plays the solved game; if none does, no episode
+        # solves it.
+        self.solves = (
+            policy.agent is AgentPolicy.RATIONAL_SPE
+            or policy.user is UserPolicy.RATIONAL_SPE
+            or policy.insurer is InsurerPolicy.RATIONAL_SPE
+        )
         self.ledger = Ledger()
         self.posteriors: dict[str, RiskPosterior] = {
             a.id: RiskPosterior() for a in config.population
@@ -419,8 +437,8 @@ class _World:
         ep: MechanismParams,
         rng: np.random.Generator,
     ) -> AgentAction:
-        """The agent's move; `profile` is the solved game, None when
-        enforcement is off and no game is played."""
+        """The agent's move; `profile` is the solved game, None when no
+        episode solves one (enforcement off, or every policy behavioral)."""
         kind = self.config.policy.agent
         enforced = self.config.enforcement_enabled
         if kind is AgentPolicy.ALWAYS_MALICIOUS:
@@ -444,12 +462,13 @@ class _World:
 
     def _episode_path(
         self,
-        profile: StrategyProfile,
+        profile: StrategyProfile | None,
         agent: AgentProfile,
         ep: MechanismParams,
         rng: np.random.Generator,
     ) -> TerminalPath:
-        """The solver's choices with the behavior policies written over them."""
+        """The solver's choices with the behavior policies written over them;
+        `profile` is None when every policy is behavioral and none reads it."""
         policy = self.config.policy
         malicious = self._agent_action(profile, ep, rng) is AgentAction.MALICIOUS
         if policy.user is UserPolicy.RATIONAL_SPE:
@@ -506,7 +525,8 @@ class _World:
             record.excluded = True
             return record
 
-        path = self._episode_path(_solved_profile(ep), agent, ep, rng)
+        profile = _solved_profile(ep) if self.solves else None
+        path = self._episode_path(profile, agent, ep, rng)
         try:
             policy, claim, deltas = self._settle(agent, ep, path, index)
         except LedgerError:

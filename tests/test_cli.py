@@ -263,6 +263,19 @@ class TestStack:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("certs, message", [
+        (["a:0.5", "a:0.5"], "domain 'a' is repeated"),
+        ([":0.5"], "empty domain"),
+    ], ids=["repeated", "empty"])
+    def test_bad_domain_exits_two_before_any_output(self, certs, message, capsys):
+        argv = ["stack", "--base-risk", "0.5", "--coverage", "1"]
+        for cert in certs:
+            argv += ["--cert", cert]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     def test_bad_base_risk_exits_two(self, capsys):
         assert main(["stack", "--base-risk", "0", "--coverage", "100"]) == 2
 

@@ -14,8 +14,10 @@ from hypothesis.stateful import (
 )
 
 from insured_agents.ledger import (
+    _CLAIM_TRANSITIONS,
     FEE_SINK,
     AccountId,
+    ClaimRecord,
     ClaimState,
     ClaimValidity,
     DeadlinePassed,
@@ -136,6 +138,22 @@ class TestVerifyCoverage:
         later = ledger.issue_credential(policy)
         assert later == issued
         assert ledger.verify_coverage(later, min_coverage=100, tick=3)
+
+
+@pytest.mark.parametrize("target", ClaimState, ids=lambda s: s.value)
+@pytest.mark.parametrize("state", ClaimState, ids=lambda s: s.value)
+def test_claim_transition_is_allowed_exactly_as_the_table_says(state, target):
+    claim = ClaimRecord(id="claim-0", policy_id="pol-1",
+                        claimant=AccountId(Role.USER_WALLET, "user"),
+                        bond_escrow=AccountId(Role.BOND_ESCROW, "claim-0"),
+                        amount=100, validity=ClaimValidity.VALID, state=state)
+    # A terminal state is absent from the table and allows no transition.
+    if target in _CLAIM_TRANSITIONS.get(state, ()):
+        Ledger._check_transition(claim, target)
+    else:
+        with pytest.raises(WrongState, match=f"{state.value} -> {target.value}$"):
+            Ledger._check_transition(claim, target)
+    assert hash(state) == object.__hash__(state)  # hashed by identity, in C
 
 
 class TestClaims:

@@ -227,9 +227,21 @@ class TestComposeStack:
         assert stack.residual_risk == 0.05
         assert any("stale" in w for w in stack.warnings)
 
+    def test_repeated_domain_rejected(self):
+        # Listed twice, one certificate would halve the residual risk again
+        # and pay its issuer two layer-1 shares.
+        cert = Certificate(issuer="c", domain="code", risk_discount=0.5)
+        with pytest.raises(ValueError, match="domain 'code' is repeated"):
+            compose_stack(0.10, [cert, cert])
+        renewed = Certificate(issuer="d", domain="code", risk_discount=0.2, expiry_tick=9)
+        with pytest.raises(ValueError, match="domain 'code' is repeated"):
+            compose_stack(0.10, [*self.certs(0.4), cert, renewed])
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             compose_stack(0.0, [])
+        with pytest.raises(ValueError, match="empty domain"):
+            compose_stack(0.10, [Certificate(issuer="c", domain="", risk_discount=0.5)])
         with pytest.raises(ValueError):
             Certificate(issuer="i", domain="d", risk_discount=1.0)
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from insured_agents import MechanismParams, check_conditions, scale_params, units
+from insured_agents import MechanismParams, check_conditions, mechanism, scale_params, units
+from insured_agents.mechanism import FIELDS, SIGNED
 from insured_agents.money import (
     MAX_AMOUNT,
     MoneyError,
@@ -58,6 +59,35 @@ def test_overflow_message_names_the_size_not_the_digits(amount):
     with pytest.raises(MoneyOverflowError, match="exceeds representable range") as err:
         check_amount(amount)
     assert len(str(err.value)) < 200
+
+
+_BAD_AMOUNTS = [(-1, "minus_one"), (True, "true"), (1.0, "float"),
+                (MAX_AMOUNT + 1, "max_plus_one"), (-MAX_AMOUNT - 1, "min_minus_one")]
+
+
+@pytest.mark.parametrize("field, value", [
+    pytest.param(field, value, id=f"{field}-{name}")
+    for field in FIELDS for value, name in _BAD_AMOUNTS
+    if not (field in SIGNED and value == -1)
+])
+def test_bad_field_raises_what_check_amount_raises(field, value):
+    # The one-pass check must not change which error a bad field gives.
+    with pytest.raises(MoneyError) as expected:
+        check_amount(value, signed=field in SIGNED)
+    with pytest.raises(MoneyError) as got:
+        make(**{field: value})
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_valid_params_skip_the_per_field_checks(monkeypatch):
+    def refuse(amount, *, signed=False):
+        raise AssertionError(f"per-field check ran on {amount!r}")
+
+    monkeypatch.setattr(mechanism, "check_amount", refuse)
+    for value in (0, 1, MAX_AMOUNT):
+        assert make(**dict.fromkeys(FIELDS, value)).L == value
+    assert make(Pi_honest=-MAX_AMOUNT).Pi_honest == -MAX_AMOUNT
 
 
 def test_pi_honest_may_be_negative():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from insured_agents import (
     ALL_PATHS,
@@ -571,6 +571,7 @@ class TestScenarioParsing:
         ("expiry_tick", 2.5),
         ("expiry_tick", False),
         ("issuer", "insurer-0"),  # the master insurer would pay itself its share
+        ("domain", ""),
         ("expiry", 10),
     ])
     def test_bad_certificate_field_has_its_path(self, field, value):
@@ -579,6 +580,18 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(doc)
         assert err.value.path == f"stack.certificates[0].{field}"
+
+    @pytest.mark.parametrize("domains, index", [
+        (["code", "code"], 1), (["code", "data", "code"], 2), (["code", ""], 1),
+    ])
+    def test_repeated_or_empty_domain_has_its_path(self, domains, index):
+        # A repeated domain would discount the risk twice (premium 6 -> 3 units
+        # at base risk 0.1, loading 0.2) and pay its issuer two shares.
+        certs = [{"issuer": "c", "domain": domain, "discount": 0.5} for domain in domains]
+        doc = scenario_doc(stack={"base_risk": 0.1, "loading": 0.2, "certificates": certs})
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(doc)
+        assert err.value.path == f"stack.certificates[{index}].domain"
 
     def test_missing_certificate_field_has_its_path(self):
         doc = scenario_doc(stack={"base_risk": 0.1,
@@ -711,6 +724,28 @@ class TestSolvedProfileMemo:
             run_scenario(replace(config, policy=replace(config.policy, agent=agent)))
             assert _solved_profile.cache_info().misses == 0
 
+    def test_behavioral_scenario_solves_no_game(self):
+        # No policy reads the solver's choices, so no episode solves a game;
+        # any one rational policy reads them again.
+        behavioral = BehaviorPolicy(agent=AgentPolicy.OPPORTUNISTIC, opportunistic_p=0.5,
+                                    user=UserPolicy.ALWAYS_CLAIM,
+                                    insurer=InsurerPolicy.ALWAYS_DENY)
+        config = make_config(
+            episodes=60, pricing="experience", loading=0.2, policy=behavioral,
+            params=make_params(Pi_honest=units(200)),
+            population=(AgentProfile(id="a0", gain=GainModel("geometric", units(250))),),
+        )
+        _solved_profile.cache_clear()
+        report = run_scenario(config)
+        assert report.completed > 0 and report.verifier_invocations > 0
+        assert _solved_profile.cache_info().misses == 0
+        for name, rational in (("agent", AgentPolicy.RATIONAL_SPE),
+                               ("user", UserPolicy.RATIONAL_SPE),
+                               ("insurer", InsurerPolicy.RATIONAL_SPE)):
+            _solved_profile.cache_clear()
+            run_scenario(replace(config, policy=replace(behavioral, **{name: rational})))
+            assert _solved_profile.cache_info().misses > 0, name
+
     def test_threads_sharing_the_memo_agree_with_one_thread(self):
         config = make_config(episodes=40)
         grid = [("G", [units(10), units(40), units(200)]), ("F", [units(50), units(500)])]
@@ -724,6 +759,67 @@ class TestSolvedProfileMemo:
         finally:
             sys.setswitchinterval(interval)
         assert threaded == serial
+
+
+@st.composite
+def scenario_docs(draw) -> dict:
+    """Valid scenario documents over every policy, both pricings, both gain
+    kinds, a claim bond, a stack and enforcement, at most 60 episodes."""
+    def pick(*options):
+        return draw(st.sampled_from(options))
+
+    params = {**scenario_doc()["params"], "S_A": pick(0, 30, 80), "F": pick(50, 150, 500),
+              "P": pick(0, 1), "Pi_honest": pick(5, 200, 200)}  # 5 buys few policies
+    population = [
+        {"id": f"a{i}", "theta": pick(0.0, 0.1, 0.4, 0.9), "audit_access": draw(st.booleans()),
+         "gain": {"kind": pick("fixed", "geometric"), "mean": pick(10, 40, 250)}}
+        for i in range(draw(st.integers(1, 2)))
+    ]
+    return scenario_doc(
+        seed=draw(st.integers(0, 2**64 - 1)), episodes=draw(st.integers(1, 60)),
+        params=params, population=population,
+        policies={"agent": pick(*(p.value for p in AgentPolicy)),
+                  "user": pick(*(p.value for p in UserPolicy)),
+                  "insurer": pick(*(p.value for p in InsurerPolicy)),
+                  "opportunistic_p": pick(0.5, 1.0)},
+        enforcement_enabled=pick(True, True, False), claim_bond=pick(0, 1),
+        pricing=pick("flat", "experience"), loading=pick(0.0, 0.2),
+        stack=pick(None, {"base_risk": 0.1, "loading": 0.2, "certificates": [
+            {"issuer": "code-insurer", "domain": "code", "discount": 0.5, "expiry_tick": 40},
+            {"issuer": "data-insurer", "domain": "data", "discount": 0.4},
+        ]}),
+    )
+
+
+class TestReferenceRun:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(doc=scenario_docs())
+    def test_records_equal_a_run_that_solves_every_game(self, doc):
+        # Whether or not a world solves its games, and whatever the memo holds,
+        # an episode plays what a cold solve of its own game gives.
+        config = scenario_from_dict(doc)
+        policy = config.policy
+        rational = "rational_spe" in (policy.agent.value, policy.user.value,
+                                      policy.insurer.value)
+        before = _solved_profile.cache_info()
+        _, records = run_scenario_with_records(config)
+        after = _solved_profile.cache_info()
+        # A game is looked up exactly when an enforced episode is insured and
+        # a rational policy plays it.
+        played = config.enforcement_enabled and any(not r.excluded for r in records)
+        looked_up = after.hits + after.misses > before.hits + before.misses
+        assert looked_up == (rational and played)
+        init = _World.__init__
+
+        def solving_init(world, config):
+            init(world, config)
+            world.solves = True
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_World, "__init__", solving_init)
+            patch.setattr(sim, "_solved_profile", lambda ep: solve_spe(build_game(ep))[0])
+            _, expected = run_scenario_with_records(config)
+        assert records == expected
 
 
 class TestEpisodeHotPath:
