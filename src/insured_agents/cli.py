@@ -241,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="base scenario file for every cell")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel cells (default 1)")
+                         help="the most cells that may run at once (default 1); "
+                              "cells run one at a time in grid order, so the CSV "
+                              "never depends on it")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_stack = sub.add_parser("stack", help="compose an underwriting stack")

@@ -17,7 +17,8 @@ its claimant's wallet and its bond escrow, and later operations read them.
 `_require` is the single funding pre-check.
 
 Lifecycle: underwrite -> (verify_coverage) -> file_claim ->
-respond_claim -> [escalate -> adjudicate] -> expire_policy.
+respond_claim -> [escalate -> adjudicate] -> expire_policy. A policy with
+an unresolved claim does not expire; it counts its `open_claims`.
 """
 
 from __future__ import annotations
@@ -144,7 +145,6 @@ class PolicyRecord:
     insurer: AccountId
     escrow: AccountId
     coverage: int
-    deductible: int
     premium: int
     bond: int
     claim_deadline: int
@@ -152,6 +152,7 @@ class PolicyRecord:
     status: PolicyStatus = PolicyStatus.ACTIVE
     escrowed_stake: int = 0
     escrowed_deductible: int = 0
+    open_claims: int = 0  # claims filed and not yet resolved
 
 
 @dataclass(frozen=True)
@@ -384,7 +385,6 @@ class Ledger:
             insurer=AccountId(Role.INSURER_WALLET, insurer),
             escrow=AccountId(Role.STAKE_ESCROW, policy_id),
             coverage=coverage,
-            deductible=deductible,
             premium=premium,
             bond=bond,
             claim_deadline=claim_deadline,
@@ -436,6 +436,7 @@ class Ledger:
         )
         self._require(claim.claimant, claim_bond)
         self._transfer(claim.claimant, claim.bond_escrow, claim_bond, tick, Memo.CLAIM_BOND)
+        policy.open_claims += 1
         self._file(self.claims, claim)
         return claim
 
@@ -455,7 +456,7 @@ class Ledger:
             return claim
         policy = self._policy(claim.policy_id)
         self._compensate(policy, claim, policy.insurer, tick)
-        self._resolve(claim, target, tick, claim.claimant)
+        self._resolve(policy, claim, target, tick, claim.claimant)
         self._exhaust_if_depleted(policy, tick)
         return claim
 
@@ -497,7 +498,7 @@ class Ledger:
         winner = claim.claimant if valid else policy.insurer
         self._transfer(claim.bond_escrow, winner, policy.bond, tick, Memo.BOND_FORFEIT)
         self._transfer(claim.bond_escrow, winner, policy.bond, tick, Memo.BOND_RETURN)
-        self._resolve(claim, target, tick, winner)
+        self._resolve(policy, claim, target, tick, winner)
         self._transfer_clamped(claim.claimant, FEE_SINK, fee, tick, Memo.VERIFIER_FEE)
         self._transfer_clamped(policy.insurer, FEE_SINK, fee, tick, Memo.VERIFIER_FEE)
         if valid:
@@ -511,12 +512,16 @@ class Ledger:
         """User abandons a denied claim; the filing bond is forfeited."""
         claim = self._claim(claim_id)
         self._check_transition(claim, ClaimState.DROPPED)
-        insurer = self._policy(claim.policy_id).insurer
-        self._resolve(claim, ClaimState.DROPPED, tick, insurer)
+        policy = self._policy(claim.policy_id)
+        self._resolve(policy, claim, ClaimState.DROPPED, tick, policy.insurer)
         return claim
 
     def expire_policy(self, policy_id: str, tick: int) -> PolicyRecord:
-        """Close out an active policy past expiry; return remaining escrow."""
+        """Close out an active policy past expiry; return remaining escrow.
+
+        A policy with an unresolved claim (filed, denied or escalated) does
+        not expire: its stake must stay escrowed until the claim settles.
+        """
         policy = self._policy(policy_id)
         if policy.status is not PolicyStatus.ACTIVE:
             raise WrongState(f"policy {policy_id} is {policy.status.value}")
@@ -524,6 +529,8 @@ class Ledger:
             raise WrongState(
                 f"policy {policy_id} expires at {policy.expiry_tick}, tick is {tick}"
             )
+        if policy.open_claims:
+            raise WrongState(f"policy {policy_id} has {policy.open_claims} open claim(s)")
         self._release_escrow(policy, tick)
         policy.status = PolicyStatus.EXPIRED
         return policy
@@ -587,15 +594,16 @@ class Ledger:
                            Memo.DEDUCTIBLE_SEIZE)
             policy.escrowed_deductible = 0
 
-    def _resolve(self, claim: ClaimRecord, state: ClaimState, tick: int,
-                 bond_to: AccountId) -> None:
-        """Close a claim. Its filing bond goes to `bond_to`: back to the
-        claimant's wallet, or forfeited to the insurer's."""
+    def _resolve(self, policy: PolicyRecord, claim: ClaimRecord, state: ClaimState,
+                 tick: int, bond_to: AccountId) -> None:
+        """Close a claim on `policy`. Its filing bond goes to `bond_to`: back
+        to the claimant's wallet, or forfeited to the insurer's."""
         returned = bond_to.role is Role.USER_WALLET
         memo = Memo.BOND_RETURN if returned else Memo.BOND_FORFEIT
         self._transfer(claim.bond_escrow, bond_to, claim.claim_bond, tick, memo)
         claim.state = state
         claim.resolved_tick = tick
+        policy.open_claims -= 1
 
     def _release_escrow(self, policy: PolicyRecord, tick: int) -> None:
         if policy.escrowed_stake > 0:

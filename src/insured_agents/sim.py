@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -760,17 +759,17 @@ def sweep(
     grid: list[tuple[str, list[int]]],
     jobs: int = 1,
 ) -> list[dict]:
-    """One scenario run per grid cell, in deterministic grid order.
+    """One scenario run per grid cell, in row-major grid order.
 
-    The cartesian product of `grid` is evaluated row-major. Every cell's
-    config comes from `sweep_configs` before any cell runs, so a malformed
-    cell runs nothing. Cells are independent and may run concurrently; the
-    output order never depends on `jobs`.
+    Every cell's config comes from `sweep_configs` before any cell runs, so
+    a malformed cell runs nothing. The cells then run one after another on
+    the calling thread. `jobs` is the most cells that may run at once, a
+    bound that one cell at a time always meets, so the rows never depend
+    on it.
     """
     names = [name for name, _ in grid]
-    configs = sweep_configs(config, grid)
-
-    def run_cell(cell_config: ScenarioConfig) -> dict:
+    rows = []
+    for cell_config in sweep_configs(config, grid):
         params = cell_config.params
         report = run_scenario(cell_config)
         row = {name: getattr(params, name) for name in names}
@@ -778,12 +777,8 @@ def sweep(
         row["misbehavior_rate"] = report.misbehavior_rate
         row["dispute_rate"] = report.dispute_rate
         row["verifier_invocations"] = report.verifier_invocations
-        return row
-
-    if jobs <= 1:
-        return [run_cell(cell_config) for cell_config in configs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(run_cell, configs))
+        rows.append(row)
+    return rows
 
 
 # -- scenario (de)serialization -------------------------------------------

@@ -1,10 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from insured_agents import sim
 from insured_agents.cli import main
+from test_sim import scenario_docs
 
 ROOT = Path(__file__).resolve().parents[1]
 BASE_FLAGS = [
@@ -27,6 +34,21 @@ def scenario_doc(**overrides) -> dict:
     }
     doc.update(overrides)
     return doc
+
+
+#: Wrong-type or out-of-range values for a scenario document's leaves.
+_BAD_LEAVES = (None, True, "x", -1, 1.5, 10**400, [], {})
+
+
+def _leaf_paths(node, path=()) -> list[tuple]:
+    """The key path of every scalar leaf under `node`."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in children for leaf in _leaf_paths(child, (*path, key))]
 
 
 @pytest.fixture
@@ -166,6 +188,31 @@ class TestSimulate:
         scenario.write_text(json.dumps(scenario_doc(**overrides)))
         assert main(["simulate", str(scenario), "--out", str(tmp_path / "r.json")]) == 2
         assert f"error: {path}: " in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(doc=scenario_docs(), data=st.data())
+    def test_one_bad_leaf_exits_zero_or_two_with_a_path(self, doc, data):
+        # Any one scalar leaf of a valid document, made the wrong type or out
+        # of range, either still runs or is refused cleanly at a field path.
+        path = data.draw(st.sampled_from(_leaf_paths(doc)))
+        bad = data.draw(st.sampled_from(_BAD_LEAVES))
+        doc = copy.deepcopy(doc)
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = bad
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario, out = Path(tmp) / "bad.json", Path(tmp) / "r.json"
+            scenario.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["simulate", str(scenario), "--out", str(out)])
+            assert code in (0, 2), (path, bad)
+            if code == 2:
+                assert re.match(r"error: \S+: ", err.getvalue()), err.getvalue()
+                assert "Traceback" not in err.getvalue()
+                assert not out.exists()
 
 
 class TestSweep:

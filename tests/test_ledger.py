@@ -219,6 +219,9 @@ class TestClaims:
             ledger.respond_claim(second.id, accept=True, tick=2)
         assert vars(ledger) == state
         assert ledger.policies["pol-1"].escrowed_stake == 20
+        # The refused claim is still open, so it must close before expiry.
+        ledger.respond_claim(second.id, accept=False, tick=3)
+        ledger.drop_claim(second.id, tick=4)
         ledger.expire_policy("pol-1", tick=100)
         assert ledger.balance(AccountId(Role.STAKE_ESCROW, "pol-1")) == 0
         assert ledger.balance(AGENT) == 1000 - 8
@@ -409,6 +412,43 @@ class TestExpiry:
         policy = ledger.policies["pol-1"]
         assert policy.status is PolicyStatus.EXHAUSTED
         assert ledger.balance(AGENT) == 1000 - 8  # deductible came back
+
+    def test_escalated_claim_blocks_expiry_until_adjudicated(self):
+        # Expiring under an open dispute used to hand the stake back to the
+        # insurer: the verdict then could not pay and the bonds stayed escrowed.
+        ledger = funded_ledger()
+        underwrite(ledger, coverage=100, deductible=30, bond=20, expiry_tick=4)
+        claim = ledger.file_claim("pol-1", "user", 100, ClaimValidity.VALID, tick=2)
+        ledger.respond_claim(claim.id, accept=False, tick=3)
+        ledger.escalate(claim.id, tick=4)
+        before = ledger_state(ledger)
+        with pytest.raises(WrongState, match="1 open claim"):
+            ledger.expire_policy("pol-1", tick=4)
+        assert ledger_state(ledger) == before
+        user = ledger.balance(USER)
+        ledger.adjudicate(claim.id, fee=0, reputation_cost=0, tick=5)
+        paid = [t.amount for t in ledger.transfers if t.memo is Memo.COMPENSATION]
+        assert paid == [100]
+        assert ledger.balance(USER) == user + 100 + 2 * 20  # claim and both bonds
+        assert ledger.balance(claim.bond_escrow) == 0
+
+    @pytest.mark.parametrize("deny", [False, True], ids=["filed", "denied"])
+    def test_open_claim_blocks_expiry_until_resolved(self, deny):
+        ledger = funded_ledger()
+        underwrite(ledger)
+        claim = ledger.file_claim("pol-1", "user", 50, ClaimValidity.INVALID, tick=1)
+        if deny:
+            ledger.respond_claim(claim.id, accept=False, tick=2)
+        before = ledger_state(ledger)
+        with pytest.raises(WrongState):
+            ledger.expire_policy("pol-1", tick=100)
+        assert ledger_state(ledger) == before
+        if deny:
+            ledger.drop_claim(claim.id, tick=3)
+        else:
+            ledger.respond_claim(claim.id, accept=True, tick=2)
+        assert ledger.expire_policy("pol-1", tick=100).status is PolicyStatus.EXPIRED
+        assert ledger.balance(AccountId(Role.STAKE_ESCROW, "pol-1")) == 0
 
 
 def random_operations(ledger: Ledger, rng: np.random.Generator, steps: int) -> int:
@@ -770,6 +810,13 @@ class LedgerMachine(RuleBasedStateMachine):
             assert policy.escrowed_stake >= 0
             escrow = self.ledger.balance(AccountId(Role.STAKE_ESCROW, policy.id))
             assert escrow == policy.escrowed_stake + policy.escrowed_deductible
+
+    @invariant()
+    def open_claims_count_the_unresolved_claims(self):
+        for policy in self.ledger.policies.values():
+            unresolved = [c for c in self.ledger.claims.values()
+                          if c.policy_id == policy.id and c.state in self._NEXT_STEP]
+            assert policy.open_claims == len(unresolved)
 
 
 class _Abort(Exception):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -382,6 +383,22 @@ class TestSweep:
         grid = [("G", [units(40), units(200)]), ("B", [units(20), units(5)])]
         assert sweep(config, grid, jobs=1) == sweep(config, grid, jobs=8)
 
+    @pytest.mark.parametrize("jobs", [1, 2, 8])
+    def test_cells_run_in_grid_order_on_the_calling_thread(self, jobs, monkeypatch):
+        ran = []
+        run = sim.run_scenario
+
+        def recording(config):
+            ran.append((threading.get_ident(), config.params.G, config.params.B))
+            return run(config)
+
+        monkeypatch.setattr(sim, "run_scenario", recording)
+        grid = [("G", [units(40), units(200)]), ("B", [units(20), units(5)])]
+        sweep(make_config(episodes=2), grid, jobs=jobs)
+        caller = threading.get_ident()
+        cells = itertools.product(*(values for _, values in grid))
+        assert ran == [(caller, g, b) for g, b in cells]
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep(make_config(), [])
@@ -745,20 +762,6 @@ class TestSolvedProfileMemo:
             _solved_profile.cache_clear()
             run_scenario(replace(config, policy=replace(behavioral, **{name: rational})))
             assert _solved_profile.cache_info().misses > 0, name
-
-    def test_threads_sharing_the_memo_agree_with_one_thread(self):
-        config = make_config(episodes=40)
-        grid = [("G", [units(10), units(40), units(200)]), ("F", [units(50), units(500)])]
-        _solved_profile.cache_clear()
-        serial = sweep(config, grid, jobs=1)
-        _solved_profile.cache_clear()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = sweep(config, grid, jobs=4)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == serial
 
 
 @st.composite
