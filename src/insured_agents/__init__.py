@@ -26,6 +26,7 @@ from .ledger import (
     LedgerError,
     PolicyRecord,
     Role,
+    TransferCount,
 )
 from .market import (
     AgentProfile,

@@ -7,9 +7,12 @@ raises and leaves the ledger untouched. That includes settlements: a claim
 larger than its policy's remaining escrowed stake is refused, so the stake
 never goes negative and never eats into the agent's deductible. Several
 operations that must succeed or fail as one run in `with ledger.atomic():`.
-Its state is its books (balances, transfers, policies, claims, shortfalls);
-defaulted parties and claim numbers are read off them. Amounts are checked
-once, where they enter an operation; a transfer itself is a plain record.
+Its state is its books (balances, policies, claims, shortfalls) and the
+count of claims filed, which numbers the next claim; defaulted parties are
+read off the shortfalls. Each transfer goes to a sink, `Ledger.transfers`: a
+list by default, or a `TransferCount` that keeps only how many there were.
+Amounts are checked once, where they enter an operation; a transfer itself
+is a plain record.
 
 Each account is named once, where its record is filed: a `PolicyRecord`
 carries its agent and insurer wallets and its stake escrow, a `ClaimRecord`
@@ -17,8 +20,10 @@ its claimant's wallet and its bond escrow, and later operations read them.
 `_require` is the single funding pre-check.
 
 Lifecycle: underwrite -> (verify_coverage) -> file_claim ->
-respond_claim -> [escalate -> adjudicate] -> expire_policy. A policy with
-an unresolved claim does not expire; it counts its `open_claims`.
+respond_claim -> [escalate -> adjudicate] -> expire_policy -> (retire). A
+policy with an unresolved claim does not expire; it counts its `open_claims`.
+A closed policy whose escrows are empty may retire: it leaves the books with
+its claims, so a long run keeps only its open policies.
 """
 
 from __future__ import annotations
@@ -153,6 +158,7 @@ class PolicyRecord:
     escrowed_stake: int = 0
     escrowed_deductible: int = 0
     open_claims: int = 0  # claims filed and not yet resolved
+    claims: tuple[str, ...] = ()  # ids of every claim filed on it
 
 
 @dataclass(frozen=True)
@@ -207,15 +213,40 @@ def _credential_tag(policy_id: str, insurer: str, coverage: int,
     return hmac.new(_SECRET, payload, hashlib.sha256).hexdigest()[:32]
 
 
-class Ledger:
-    """Single-writer account book with escrowed stakes, bonds and slashing."""
+class TransferCount:
+    """A transfer sink that keeps only how many transfers it was handed."""
+
+    __slots__ = ("count",)
 
     def __init__(self) -> None:
+        self.count = 0
+
+    def append(self, transfer: Transfer) -> None:
+        self.count += 1
+
+    def extend(self, transfers: list[Transfer]) -> None:
+        self.count += len(transfers)
+
+    def __len__(self) -> int:
+        return self.count
+
+
+class Ledger:
+    """Single-writer account book with escrowed stakes, bonds and slashing.
+
+    `transfers` is the sink every completed transfer goes to, in order: any
+    object with `append` and `extend`. The default list keeps them all.
+    """
+
+    def __init__(self, transfers=None) -> None:
         self.balances: dict[AccountId, int] = {FEE_SINK: 0}
-        self.transfers: list[Transfer] = []
+        self.transfers = [] if transfers is None else transfers
         self.policies: dict[str, PolicyRecord] = {}
         self.claims: dict[str, ClaimRecord] = {}
         self.shortfalls: list[ShortfallEvent] = []
+        self.claims_filed = 0  # the last claim's number; retiring keeps it
+        # Where `_transfer` writes: the sink, or an atomic block's journal.
+        self._log = self.transfers
         # In an atomic block: id(record) -> (record, its fields), None if new.
         self._saved: dict | None = None
 
@@ -240,22 +271,23 @@ class Ledger:
 
     def atomic(self) -> _Atomic:
         """A block that, if it raises, leaves the whole ledger as at entry:
-        balances, transfers, policies, claims and shortfalls, and so the
-        defaulted parties and the next claim number, which follow from them.
+        balances, transfers, policies, claims, shortfalls and the count of
+        claims filed, and so the defaulted parties and the next claim number.
 
-        Entry is O(1) in ledger size: books are append-only, so undoing
-        replays the new transfers in reverse and truncates, and a record that
-        existed before the block is saved when the block first touches it.
-        A nested block joins the outermost one. `deposit` is not undone.
+        Entry is O(1) in ledger size. The block keeps its own transfers in a
+        journal and hands them to the sink only when it succeeds; undoing
+        replays the journal in reverse. The other books only grow inside a
+        block, so undoing truncates them, and a record that existed before
+        the block is saved when the block first touches it. A nested block
+        joins the outermost one. `deposit` is not undone.
         """
         return _Atomic(self)
 
-    def _undo(self, marks: tuple) -> None:
-        n_transfers, n_shortfalls, n_balances, n_policies, n_claims = marks
-        for t in reversed(self.transfers[n_transfers:]):
+    def _undo(self, marks: tuple, journal: list[Transfer]) -> None:
+        n_shortfalls, n_balances, n_policies, n_claims, self.claims_filed = marks
+        for t in reversed(journal):
             self.balances[t.dst] -= t.amount
             self.balances[t.src] += t.amount
-        del self.transfers[n_transfers:]
         del self.shortfalls[n_shortfalls:]
         for book, mark in ((self.balances, n_balances), (self.policies, n_policies),
                            (self.claims, n_claims)):
@@ -264,6 +296,34 @@ class Ledger:
         for saved in self._saved.values():
             if saved is not None:
                 vars(saved[0]).update(saved[1])
+
+    def check_invariants(self) -> None:
+        """Raise AssertionError unless every balance is non-negative and
+        every policy has a non-negative stake, an escrow that holds exactly
+        its escrowed stake plus deductible, and `open_claims` equal to its
+        claims that are not yet resolved. A raise, not an `assert`, so that
+        `python -O` keeps the check."""
+        for account, amount in self.balances.items():
+            if amount < 0:
+                raise AssertionError(
+                    f"{account.role.value}:{account.owner} holds {amount}")
+        unresolved: dict[str, int] = {}
+        for claim in self.claims.values():
+            if claim.state in _CLAIM_TRANSITIONS:  # not yet terminal
+                unresolved[claim.policy_id] = unresolved.get(claim.policy_id, 0) + 1
+        for policy in self.policies.values():
+            if policy.escrowed_stake < 0:
+                raise AssertionError(
+                    f"policy {policy.id} has stake {policy.escrowed_stake}")
+            held = self.balances.get(policy.escrow, 0)
+            if held != policy.escrowed_stake + policy.escrowed_deductible:
+                raise AssertionError(
+                    f"policy {policy.id} escrows {held}, not stake "
+                    f"{policy.escrowed_stake} + deductible {policy.escrowed_deductible}")
+            if policy.open_claims != unresolved.get(policy.id, 0):
+                raise AssertionError(
+                    f"policy {policy.id} counts {policy.open_claims} open claim(s), "
+                    f"not {unresolved.get(policy.id, 0)}")
 
     def pay(
         self, src: AccountId, dst: AccountId, amount: int, tick: int, memo: Memo
@@ -291,7 +351,7 @@ class Ledger:
             raise InsufficientFunds(src, amount, available)
         self.balances[src] = available - amount
         self.balances[dst] = self.balances.get(dst, 0) + amount
-        self.transfers.append(Transfer(src, dst, amount, tick, memo))
+        self._log.append(Transfer(src, dst, amount, tick, memo))
 
     def _transfer_clamped(
         self, src: AccountId, dst: AccountId, amount: int, tick: int, memo: Memo
@@ -423,7 +483,7 @@ class Ledger:
             )
         if amount > policy.escrowed_stake:
             raise OverCoverage(f"claim {amount} exceeds available coverage")
-        claim_id = f"{policy_id}/claim-{len(self.claims) + 1}"
+        claim_id = f"{policy_id}/claim-{self.claims_filed + 1}"
         claim = ClaimRecord(
             id=claim_id,
             policy_id=policy_id,
@@ -436,7 +496,9 @@ class Ledger:
         )
         self._require(claim.claimant, claim_bond)
         self._transfer(claim.claimant, claim.bond_escrow, claim_bond, tick, Memo.CLAIM_BOND)
+        self.claims_filed += 1
         policy.open_claims += 1
+        policy.claims += (claim_id,)
         self._file(self.claims, claim)
         return claim
 
@@ -535,14 +597,55 @@ class Ledger:
         policy.status = PolicyStatus.EXPIRED
         return policy
 
+    def retire(self, policy_id: str) -> None:
+        """Drop a closed policy, its claims and their empty escrow accounts
+        from the books; it moves no money, so supply is unchanged.
+
+        Only an expired or exhausted policy with no open claim and nothing
+        left in its stake or bond escrows retires; otherwise this raises
+        WrongState and changes nothing. It refuses inside an atomic block,
+        whose undo truncates the books by their order of insertion. A
+        retired id is forgotten: `verify_coverage` reads its credential as
+        `UnknownPolicy`, and the id may be underwritten again as a new
+        policy. Claim numbers keep counting from `claims_filed`.
+        """
+        if self._saved is not None:
+            raise WrongState(f"policy {policy_id} cannot retire inside an atomic block")
+        policy = self.policies.get(policy_id)
+        if policy is None:
+            raise WrongState(f"unknown policy {policy_id}")
+        if policy.status is PolicyStatus.ACTIVE:
+            raise WrongState(f"policy {policy_id} is active")
+        if policy.open_claims:
+            raise WrongState(f"policy {policy_id} has {policy.open_claims} open claim(s)")
+        balances, claims = self.balances, self.claims
+        escrows = [policy.escrow]
+        if policy.claims:
+            escrows += [claims[claim_id].bond_escrow for claim_id in policy.claims]
+        for account in escrows:
+            if balances.get(account, 0):
+                raise WrongState(f"{account.role.value}:{account.owner} still holds "
+                                 f"{balances[account]}")
+        for account in escrows:
+            balances.pop(account, None)
+        for claim_id in policy.claims:
+            del claims[claim_id]
+        del self.policies[policy_id]
+
     # -- export -----------------------------------------------------------
 
     def export_log(self) -> str:
         """Event log as newline-delimited records with a stable column order:
-        tick, memo, from-role, to-role, amount (decimal micro-units)."""
+        tick, memo, from-role, to-role, amount (decimal micro-units). It needs
+        a sink that keeps the transfers, such as the default list."""
+        try:
+            transfers = iter(self.transfers)
+        except TypeError:
+            raise TypeError(f"the ledger's {type(self.transfers).__name__} sink keeps "
+                            f"no transfers to export") from None
         lines = [
             f"{t.tick},{t.memo.value},{t.src.role.value},{t.dst.role.value},{t.amount}"
-            for t in self.transfers
+            for t in transfers
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -634,13 +737,18 @@ class _Atomic:
         ledger = self.ledger
         if ledger._saved is None:  # outermost block
             ledger._saved = {}
+            ledger._log = []
             self.marks = (
-                len(ledger.transfers), len(ledger.shortfalls), len(ledger.balances),
-                len(ledger.policies), len(ledger.claims),
+                len(ledger.shortfalls), len(ledger.balances), len(ledger.policies),
+                len(ledger.claims), ledger.claims_filed,
             )
 
     def __exit__(self, exc_type, exc, tb) -> None:
         if self.marks is not None:
+            ledger = self.ledger
+            journal, ledger._log = ledger._log, ledger.transfers
             if exc_type is not None:
-                self.ledger._undo(self.marks)
-            self.ledger._saved = None
+                ledger._undo(self.marks, journal)
+            else:
+                ledger.transfers.extend(journal)
+            ledger._saved = None

@@ -58,6 +58,7 @@ from .ledger import (
     PolicyRecord,
     PolicyStatus,
     Role,
+    TransferCount,
 )
 from .market import (
     AgentProfile,
@@ -355,7 +356,13 @@ def _funding(config: ScenarioConfig) -> int:
 
 
 class _World:
-    """Mutable scenario state: ledger, posteriors, tick clock."""
+    """Mutable scenario state: the ledger, each agent's posterior and the
+    priced stack. An episode's ticks follow from its index.
+
+    The ledger keeps only open books: it counts its transfers, and each
+    settled episode's policy retires, so the world's memory does not grow
+    with the number of episodes.
+    """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -367,7 +374,7 @@ class _World:
             or policy.user is UserPolicy.RATIONAL_SPE
             or policy.insurer is InsurerPolicy.RATIONAL_SPE
         )
-        self.ledger = Ledger()
+        self.ledger = Ledger(transfers=TransferCount())
         self.posteriors: dict[str, RiskPosterior] = {
             a.id: RiskPosterior() for a in config.population
         }
@@ -557,8 +564,9 @@ class _World:
         self, agent: AgentProfile, ep: MechanismParams, path: TerminalPath, index: int
     ) -> tuple[PolicyRecord, ClaimRecord | None, list[int]]:
         """Underwrite episode `index` at `ep.P`, the premium its game is solved
-        at, and play `path` on it in one atomic block. Returns the policy, the
-        claim (None on a no-claim path) and the (agent, insurer, user) deltas."""
+        at, play `path` on it in one atomic block, and retire the closed
+        policy. Returns the policy, the claim (None on a no-claim path) and
+        the (agent, insurer, user) deltas."""
         ledger, wallets = self.ledger, self.wallets[agent.id]
         policy_id, tick0 = f"ep-{index}", index * _TICKS_PER_EPISODE
         expiry_tick = tick0 + _TICKS_PER_EPISODE - 1
@@ -580,6 +588,7 @@ class _World:
                 ledger, policy, path, _USER_ID, ep,
                 claim_bond=self.config.claim_bond, tick=tick0,
             )
+        ledger.retire(policy_id)
         return policy, claim, [ledger.balance(w) - b for w, b in zip(wallets, before)]
 
 
@@ -723,8 +732,10 @@ def sweep_configs(
     """Every grid cell's config, row-major, each built (and so validated).
 
     `grid` maps distinct MechanismParams field names to value lists. An
-    empty grid or axis and an unknown or repeated name raise ValueError; a
-    malformed cell raises ScenarioError naming the cell.
+    empty grid or axis, an unknown or repeated name, and a `P` axis under
+    experience or stack pricing, which price each episode themselves and so
+    would ignore it, raise ValueError; a malformed cell raises ScenarioError
+    naming the cell.
     """
     if not grid or any(not values for _, values in grid):
         raise ValueError("sweep grid must be non-empty in every dimension")
@@ -734,6 +745,10 @@ def sweep_configs(
             raise ValueError(f"unknown grid parameter {name!r}")
         if name in names[:i]:
             raise ValueError(f"grid parameter {name!r} is repeated")
+    if "P" in names and (config.pricing == "experience" or config.stack is not None):
+        pricing = "experience" if config.pricing == "experience" else "stack"
+        raise ValueError(f"grid parameter 'P' has no effect under {pricing} pricing, "
+                         f"which prices each episode itself")
     configs = []
     for values in itertools.product(*(values for _, values in grid)):
         cell = dict(zip(names, values))

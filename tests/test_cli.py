@@ -254,6 +254,24 @@ class TestSweep:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, pricing", [
+        pytest.param({"pricing": "experience"}, "experience", id="experience"),
+        pytest.param({"stack": {"base_risk": 0.1}}, "stack", id="stack"),
+    ])
+    def test_premium_axis_under_self_pricing_exits_two(self, overrides, pricing, tmp_path,
+                                                       capsys):
+        # Both price every episode themselves, so a P axis would change nothing.
+        doc = json.loads((ROOT / "demos" / "scenarios" / "baseline.json").read_text())
+        scenario = tmp_path / "priced.json"
+        scenario.write_text(json.dumps({**doc, **overrides}))
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--scenario", str(scenario), "--grid", "P=0,3,30",
+                     "--out", str(out)])
+        assert code == 2
+        assert (f"error: grid parameter 'P' has no effect under {pricing} pricing"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-4"])
     def test_jobs_below_one_exits_two(self, jobs, scenario_file, tmp_path, capsys):
         out = tmp_path / "x.csv"

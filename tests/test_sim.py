@@ -412,6 +412,21 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown grid parameter 'Q'"):
             sweep_configs(make_config(), [("Q", [1])])
 
+    @pytest.mark.parametrize("overrides, pricing", [
+        (dict(pricing="experience"), "experience"),
+        (dict(stack=StackSpec(base_risk=0.1)), "stack"),
+        (dict(pricing="experience", stack=StackSpec(base_risk=0.1)), "experience"),
+    ])
+    def test_premium_axis_under_self_pricing_is_refused(self, overrides, pricing):
+        # Either prices every episode itself, so each P cell would run alike.
+        with pytest.raises(ValueError,
+                           match=f"^grid parameter 'P' has no effect under {pricing} "):
+            sweep_configs(make_config(**overrides), [("P", [0, units(3)])])
+
+    def test_premium_axis_under_flat_pricing_moves_the_run(self):
+        cells = sweep_configs(make_config(episodes=20), [("P", [0, units(30)])])
+        assert [run_scenario(cell).excluded for cell in cells] == [0, 20]
+
     def test_out_of_range_cell_is_named(self):
         # A ScenarioError, not the MoneyOverflowError of formatting the cell.
         with pytest.raises(ScenarioError, match=f"^sweep cell F={10**30}: "):
@@ -823,6 +838,38 @@ class TestReferenceRun:
             patch.setattr(sim, "_solved_profile", lambda ep: solve_spe(build_game(ep))[0])
             _, expected = run_scenario_with_records(config)
         assert records == expected
+
+
+class TestBoundedBooks:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(doc=scenario_docs())
+    def test_a_world_that_retires_and_counts_matches_one_that_keeps_every_book(self, doc):
+        config = scenario_from_dict(doc)
+        bounded = _World(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "TransferCount", list)
+            kept = _World(config)
+        kept.ledger.retire = lambda policy_id: None  # every closed policy stays
+        for index in range(config.episodes):
+            assert bounded.run_episode(index) == kept.run_episode(index)
+            bounded.ledger.check_invariants()
+            kept.ledger.check_invariants()
+        assert isinstance(kept.ledger.transfers, list)
+        assert len(bounded.ledger.transfers) == len(kept.ledger.transfers)
+        assert not bounded.ledger.policies and not bounded.ledger.claims
+        # Only empty escrows left the books.
+        kept_balances = kept.ledger.balances
+        assert {a: kept_balances[a] for a in bounded.ledger.balances} == bounded.ledger.balances
+        assert not any(kept_balances[a] for a in kept_balances.keys() - bounded.ledger.balances)
+
+    def test_a_long_run_keeps_no_closed_policy(self):
+        world = _World(scenario_from_dict({**json.loads(BASELINE.read_text()),
+                                           "episodes": 300}))
+        insured = sum(not world.run_episode(index).excluded for index in range(300))
+        assert not world.ledger.policies and not world.ledger.claims
+        # The fee sink and the wallets of the insurer, the user and two agents.
+        assert len(world.ledger.balances) == 5
+        assert len(world.ledger.transfers) == 5 * insured > 0  # underwrite 3, expire 2
 
 
 class TestEpisodeHotPath:
