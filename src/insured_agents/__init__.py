@@ -27,6 +27,7 @@ from .ledger import (
     PolicyRecord,
     Role,
     TransferCount,
+    TransferList,
 )
 from .market import (
     AgentProfile,

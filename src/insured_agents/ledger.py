@@ -9,10 +9,16 @@ never goes negative and never eats into the agent's deductible. Several
 operations that must succeed or fail as one run in `with ledger.atomic():`.
 Its state is its books (balances, policies, claims, shortfalls) and the
 count of claims filed, which numbers the next claim; defaulted parties are
-read off the shortfalls. Each transfer goes to a sink, `Ledger.transfers`: a
-list by default, or a `TransferCount` that keeps only how many there were.
-Amounts are checked once, where they enter an operation; a transfer itself
-is a plain record.
+read off the shortfalls. Amounts are checked once, where they enter an
+operation; a transfer itself is a plain record.
+
+A transfer costs its two balance writes and one plain tuple, `(src, dst,
+amount, tick, memo)` in `Transfer` field order, appended to the sink
+`Ledger.transfers` or to an atomic block's journal. A sink is any object
+with `append` (one such tuple), `extend` (a list of them, in order) and
+`len`. The default `TransferList` keeps each as a `Transfer`, which is the
+one place a `Transfer` is built; a `TransferCount` keeps only how many
+there were.
 
 Each account is named once, where its record is filed: a `PolicyRecord`
 carries its agent and insurer wallets and its stake escrow, a `ClaimRecord`
@@ -213,6 +219,19 @@ def _credential_tag(policy_id: str, insurer: str, coverage: int,
     return hmac.new(_SECRET, payload, hashlib.sha256).hexdigest()[:32]
 
 
+class TransferList(list):
+    """The default transfer sink: it keeps every transfer it is handed, in
+    order, as a `Transfer`."""
+
+    __slots__ = ()
+
+    def append(self, transfer: tuple) -> None:
+        super().append(Transfer._make(transfer))
+
+    def extend(self, transfers: list[tuple]) -> None:
+        super().extend(map(Transfer._make, transfers))
+
+
 class TransferCount:
     """A transfer sink that keeps only how many transfers it was handed."""
 
@@ -221,10 +240,10 @@ class TransferCount:
     def __init__(self) -> None:
         self.count = 0
 
-    def append(self, transfer: Transfer) -> None:
+    def append(self, transfer: tuple) -> None:
         self.count += 1
 
-    def extend(self, transfers: list[Transfer]) -> None:
+    def extend(self, transfers: list[tuple]) -> None:
         self.count += len(transfers)
 
     def __len__(self) -> int:
@@ -234,13 +253,14 @@ class TransferCount:
 class Ledger:
     """Single-writer account book with escrowed stakes, bonds and slashing.
 
-    `transfers` is the sink every completed transfer goes to, in order: any
-    object with `append` and `extend`. The default list keeps them all.
+    `transfers` is the sink every completed transfer goes to, in order, as a
+    plain `(src, dst, amount, tick, memo)` tuple. The default `TransferList`
+    keeps them all as `Transfer` records.
     """
 
     def __init__(self, transfers=None) -> None:
         self.balances: dict[AccountId, int] = {FEE_SINK: 0}
-        self.transfers = [] if transfers is None else transfers
+        self.transfers = TransferList() if transfers is None else transfers
         self.policies: dict[str, PolicyRecord] = {}
         self.claims: dict[str, ClaimRecord] = {}
         self.shortfalls: list[ShortfallEvent] = []
@@ -283,11 +303,12 @@ class Ledger:
         """
         return _Atomic(self)
 
-    def _undo(self, marks: tuple, journal: list[Transfer]) -> None:
+    def _undo(self, marks: tuple, journal: list[tuple]) -> None:
         n_shortfalls, n_balances, n_policies, n_claims, self.claims_filed = marks
-        for t in reversed(journal):
-            self.balances[t.dst] -= t.amount
-            self.balances[t.src] += t.amount
+        balances = self.balances
+        for src, dst, amount, _, _ in reversed(journal):
+            balances[dst] -= amount
+            balances[src] += amount
         del self.shortfalls[n_shortfalls:]
         for book, mark in ((self.balances, n_balances), (self.policies, n_policies),
                            (self.claims, n_claims)):
@@ -351,7 +372,7 @@ class Ledger:
             raise InsufficientFunds(src, amount, available)
         self.balances[src] = available - amount
         self.balances[dst] = self.balances.get(dst, 0) + amount
-        self._log.append(Transfer(src, dst, amount, tick, memo))
+        self._log.append((src, dst, amount, tick, memo))
 
     def _transfer_clamped(
         self, src: AccountId, dst: AccountId, amount: int, tick: int, memo: Memo
@@ -637,15 +658,16 @@ class Ledger:
     def export_log(self) -> str:
         """Event log as newline-delimited records with a stable column order:
         tick, memo, from-role, to-role, amount (decimal micro-units). It needs
-        a sink that keeps the transfers, such as the default list."""
+        a sink that keeps its entries, such as the default `TransferList`; each
+        is read by position, in `Transfer` field order."""
         try:
             transfers = iter(self.transfers)
         except TypeError:
             raise TypeError(f"the ledger's {type(self.transfers).__name__} sink keeps "
                             f"no transfers to export") from None
         lines = [
-            f"{t.tick},{t.memo.value},{t.src.role.value},{t.dst.role.value},{t.amount}"
-            for t in transfers
+            f"{tick},{memo.value},{src.role.value},{dst.role.value},{amount}"
+            for src, dst, amount, tick, memo in transfers
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 

@@ -24,14 +24,18 @@ from .money import MoneyOverflowError, check_amount, rate
 
 @dataclass(frozen=True)
 class RiskPosterior:
-    """Beta(alpha, beta) pseudo-counts over per-episode misbehavior probability."""
+    """Beta(alpha, beta) pseudo-counts over per-episode misbehavior probability.
 
-    alpha: float = 1.0
-    beta: float = 1.0
+    The counts are ints: they start at 1 and each observation adds 1.
+    """
+
+    alpha: int = 1
+    beta: int = 1
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError(f"Beta pseudo-counts must be positive: {self}")
+        if not (type(self.alpha) is int and type(self.beta) is int
+                and self.alpha > 0 and self.beta > 0):
+            raise ValueError(f"Beta pseudo-counts must be positive ints: {self}")
 
     @property
     def mean(self) -> float:
@@ -106,9 +110,8 @@ def _loaded_premium(risk_num: int, risk_den: int, coverage: int, loading: float)
 
 def price_premium(posterior: RiskPosterior, coverage: int, loading: float) -> int:
     """Expected-loss premium at the posterior mean, with a proportional loading."""
-    a_num, a_den = posterior.alpha.as_integer_ratio()
-    b_num, b_den = posterior.beta.as_integer_ratio()
-    return _loaded_premium(a_num * b_den, a_num * b_den + b_num * a_den, coverage, loading)
+    alpha = posterior.alpha
+    return _loaded_premium(alpha, alpha + posterior.beta, coverage, loading)
 
 
 def decide_purchase(agent: AgentProfile, quote: int, params: MechanismParams) -> bool:

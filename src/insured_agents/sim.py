@@ -403,6 +403,22 @@ class _World:
         self._rng: np.random.Generator | None = None
         self._block, self._seeds = -1, []
 
+    def _episode_params(self, gain: int, premium: int) -> MechanismParams:
+        """The scenario's params at an episode's drawn gain and its premium.
+
+        `fixed_ep` itself when both match it. Otherwise a new set built by
+        the constructor, not by `replace`: its fields are `fixed_ep`'s, which
+        differ from the scenario's only in a stack's `P`, and `__post_init__`
+        checks every field as `replace` would.
+        """
+        fixed = self.fixed_ep
+        if gain == fixed.G and premium == fixed.P:
+            return fixed
+        return MechanismParams(
+            L=fixed.L, G=gain, S_A=fixed.S_A, S_I=fixed.S_I, B=fixed.B, F=fixed.F,
+            R=fixed.R, V_future=fixed.V_future, P=premium, Pi_honest=fixed.Pi_honest,
+        )
+
     def _price_stack(self, tick: int) -> None:
         """Compose the stack of the certificates live at `tick` and price it;
         it stays as priced until its `expires_at`."""
@@ -513,10 +529,7 @@ class _World:
             premium = price_premium(self.posteriors[agent.id], fixed.L, config.loading)
         else:
             premium = fixed.P
-        if gain == fixed.G and premium == fixed.P:
-            ep = fixed
-        else:
-            ep = replace(config.params, G=gain, P=premium)
+        ep = self._episode_params(gain, premium)
 
         if not config.enforcement_enabled:
             action = self._agent_action(None, ep, rng)

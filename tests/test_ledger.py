@@ -13,6 +13,8 @@ from hypothesis.stateful import (
     rule,
 )
 
+from insured_agents import ledger as ledger_module
+from insured_agents.game import ALL_PATHS
 from insured_agents.ledger import (
     _CLAIM_TRANSITIONS,
     FEE_SINK,
@@ -29,10 +31,14 @@ from insured_agents.ledger import (
     OverCoverage,
     PolicyStatus,
     Role,
+    Transfer,
     TransferCount,
+    TransferList,
     WrongState,
 )
+from insured_agents.mechanism import MechanismParams
 from insured_agents.money import MoneyError
+from insured_agents.sim import play_path
 
 
 AGENT = AccountId(Role.AGENT_WALLET, "agent")
@@ -675,6 +681,88 @@ class TestTransferSink:
         assert len(counted.transfers) == len(kept.transfers) == 7
         assert counted.balances == kept.balances
 
+    def test_the_default_sink_keeps_transfer_records_in_order(self):
+        ledger = funded_ledger()
+        assert type(ledger.transfers) is TransferList
+        underwrite(ledger)  # outside a block
+        with ledger.atomic():
+            claim = ledger.file_claim("pol-1", "user", 100, ClaimValidity.VALID,
+                                      claim_bond=5, tick=1)
+            ledger.respond_claim(claim.id, accept=True, tick=2)
+        escrow = AccountId(Role.STAKE_ESCROW, "pol-1")
+        bond = AccountId(Role.BOND_ESCROW, claim.id)
+        assert all(type(t) is Transfer for t in ledger.transfers)
+        assert ledger.transfers == [
+            Transfer(INSURER, escrow, 150, 0, Memo.STAKE_POST),
+            Transfer(AGENT, escrow, 30, 0, Memo.DEDUCTIBLE_POST),
+            Transfer(AGENT, INSURER, 8, 0, Memo.PREMIUM),
+            Transfer(USER, bond, 5, 1, Memo.CLAIM_BOND),
+            Transfer(escrow, USER, 100, 2, Memo.COMPENSATION),
+            Transfer(escrow, INSURER, 30, 2, Memo.DEDUCTIBLE_SEIZE),
+            Transfer(bond, USER, 5, 2, Memo.BOND_RETURN),
+        ]
+        assert ledger.transfers[-1].src.owner == claim.id
+
+    def test_a_block_journals_plain_tuples(self):
+        ledger = funded_ledger()
+        with ledger.atomic():
+            underwrite(ledger)
+            assert [type(entry) for entry in ledger._log] == [tuple] * 3
+            assert ledger._log[2] == (AGENT, INSURER, 8, 0, Memo.PREMIUM)
+
+    def test_a_block_that_raises_hands_nothing_on_and_restores_every_balance(self):
+        ledger = funded_ledger(transfers=TransferCount())
+        underwrite(ledger)
+        claim = ledger.file_claim("pol-1", "user", 100, ClaimValidity.VALID, tick=1)
+        ledger.respond_claim(claim.id, accept=False, tick=2)
+        balances, handed = dict(ledger.balances), len(ledger.transfers)
+        with pytest.raises(RuntimeError):
+            with ledger.atomic():
+                ledger.escalate(claim.id, tick=3)
+                ledger.adjudicate(claim.id, fee=50, reputation_cost=10, tick=4)
+                ledger.pay(USER, AGENT, 7, 4, Memo.PREMIUM)
+                assert len(ledger._log) > 0
+                raise RuntimeError
+        assert ledger.balances == balances
+        assert len(ledger.transfers) == handed
+
+    def test_a_count_sink_builds_no_transfer_record(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Transfer was built")
+
+        monkeypatch.setattr(ledger_module, "Transfer", refuse)
+        ledger = funded_ledger(transfers=TransferCount())
+        underwrite(ledger)
+        with ledger.atomic():
+            claim = ledger.file_claim("pol-1", "user", 100, ClaimValidity.VALID, tick=1)
+            ledger.respond_claim(claim.id, accept=False, tick=2)
+            ledger.escalate(claim.id, tick=3)
+            ledger.adjudicate(claim.id, fee=50, reputation_cost=10, tick=4)
+        assert len(ledger.transfers) == 12
+
+    def test_a_count_sink_and_the_default_sink_agree_on_every_path(self):
+        params = MechanismParams(L=100, G=40, S_A=30, S_I=150, B=20, F=50, R=10,
+                                 V_future=20, P=8)
+        for path in ALL_PATHS:
+            lengths = set()
+            for sink in (None, TransferCount()):
+                ledger = funded_ledger(transfers=sink)
+                ledger.underwrite("policy", "agent", "insurer", coverage=params.L,
+                                  deductible=params.S_A, premium=params.P,
+                                  bond=params.B, claim_deadline=5, expiry_tick=4, tick=0)
+                with ledger.atomic():
+                    play_path(ledger, ledger.policies["policy"], path, "user", params,
+                              claim_bond=5, tick=0)
+                lengths.add(len(ledger.transfers))
+            assert len(lengths) == 1, (path, lengths)
+
+    def test_export_log_reads_any_sink_that_keeps_its_entries(self):
+        kept, plain = funded_ledger(), funded_ledger(transfers=[])
+        for ledger in (kept, plain):
+            _closed_policy(ledger)
+        assert all(type(entry) is tuple for entry in plain.transfers)
+        assert plain.export_log() == kept.export_log() != ""
+
     def test_export_log_of_a_count_sink_says_why_it_cannot(self):
         ledger = Ledger(transfers=TransferCount())
         ledger.deposit(AGENT, 10)
@@ -835,15 +923,18 @@ class LedgerMachine(RuleBasedStateMachine):
         self.supply = self.ledger.total_supply()
 
     @initialize(data=st.data())
-    def open_a_claim(self, data):
-        """Start each run with a policy and a claim filed on it, so that the
-        lifecycle operations have something to act on."""
+    def open_a_policy(self, data):
+        """Start each run with a policy, so that the lifecycle operations have
+        something to act on, and half the time a claim filed on it. A policy
+        with an open claim cannot retire, so the other half leaves `p0` free
+        to close and retire."""
         self.ledger.underwrite(
             "p0", "agent", "insurer", coverage=100, deductible=20, premium=5,
             bond=30, claim_deadline=10, expiry_tick=data.draw(_TICKS), tick=0,
         )
-        self.ledger.file_claim("p0", "user", data.draw(st.integers(1, 100)),
-                               data.draw(st.sampled_from(ClaimValidity)), tick=0)
+        if data.draw(st.booleans()):
+            self.ledger.file_claim("p0", "user", data.draw(st.integers(1, 100)),
+                                   data.draw(st.sampled_from(ClaimValidity)), tick=0)
 
     def _apply(self, operation, *args, **kwargs) -> None:
         before = ledger_state(self.ledger)

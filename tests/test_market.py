@@ -136,16 +136,27 @@ class TestPosterior:
         with pytest.raises(ValueError):
             RiskPosterior(0, 1)
 
+    @pytest.mark.parametrize("counts", [(1.0, 1), (1, 0.5), (True, 1), (1, "2"), (-1, 1)])
+    def test_a_count_that_is_not_a_positive_int_is_rejected(self, counts):
+        with pytest.raises(ValueError, match="must be positive ints"):
+            RiskPosterior(*counts)
+
+    def test_counts_are_ints_and_the_mean_a_float(self):
+        post = update_posterior(update_posterior(RiskPosterior(), True), False)
+        assert (post.alpha, post.beta) == (2, 2)
+        assert type(post.alpha) is int and type(post.beta) is int
+        assert type(post.mean) is float and post.mean == 0.5
+
     def test_update_matches_a_field_replace(self):
-        for post in (RiskPosterior(), RiskPosterior(0.5, 3), RiskPosterior(7, 2.25)):
+        for post in (RiskPosterior(), RiskPosterior(2, 3), RiskPosterior(7, 9)):
             assert update_posterior(post, True) == replace(post, alpha=post.alpha + 1)
             assert update_posterior(post, False) == replace(post, beta=post.beta + 1)
 
     def test_update_refuses_a_non_positive_count(self):
         # A posterior built around its own check: the update must still refuse it.
         bad = object.__new__(RiskPosterior)
-        object.__setattr__(bad, "alpha", -3.0)
-        object.__setattr__(bad, "beta", 1.0)
+        object.__setattr__(bad, "alpha", -3)
+        object.__setattr__(bad, "beta", 1)
         for observed in (True, False):
             with pytest.raises(ValueError, match="must be positive"):
                 update_posterior(bad, observed)

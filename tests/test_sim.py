@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -36,6 +37,7 @@ from insured_agents import sim
 from insured_agents.game import _ALL_PROFILES, InsurerResponse
 from insured_agents.ledger import AccountId, Role
 from insured_agents.market import Certificate, RiskPosterior, price_premium
+from insured_agents.money import MAX_AMOUNT, MoneyError
 from insured_agents.sim import (
     AgentPolicy,
     BehaviorPolicy,
@@ -909,6 +911,43 @@ class TestEpisodeHotPath:
         assert report.completed + report.excluded == 200
         assert len(validated) == 200
         assert all((ep.G, ep.P) != (config.params.G, config.params.P) for ep in validated)
+
+
+#: A world under each pricing whose episode params `_episode_params` builds.
+_PRICED_WORLDS = {
+    "flat": _World(make_config()),
+    "experience": _World(make_config(pricing="experience", loading=0.2)),
+    "stack": _World(make_config(stack=StackSpec(
+        base_risk=0.1, loading=0.2,
+        certificates=(Certificate("i0", "safety", 0.5), Certificate("i1", "financial", 0.4)),
+    ))),
+}
+
+
+class TestEpisodeParams:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pricing=st.sampled_from(sorted(_PRICED_WORLDS)),
+           gain=st.integers(0, MAX_AMOUNT), premium=st.integers(0, MAX_AMOUNT))
+    def test_the_constructor_builds_what_a_field_replace_builds(self, pricing, gain,
+                                                                premium):
+        world = _PRICED_WORLDS[pricing]
+        expected = replace(world.config.params, G=gain, P=premium)
+        assert world._episode_params(gain, premium) == expected
+        fixed = world.fixed_ep
+        assert world._episode_params(fixed.G, fixed.P) is fixed
+        assert fixed == replace(world.config.params, G=fixed.G, P=fixed.P)
+
+    @pytest.mark.parametrize("pricing", sorted(_PRICED_WORLDS))
+    @pytest.mark.parametrize("gain, premium", [
+        (-1, 0), (MAX_AMOUNT + 1, 0), (0.5, 0), (0, -1), (0, MAX_AMOUNT + 1), (0, "1"),
+    ])
+    def test_an_out_of_range_value_raises_as_a_field_replace_does(self, pricing, gain,
+                                                                  premium):
+        world = _PRICED_WORLDS[pricing]
+        with pytest.raises(MoneyError) as expected:
+            replace(world.config.params, G=gain, P=premium)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            world._episode_params(gain, premium)
 
 
 def reference_episode_path(profile, policy: BehaviorPolicy, agent: AgentProfile,
