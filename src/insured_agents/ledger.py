@@ -3,8 +3,9 @@
 Money only ever moves between accounts (wallets, escrows, the verifier
 fee sink), so the total supply is invariant under every operation. A
 single operation validates before its first transfer: a failed precondition
-raises and leaves the ledger untouched. That includes settlements: a claim
-larger than its policy's remaining escrowed stake is refused, so the stake
+raises and leaves the ledger untouched. That includes settlements: an
+insurer's settlement larger than its policy's remaining escrowed stake is
+refused, and a verdict pays at most what the stake holds, so the stake
 never goes negative and never eats into the agent's deductible. Several
 operations that must succeed or fail as one run in `with ledger.atomic():`.
 Its state is its books (balances, policies, claims, shortfalls) and the
@@ -18,7 +19,9 @@ amount, tick, memo)` in `Transfer` field order, appended to the sink
 with `append` (one such tuple), `extend` (a list of them, in order) and
 `len`. The default `TransferList` keeps each as a `Transfer`, which is the
 one place a `Transfer` is built; a `TransferCount` keeps only how many
-there were.
+there were. A planned settlement (`apply_plan`) costs less: one funding
+check and one balance write per wallet, and its transfers handed to the
+sink in one `extend`.
 
 Each account is named once, where its record is filed: a `PolicyRecord`
 carries its agent and insurer wallets and its stake escrow, a `ClaimRecord`
@@ -29,7 +32,12 @@ Lifecycle: underwrite -> (verify_coverage) -> file_claim ->
 respond_claim -> [escalate -> adjudicate] -> expire_policy -> (retire). A
 policy with an unresolved claim does not expire; it counts its `open_claims`.
 A closed policy whose escrows are empty may retire: it leaves the books with
-its claims, so a long run keeps only its open policies.
+its claims, so a long run keeps only its open policies. `apply_plan` runs a
+whole lifecycle, recorded once from these operations as a `SettlementPlan`,
+on a fresh policy id, and leaves it retired: it checks every source against
+all it pays out, writes the wallets' net deltas and hands the sink the
+plan's transfers with the ids and ticks put in. A source that holds less
+makes it change nothing, and the caller plays the operations instead.
 """
 
 from __future__ import annotations
@@ -207,6 +215,26 @@ class ShortfallEvent:
     memo: Memo
     shortfall: int
     tick: int
+
+
+class SettlementPlan(NamedTuple):
+    """One settlement of a fresh policy, with its amounts left as fields.
+
+    `moves` are its transfers in order, each `(src slot, dst slot, amount
+    field, tick offset, memo)`. The slots are the agent, insurer and user
+    wallets (0-2), the fee sink (3), the policy's stake escrow (4) and its
+    claim's bond escrow (5); a field indexes the amounts the plan is applied
+    at. `flows` gives, for slots 0-3, the fields each pays out and the
+    fields it takes in, so its gross outflow and its net delta. Both escrows
+    end as they began, empty. `claim_state` is the claim's terminal state,
+    None on a no-claim settlement, and `resolution_ticks` its filed-to-
+    resolved ticks.
+    """
+
+    moves: tuple[tuple[int, int, int, int, Memo], ...]
+    flows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    claim_state: ClaimState | None
+    resolution_ticks: int | None
 
 
 #: Key of the coverage credential tags.
@@ -538,7 +566,12 @@ class Ledger:
             claim.state = ClaimState.DENIED
             return claim
         policy = self._policy(claim.policy_id)
-        self._compensate(policy, claim, policy.insurer, tick)
+        if claim.amount > policy.escrowed_stake:
+            raise OverCoverage(
+                f"claim {claim.id} for {claim.amount} exceeds the remaining "
+                f"stake {policy.escrowed_stake}"
+            )
+        self._compensate(policy, claim, claim.amount, policy.insurer, tick)
         self._resolve(policy, claim, target, tick, claim.claimant)
         self._exhaust_if_depleted(policy, tick)
         return claim
@@ -566,8 +599,8 @@ class Ledger:
         the fee sink (the denying insurer is itself being punished and
         collects nothing), and the insurer bears the reputation penalty.
         Fees and penalties that cannot be paid are clamped with a recorded
-        shortfall. A valid claim above the remaining stake raises
-        OverCoverage.
+        shortfall. A valid claim above the remaining stake is paid what the
+        stake holds, which exhausts the policy; the claimant bears the rest.
         """
         check_amount(fee)
         check_amount(reputation_cost)
@@ -577,7 +610,8 @@ class Ledger:
         self._check_transition(claim, target)
         policy = self._policy(claim.policy_id)
         if valid:
-            self._compensate(policy, claim, FEE_SINK, tick)
+            self._compensate(policy, claim, min(claim.amount, policy.escrowed_stake),
+                             FEE_SINK, tick)
         winner = claim.claimant if valid else policy.insurer
         self._transfer(claim.bond_escrow, winner, policy.bond, tick, Memo.BOND_FORFEIT)
         self._transfer(claim.bond_escrow, winner, policy.bond, tick, Memo.BOND_RETURN)
@@ -653,6 +687,44 @@ class Ledger:
             del claims[claim_id]
         del self.policies[policy_id]
 
+    def apply_plan(self, plan: SettlementPlan, wallets: tuple[AccountId, ...],
+                   policy_id: str, amounts: tuple[int, ...], tick: int) -> list[int] | None:
+        """Settle a fresh policy `policy_id` by `plan` at `amounts`, from
+        `tick`, and leave it retired; `wallets` are the agent's, the
+        insurer's and the user's. Returns their balance deltas.
+
+        Every source must hold its gross outflow in the plan, or this returns
+        None and changes nothing; so does a policy id already on the books,
+        and so does a call inside an atomic block, whose undo replays
+        transfers through escrow accounts. When each source holds it, the
+        checked operations the plan was recorded from would pay every
+        transfer in full and refuse none, so only the net deltas are
+        written, and no escrow account or record is made. The sink gets each
+        transfer with the ids and ticks put in, and a claim advances
+        `claims_filed` as filing one does.
+        """
+        if policy_id in self.policies or self._saved is not None:
+            return None
+        balances, get = self.balances, amounts.__getitem__
+        accounts = (*wallets, FEE_SINK)
+        deltas = []
+        for account, (pays, takes) in zip(accounts, plan.flows):
+            paid = sum(map(get, pays))
+            if balances.get(account, 0) < paid:
+                return None
+            deltas.append(sum(map(get, takes)) - paid)
+        for account, delta, (pays, takes) in zip(accounts, deltas, plan.flows):
+            if pays or takes:
+                balances[account] = balances.get(account, 0) + delta
+        bond_escrow = None
+        if plan.claim_state is not None:
+            self.claims_filed += 1
+            bond_escrow = AccountId(Role.BOND_ESCROW, f"{policy_id}/claim-{self.claims_filed}")
+        accounts += (AccountId(Role.STAKE_ESCROW, policy_id), bond_escrow)
+        self.transfers.extend([(accounts[src], accounts[dst], amounts[field], tick + offset,
+                                memo) for src, dst, field, offset, memo in plan.moves])
+        return deltas[:3]
+
     # -- export -----------------------------------------------------------
 
     def export_log(self) -> str:
@@ -702,18 +774,13 @@ class Ledger:
                 f"claim {claim.id} cannot go {claim.state.value} -> {target.value}"
             )
 
-    def _compensate(self, policy: PolicyRecord, claim: ClaimRecord,
+    def _compensate(self, policy: PolicyRecord, claim: ClaimRecord, amount: int,
                     seize_to: AccountId, tick: int) -> None:
-        """Pay the claim from the stake escrow; a valid claim also slashes the
-        agent's deductible to `seize_to`. A claim above the remaining stake
-        raises OverCoverage before anything moves."""
-        if claim.amount > policy.escrowed_stake:
-            raise OverCoverage(
-                f"claim {claim.id} for {claim.amount} exceeds the remaining "
-                f"stake {policy.escrowed_stake}"
-            )
-        self._transfer(policy.escrow, claim.claimant, claim.amount, tick, Memo.COMPENSATION)
-        policy.escrowed_stake -= claim.amount
+        """Pay `amount`, at most the remaining stake, from the stake escrow to
+        the claimant; a valid claim also slashes the agent's deductible to
+        `seize_to`."""
+        self._transfer(policy.escrow, claim.claimant, amount, tick, Memo.COMPENSATION)
+        policy.escrowed_stake -= amount
         if claim.validity is ClaimValidity.VALID and policy.escrowed_deductible > 0:
             self._transfer(policy.escrow, seize_to, policy.escrowed_deductible, tick,
                            Memo.DEDUCTIBLE_SEIZE)

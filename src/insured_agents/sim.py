@@ -14,10 +14,17 @@ solver's choices with the behavior policies written over them. A world
 whose agent, user and insurer policies are all behavioral reads no choice
 of the solver's, so its episodes solve no game. Otherwise the profile is
 solved once per distinct episode parameter set and kept in a bounded memo
-(`_solved_profile`). `_World._settle` underwrites the episode and
-`play_path` drives that path through the ledger, in one atomic block;
-`replay_game_path`, which criterion 6 checks against the game tree, settles
-its path as the only episode of a one-agent world through the same step.
+(`_solved_profile`). `_World._settle` then settles the path. An unstacked
+episode applies its settlement plan in one `Ledger.apply_plan` call. The
+plan (`_settlement_plan`) is recorded once per path and per pattern of zero
+amounts, from a real `_play_episode` on a scratch ledger, so there is one
+choreography. A stacked episode, and one whose wallets cannot fund its
+plan in full, takes the checked path: `_play_episode` underwrites it and
+`play_path` drives the path through the ledger in one atomic block, then
+the policy retires, so shortfalls, clamps and aborts are as they always
+were. `replay_game_path`, which criterion 6 checks against the game tree,
+settles its path as the only episode of a one-agent world through the same
+step.
 
 Payoff accounting: each party's episode payoff is its ledger balance
 delta plus the exogenous components the ledger cannot carry (the user's
@@ -50,6 +57,7 @@ from .game import (
     solve_spe,
 )
 from .ledger import (
+    FEE_SINK,
     AccountId,
     ClaimRecord,
     ClaimState,
@@ -58,6 +66,7 @@ from .ledger import (
     PolicyRecord,
     PolicyStatus,
     Role,
+    SettlementPlan,
     TransferCount,
 )
 from .market import (
@@ -547,25 +556,25 @@ class _World:
         profile = _solved_profile(ep) if self.solves else None
         path = self._episode_path(profile, agent, ep, rng)
         try:
-            policy, claim, deltas = self._settle(agent, ep, path, index)
+            claim_state, resolution_ticks, deltas = self._settle(agent, ep, path, index)
         except LedgerError:
             record.aborted = True
             return record
 
         record.action = path.agent.value
         record.misbehaved = path.agent is AgentAction.MALICIOUS
-        record.premium_paid = policy.premium
-        if claim is not None:
+        record.premium_paid = ep.P
+        if claim_state is not None:
             record.claim_filed = True
-            record.claim_state = claim.state.value
+            record.claim_state = claim_state.value
             record.escalated = record.verifier_invoked = bool(path.escalated)
             record.audit_access_event = (
                 config.policy.insurer is InsurerPolicy.RATIONAL_SPE
                 and agent.audit_access_granted
             )
-            if claim.state in (ClaimState.ACCEPTED, ClaimState.UPHELD_VALID):
-                record.compensation_paid = claim.amount
-            record.resolution_ticks = claim.resolved_tick - claim.filed_tick
+            if claim_state in (ClaimState.ACCEPTED, ClaimState.UPHELD_VALID):
+                record.compensation_paid = ep.L
+            record.resolution_ticks = resolution_ticks
         record.payoff_agent, record.payoff_insurer, record.payoff_user = (
             _payoffs(ep, path, deltas)
         )
@@ -575,34 +584,122 @@ class _World:
 
     def _settle(
         self, agent: AgentProfile, ep: MechanismParams, path: TerminalPath, index: int
-    ) -> tuple[PolicyRecord, ClaimRecord | None, list[int]]:
-        """Underwrite episode `index` at `ep.P`, the premium its game is solved
-        at, play `path` on it in one atomic block, and retire the closed
-        policy. Returns the policy, the claim (None on a no-claim path) and
-        the (agent, insurer, user) deltas."""
+    ) -> tuple[ClaimState | None, int | None, list[int]]:
+        """Settle episode `index`, which plays `path` on a policy at `ep`.
+
+        An unstacked episode applies its settlement plan in one ledger call;
+        a stacked one, and one whose plan a wallet cannot fund in full, is
+        played through the ledger's checked operations by `_play_episode`.
+        Returns the claim's terminal state and filed-to-resolved ticks (both
+        None on a no-claim path) and the (agent, insurer, user) deltas.
+        """
         ledger, wallets = self.ledger, self.wallets[agent.id]
-        policy_id, tick0 = f"ep-{index}", index * _TICKS_PER_EPISODE
-        expiry_tick = tick0 + _TICKS_PER_EPISODE - 1
+        claim_bond = self.config.claim_bond
+        if self.stack is None:
+            amounts = (ep.L, ep.S_A, ep.P, ep.B, ep.F, ep.R, claim_bond)
+            plan = _settlement_plan(path, tuple(map(bool, amounts)))
+            if plan is not None:
+                deltas = ledger.apply_plan(plan, wallets, f"ep-{index}", amounts,
+                                           index * _TICKS_PER_EPISODE)
+                if deltas is not None:
+                    return plan.claim_state, plan.resolution_ticks, deltas
         before = [ledger.balance(w) for w in wallets]
-        with ledger.atomic():
-            if self.stack is not None:
-                policy = underwrite_stack(
-                    ledger, agent.id, self.stack, policy_id=policy_id, coverage=ep.L,
-                    deductible=ep.S_A, bond=ep.B, premium=ep.P,
-                    claim_deadline=_TICKS_PER_EPISODE, expiry_tick=expiry_tick, tick=tick0,
-                )
-            else:
-                policy = ledger.underwrite(
-                    policy_id, agent.id, _INSURER_ID, coverage=ep.L, deductible=ep.S_A,
-                    premium=ep.P, bond=ep.B, claim_deadline=_TICKS_PER_EPISODE,
-                    expiry_tick=expiry_tick, tick=tick0,
-                )
-            claim = play_path(
-                ledger, policy, path, _USER_ID, ep,
-                claim_bond=self.config.claim_bond, tick=tick0,
+        _, claim = _play_episode(ledger, self.stack, agent.id, ep, path, claim_bond, index)
+        deltas = [ledger.balance(w) - b for w, b in zip(wallets, before)]
+        if claim is None:
+            return None, None, deltas
+        return claim.state, claim.resolved_tick - claim.filed_tick, deltas
+
+
+def _play_episode(
+    ledger: Ledger, stack: InsurerStack | None, agent: str, ep: MechanismParams,
+    path: TerminalPath, claim_bond: int, index: int,
+) -> tuple[PolicyRecord, ClaimRecord | None]:
+    """Underwrite episode `index` at `ep.P`, the premium its game is solved
+    at, through `stack` if there is one, play `path` on it in one atomic
+    block, and retire the closed policy. Returns the policy and the claim
+    (None on a no-claim path)."""
+    policy_id, tick0 = f"ep-{index}", index * _TICKS_PER_EPISODE
+    expiry_tick = tick0 + _TICKS_PER_EPISODE - 1
+    with ledger.atomic():
+        if stack is not None:
+            policy = underwrite_stack(
+                ledger, agent, stack, policy_id=policy_id, coverage=ep.L,
+                deductible=ep.S_A, bond=ep.B, premium=ep.P,
+                claim_deadline=_TICKS_PER_EPISODE, expiry_tick=expiry_tick, tick=tick0,
             )
-        ledger.retire(policy_id)
-        return policy, claim, [ledger.balance(w) - b for w, b in zip(wallets, before)]
+        else:
+            policy = ledger.underwrite(
+                policy_id, agent, _INSURER_ID, coverage=ep.L, deductible=ep.S_A,
+                premium=ep.P, bond=ep.B, claim_deadline=_TICKS_PER_EPISODE,
+                expiry_tick=expiry_tick, tick=tick0,
+            )
+        claim = play_path(ledger, policy, path, _USER_ID, ep, claim_bond=claim_bond,
+                          tick=tick0)
+    ledger.retire(policy_id)
+    return policy, claim
+
+
+@functools.cache
+def _settlement_plan(path: TerminalPath, nonzero: tuple[bool, ...]) -> SettlementPlan | None:
+    """The settlement plan of an unstacked episode that plays `path` with the
+    amounts (L, S_A, P, B, F, R, claim bond) nonzero where `nonzero` is
+    true, or None if such an episode is not planned.
+
+    The choreography branches on the path and on which amounts are zero, and
+    on nothing else of theirs, so one plan serves every episode with the
+    same key. It is recorded once per key from a real `_play_episode` on a
+    scratch ledger with ample funds, at a marker for each nonzero amount,
+    2 ** (8 k + 8) for the k-th, so that a transfer's amount names the one
+    amount it moves. The episode is planned only if every transfer moves
+    one marker between the episode's own accounts, no fee is clamped, and
+    each escrow holds a non-negative count of every amount at every step
+    (so at any amounts) and ends empty.
+    """
+    markers = tuple(1 << 8 * k + 8 if used else 0 for k, used in enumerate(nonzero))
+    L, S_A, P, B, F, R, claim_bond = markers
+    ep = MechanismParams(L=L, G=0, S_A=S_A, S_I=L, B=B, F=F, R=R, V_future=0, P=P)
+    ledger = Ledger(transfers=[])
+    wallets = (AccountId(Role.AGENT_WALLET, "agent"),
+               AccountId(Role.INSURER_WALLET, _INSURER_ID),
+               AccountId(Role.USER_WALLET, _USER_ID))
+    for wallet in wallets:
+        ledger.deposit(wallet, _FUNDING_CAP)
+    try:
+        policy, claim = _play_episode(ledger, None, "agent", ep, path, claim_bond, 0)
+    except LedgerError:
+        return None
+    if ledger.shortfalls:
+        return None
+    accounts = [*wallets, FEE_SINK, policy.escrow]
+    if claim is not None:
+        accounts.append(claim.bond_escrow)
+    slot_of = {account: slot for slot, account in enumerate(accounts)}
+    field_of = {marker: k for k, marker in enumerate(markers) if marker}
+    flows = [([], []) for _ in range(4)]  # per wallet or sink: (pays, takes)
+    held = [[0] * len(markers) for _ in range(2)]  # per escrow: count of each amount
+    moves = []
+    for src, dst, amount, tick, memo in ledger.transfers:
+        move = (slot_of.get(src), slot_of.get(dst), field_of.get(amount), tick, memo)
+        if None in move:
+            return None
+        moves.append(move)
+        field = move[2]
+        for slot, sign in ((move[0], -1), (move[1], 1)):
+            if slot < 4:
+                flows[slot][sign > 0].append(field)
+            else:
+                held[slot - 4][field] += sign
+                if held[slot - 4][field] < 0:
+                    return None
+    if any(map(any, held)):
+        return None
+    return SettlementPlan(
+        moves=tuple(moves),
+        flows=tuple((tuple(pays), tuple(takes)) for pays, takes in flows),
+        claim_state=None if claim is None else claim.state,
+        resolution_ticks=None if claim is None else claim.resolved_tick - claim.filed_tick,
+    )
 
 
 def run_scenario_with_records(

@@ -240,19 +240,32 @@ class TestClaims:
         assert ledger.balance(AccountId(Role.STAKE_ESCROW, "pol-1")) == 0
         assert ledger.balance(AGENT) == 1000 - 8
 
-    def test_valid_verdict_beyond_remaining_stake_is_refused(self):
+    def test_valid_verdict_beyond_remaining_stake_pays_what_the_stake_holds(self):
+        # Two valid claims of 80 and 40 against a stake of 100: the first is
+        # settled, the second denied and escalated. The verdict pays the 20
+        # left and exhausts the policy; the user bears the other 20.
         ledger = funded_ledger()
-        underwrite(ledger, coverage=100, deductible=30)
+        underwrite(ledger, coverage=100, deductible=30, premium=8, bond=20)
         first = self.file(ledger, amount=80)
         second = self.file(ledger, amount=40)
         ledger.respond_claim(first.id, accept=True, tick=2)
         ledger.respond_claim(second.id, accept=False, tick=2)
         ledger.escalate(second.id, tick=3)
-        state = copy.deepcopy(vars(ledger))
-        with pytest.raises(OverCoverage):
-            ledger.adjudicate(second.id, fee=5, reputation_cost=1, tick=3)
-        assert vars(ledger) == state
-        assert ledger.policies["pol-1"].escrowed_stake == 20
+        ledger.adjudicate(second.id, fee=5, reputation_cost=1, tick=3)
+        policy = ledger.policies["pol-1"]
+        assert second.state is ClaimState.UPHELD_VALID
+        assert policy.status is PolicyStatus.EXHAUSTED
+        assert policy.open_claims == 0 and policy.escrowed_stake == 0
+        assert all(c.state not in _CLAIM_TRANSITIONS for c in ledger.claims.values())
+        for account in (policy.escrow, first.bond_escrow, second.bond_escrow):
+            assert ledger.balance(account) == 0
+        # Compensation 80 + 20, both escalation bonds, less the verifier fee.
+        assert ledger.balance(USER) == 1000 + 80 + 20 + 20 - 5
+        ledger.check_invariants()
+        supply = ledger.total_supply()
+        ledger.retire("pol-1")
+        assert not ledger.policies and not ledger.claims
+        assert ledger.total_supply() == supply
 
     def test_respond_twice_is_wrong_state(self):
         ledger = funded_ledger()

@@ -35,7 +35,7 @@ from insured_agents import (
 )
 from insured_agents import sim
 from insured_agents.game import _ALL_PROFILES, InsurerResponse
-from insured_agents.ledger import AccountId, Role
+from insured_agents.ledger import AccountId, Ledger, LedgerError, Role
 from insured_agents.market import Certificate, RiskPosterior, price_premium
 from insured_agents.money import MAX_AMOUNT, MoneyError
 from insured_agents.sim import (
@@ -48,6 +48,7 @@ from insured_agents.sim import (
     UserPolicy,
     _solved_profile,
     _World,
+    play_path,
     scenario_from_dict,
     sweep_configs,
 )
@@ -872,6 +873,163 @@ class TestBoundedBooks:
         # The fee sink and the wallets of the insurer, the user and two agents.
         assert len(world.ledger.balances) == 5
         assert len(world.ledger.transfers) == 5 * insured > 0  # underwrite 3, expire 2
+
+
+class TestReferenceStreams:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(doc=scenario_docs())
+    def test_records_and_bytes_equal_a_run_on_per_episode_generators(self, doc):
+        # Each episode draws from its own `default_rng([seed, index])` and
+        # prices at params built by `replace`; a rerun, and a config rebuilt
+        # from the document's JSON, give the same report bytes.
+        config = scenario_from_dict(doc)
+        report, records = run_scenario_with_records(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_World, "_episode_rng", lambda world, index: (
+                np.random.default_rng([world.config.seed, index])
+            ))
+            patch.setattr(_World, "_episode_params", lambda world, gain, premium: (
+                replace(world.fixed_ep, G=gain, P=premium)
+            ))
+            _, expected = run_scenario_with_records(config)
+        assert records == expected
+        text = report.to_json()
+        assert run_scenario(config).to_json() == text
+        assert run_scenario(scenario_from_dict(json.loads(json.dumps(doc)))).to_json() == text
+
+
+def _unplanned(path, nonzero):
+    return None
+
+
+class TestSettlementPlans:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(doc=scenario_docs())
+    def test_a_planned_world_matches_one_that_plays_every_path(self, doc):
+        config = scenario_from_dict(doc)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "TransferCount", list)
+            planned, played = _World(config), _World(config)
+        for index in range(config.episodes):
+            record = planned.run_episode(index)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sim, "_settlement_plan", _unplanned)
+                assert played.run_episode(index) == record
+            assert planned.ledger.transfers == played.ledger.transfers
+            assert planned.ledger.claims_filed == played.ledger.claims_filed
+            assert planned.ledger.balances == played.ledger.balances
+            planned.ledger.check_invariants()
+            played.ledger.check_invariants()
+
+    def test_an_unstacked_world_plays_no_path_on_its_ledger(self, monkeypatch):
+        # Only the recording of each plan plays a path, on a scratch ledger.
+        config = scenario_from_dict(scenario_doc(
+            episodes=200, pricing="experience", loading=0.2, claim_bond=1,
+            params={**scenario_doc()["params"], "Pi_honest": 200},
+            population=[{"id": "a0", "theta": 0.1, "gain": {"kind": "geometric",
+                                                             "mean": 250}}],
+            policies={"agent": "opportunistic", "opportunistic_p": 0.5,
+                      "user": "always_claim", "insurer": "always_deny"},
+        ))
+        world, played = _World(config), []
+        play = sim._play_episode
+
+        def recording_play(ledger, *args):
+            played.append(ledger)
+            return play(ledger, *args)
+
+        monkeypatch.setattr(sim, "_play_episode", recording_play)
+        records = [world.run_episode(index) for index in range(config.episodes)]
+        assert any(r.verifier_invoked for r in records)
+        assert world.ledger not in played
+        assert world.ledger.claims_filed == sum(r.claim_filed for r in records) > 0
+
+    def test_a_plan_is_refused_on_a_used_policy_id_and_inside_an_atomic_block(self):
+        ep, path = self.PARAMS, ALL_PATHS[7]
+        amounts = (ep.L, ep.S_A, ep.P, ep.B, ep.F, ep.R, self.CLAIM_BOND)
+        plan = sim._settlement_plan(path, tuple(map(bool, amounts)))
+        ledger = self.funded({})
+        wallets = (AccountId(Role.AGENT_WALLET, "a0"), AccountId(Role.INSURER_WALLET, "insurer-0"),
+                   AccountId(Role.USER_WALLET, "user-0"))
+        ledger.underwrite("ep-0", "a0", "insurer-0", coverage=ep.L, deductible=ep.S_A,
+                          premium=ep.P, bond=ep.B, claim_deadline=5, expiry_tick=4, tick=0)
+        before = ledger_state(ledger)
+        assert ledger.apply_plan(plan, wallets, "ep-0", amounts, 0) is None
+        with ledger.atomic():
+            assert ledger.apply_plan(plan, wallets, "ep-1", amounts, 5) is None
+        assert ledger_state(ledger) == before
+        assert ledger.apply_plan(plan, wallets, "ep-1", amounts, 5) is not None
+
+    #: Wallets that hold less than the plan pays out: the agent cannot post
+    #: its deductible and premium, the insurer cannot post its stake or pay a
+    #: verdict's fee and penalty, the user cannot pay the verifier's fee.
+    PARAMS = make_params(P=units(8))
+    CLAIM_BOND = units(5)
+    PLENTY = units(10_000)
+    SHORT = {
+        "agent": {"agent": units(8 + 30) - 1},
+        "stake": {"insurer": units(100) - 1},
+        "fee": {"insurer": units(100 + 20 + 25)},
+        "user": {"user": units(5 + 20 + 1)},
+    }
+
+    def funded(self, short: dict) -> Ledger:
+        ledger = Ledger(transfers=[])
+        for role, owner in ((Role.AGENT_WALLET, "a0"), (Role.INSURER_WALLET, "insurer-0"),
+                            (Role.USER_WALLET, "user-0")):
+            key = role.value.split("_")[0]
+            ledger.deposit(AccountId(role, owner), short.get(key, self.PLENTY))
+        return ledger
+
+    def play_directly(self, ledger: Ledger, path: TerminalPath, index: int) -> list[int]:
+        """The checked block: underwrite, play the path, retire."""
+        ep, tick0 = self.PARAMS, index * 5
+        wallets = [AccountId(Role.AGENT_WALLET, "a0"),
+                   AccountId(Role.INSURER_WALLET, "insurer-0"),
+                   AccountId(Role.USER_WALLET, "user-0")]
+        before = [ledger.balance(w) for w in wallets]
+        with ledger.atomic():
+            policy = ledger.underwrite(
+                f"ep-{index}", "a0", "insurer-0", coverage=ep.L, deductible=ep.S_A,
+                premium=ep.P, bond=ep.B, claim_deadline=5, expiry_tick=tick0 + 4,
+                tick=tick0)
+            play_path(ledger, policy, path, "user-0", ep, claim_bond=self.CLAIM_BOND,
+                      tick=tick0)
+        ledger.retire(policy.id)
+        return [ledger.balance(w) - b for w, b in zip(wallets, before)]
+
+    @pytest.mark.parametrize("short", sorted(SHORT))
+    @pytest.mark.parametrize("path", ALL_PATHS, ids=lambda path: path.describe())
+    def test_an_unfunded_plan_falls_back_to_the_checked_path(self, short, path):
+        world = _World(make_config(params=self.PARAMS, claim_bond=self.CLAIM_BOND))
+        agent, ep, index = world.config.population[0], self.PARAMS, 3
+        amounts = (ep.L, ep.S_A, ep.P, ep.B, ep.F, ep.R, self.CLAIM_BOND)
+        plan = sim._settlement_plan(path, tuple(map(bool, amounts)))
+        assert plan is not None
+        world.ledger, direct = self.funded(self.SHORT[short]), self.funded(self.SHORT[short])
+        wallets = world.wallets[agent.id]
+        paid = [sum(amounts[k] for k in pays) for pays, _ in plan.flows[:3]]
+        unfunded = any(world.ledger.balance(w) < out for w, out in zip(wallets, paid))
+        before = ledger_state(world.ledger)
+        applied = world.ledger.apply_plan(plan, wallets, f"ep-{index}", amounts, index * 5)
+        assert (applied is None) == unfunded
+        if applied is not None:
+            return  # funded in full on this path: the property above covers it
+        assert ledger_state(world.ledger) == before
+        try:
+            expected = self.play_directly(direct, path, index)
+        except LedgerError as exc:
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                world._settle(agent, ep, path, index)
+            assert ledger_state(world.ledger) == before == ledger_state(direct)
+            return
+        claim_state, _, deltas = world._settle(agent, ep, path, index)
+        assert deltas == expected
+        assert world.ledger.transfers == direct.transfers
+        assert world.ledger.shortfalls == direct.shortfalls
+        assert world.ledger.claims_filed == direct.claims_filed
+        assert world.ledger.balances == direct.balances
+        assert (claim_state is None) == (not path.claimed)
 
 
 class TestEpisodeHotPath:
