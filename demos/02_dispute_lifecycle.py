@@ -38,15 +38,12 @@ show("initial")
 
 # The insurer escrows stake covering the full loss; the agent escrows the
 # deductible and pays the premium.
-policy = ledger.underwrite(
+ledger.underwrite(
     "pol-1", "agent", "insurer",
     coverage=units(100), deductible=units(30), premium=units(1),
     bond=units(20), claim_deadline=20, expiry_tick=100, tick=0,
 )
 show("after underwriting")
-credential = ledger.issue_credential(policy)
-print(f"  coverage credential verifies: "
-      f"{bool(ledger.verify_coverage(credential, min_coverage=units(100), tick=1))}")
 
 # The agent misbehaves off-ledger and the user files for the full loss.
 claim = ledger.file_claim(

@@ -48,6 +48,3 @@ print(f"\nmaster escrowed stake: {format_units(policy.escrowed_stake)}")
 for issuer in ("safety-ins", "fin-ins"):
     share = ledger.balance(AccountId(Role.INSURER_WALLET, issuer))
     print(f"  {issuer} premium share: {format_units(share)}")
-credential = ledger.issue_credential(policy)
-print(f"credential verifies: "
-      f"{bool(ledger.verify_coverage(credential, min_coverage=units(100), tick=1))}")

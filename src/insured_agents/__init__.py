@@ -21,7 +21,6 @@ from .game import (
 from .ledger import (
     AccountId,
     ClaimState,
-    CoverageCredential,
     Ledger,
     LedgerError,
     PolicyRecord,

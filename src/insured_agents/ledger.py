@@ -28,9 +28,9 @@ carries its agent and insurer wallets and its stake escrow, a `ClaimRecord`
 its claimant's wallet and its bond escrow, and later operations read them.
 `_require` is the single funding pre-check.
 
-Lifecycle: underwrite -> (verify_coverage) -> file_claim ->
-respond_claim -> [escalate -> adjudicate] -> expire_policy -> (retire). A
-policy with an unresolved claim does not expire; it counts its `open_claims`.
+Lifecycle: underwrite -> file_claim -> respond_claim -> [escalate ->
+adjudicate] -> expire_policy -> (retire). A policy with an unresolved claim
+does not expire; it counts its `open_claims`.
 A closed policy whose escrows are empty may retire: it leaves the books with
 its claims, so a long run keeps only its open policies. `apply_plan` runs a
 whole lifecycle, recorded once from these operations as a `SettlementPlan`,
@@ -42,8 +42,6 @@ makes it change nothing, and the caller plays the operations instead.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -163,8 +161,6 @@ class PolicyRecord:
     agent: AccountId
     insurer: AccountId
     escrow: AccountId
-    coverage: int
-    premium: int
     bond: int
     claim_deadline: int
     expiry_tick: int
@@ -173,15 +169,6 @@ class PolicyRecord:
     escrowed_deductible: int = 0
     open_claims: int = 0  # claims filed and not yet resolved
     claims: tuple[str, ...] = ()  # ids of every claim filed on it
-
-
-@dataclass(frozen=True)
-class CoverageCredential:
-    policy_id: str
-    insurer: str
-    coverage: int
-    expiry_tick: int
-    tag: str
 
 
 @dataclass
@@ -196,15 +183,6 @@ class ClaimRecord:
     filed_tick: int = 0
     resolved_tick: int | None = None
     claim_bond: int = 0
-
-
-@dataclass(frozen=True)
-class VerificationResult:
-    ok: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 @dataclass(frozen=True)
@@ -235,16 +213,6 @@ class SettlementPlan(NamedTuple):
     flows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
     claim_state: ClaimState | None
     resolution_ticks: int | None
-
-
-#: Key of the coverage credential tags.
-_SECRET = b"insured-agents-registry"
-
-
-def _credential_tag(policy_id: str, insurer: str, coverage: int,
-                    expiry_tick: int) -> str:
-    payload = f"{policy_id}|{insurer}|{coverage}|{expiry_tick}".encode()
-    return hmac.new(_SECRET, payload, hashlib.sha256).hexdigest()[:32]
 
 
 class TransferList(list):
@@ -350,16 +318,27 @@ class Ledger:
         """Raise AssertionError unless every balance is non-negative and
         every policy has a non-negative stake, an escrow that holds exactly
         its escrowed stake plus deductible, and `open_claims` equal to its
-        claims that are not yet resolved. A raise, not an `assert`, so that
-        `python -O` keeps the check."""
+        claims that are not yet resolved; and unless every claim's bond
+        escrow holds its filing bond while the claim is unresolved, plus both
+        escalation bonds while it is escalated, and nothing once it is
+        resolved. A raise, not an `assert`, so that `python -O` keeps the
+        check."""
         for account, amount in self.balances.items():
             if amount < 0:
                 raise AssertionError(
                     f"{account.role.value}:{account.owner} holds {amount}")
         unresolved: dict[str, int] = {}
         for claim in self.claims.values():
+            bonds = 0
             if claim.state in _CLAIM_TRANSITIONS:  # not yet terminal
                 unresolved[claim.policy_id] = unresolved.get(claim.policy_id, 0) + 1
+                bonds = claim.claim_bond
+                if claim.state is ClaimState.ESCALATED:
+                    bonds += 2 * self.policies[claim.policy_id].bond
+            held = self.balances.get(claim.bond_escrow, 0)
+            if held != bonds:
+                raise AssertionError(
+                    f"claim {claim.id} bond escrow holds {held}, not {bonds}")
         for policy in self.policies.values():
             if policy.escrowed_stake < 0:
                 raise AssertionError(
@@ -413,55 +392,6 @@ class Ledger:
         if paid < amount:
             self.shortfalls.append(ShortfallEvent(src, memo, amount - paid, tick))
 
-    # -- credentials ------------------------------------------------------
-
-    def issue_credential(self, policy: PolicyRecord) -> CoverageCredential:
-        """A signed statement of the policy's id, insurer, coverage and expiry.
-
-        Those fields never change after underwrite, so a credential issued at
-        any time in the policy's life is the same.
-        """
-        insurer = policy.insurer.owner
-        return CoverageCredential(
-            policy_id=policy.id,
-            insurer=insurer,
-            coverage=policy.coverage,
-            expiry_tick=policy.expiry_tick,
-            tag=_credential_tag(policy.id, insurer, policy.coverage, policy.expiry_tick),
-        )
-
-    def verify_coverage(
-        self, credential: CoverageCredential, min_coverage: int, tick: int
-    ) -> VerificationResult:
-        """Check credential authenticity, policy status, coverage and expiry."""
-        expected = _credential_tag(
-            credential.policy_id,
-            credential.insurer,
-            credential.coverage,
-            credential.expiry_tick,
-        )
-        if not hmac.compare_digest(expected, credential.tag):
-            return VerificationResult(False, "BadTag")
-        policy = self.policies.get(credential.policy_id)
-        if policy is None:
-            return VerificationResult(False, "UnknownPolicy")
-        if (
-            policy.insurer.owner != credential.insurer
-            or policy.coverage != credential.coverage
-            or policy.expiry_tick != credential.expiry_tick
-        ):
-            return VerificationResult(False, "BadTag")
-        if policy.status is not PolicyStatus.ACTIVE:
-            return VerificationResult(
-                False,
-                "Expired" if policy.status is PolicyStatus.EXPIRED else "Exhausted",
-            )
-        if tick >= policy.expiry_tick:
-            return VerificationResult(False, "Expired")
-        if policy.coverage < min_coverage:
-            return VerificationResult(False, "InsufficientCoverage")
-        return VerificationResult(True)
-
     # -- lifecycle --------------------------------------------------------
 
     def underwrite(
@@ -481,8 +411,9 @@ class Ledger:
         """Issue a policy: escrow insurer stake and agent deductible, pay premium.
 
         The escrowed stake equals the coverage, so the per-policy solvency
-        requirement (stake >= coverage) holds by construction. A counterparty's
-        credential comes from `issue_credential`.
+        requirement (stake >= coverage) holds by construction. The record
+        keeps the stake as `escrowed_stake`; the premium is charged once and
+        not kept.
         """
         for amount in (coverage, deductible, premium, bond):
             check_amount(amount)
@@ -493,8 +424,6 @@ class Ledger:
             agent=AccountId(Role.AGENT_WALLET, agent),
             insurer=AccountId(Role.INSURER_WALLET, insurer),
             escrow=AccountId(Role.STAKE_ESCROW, policy_id),
-            coverage=coverage,
-            premium=premium,
             bond=bond,
             claim_deadline=claim_deadline,
             expiry_tick=expiry_tick,
@@ -660,8 +589,7 @@ class Ledger:
         left in its stake or bond escrows retires; otherwise this raises
         WrongState and changes nothing. It refuses inside an atomic block,
         whose undo truncates the books by their order of insertion. A
-        retired id is forgotten: `verify_coverage` reads its credential as
-        `UnknownPolicy`, and the id may be underwritten again as a new
+        retired id is forgotten, so it may be underwritten again as a new
         policy. Claim numbers keep counting from `claims_filed`.
         """
         if self._saved is not None:
@@ -724,24 +652,6 @@ class Ledger:
         self.transfers.extend([(accounts[src], accounts[dst], amounts[field], tick + offset,
                                 memo) for src, dst, field, offset, memo in plan.moves])
         return deltas[:3]
-
-    # -- export -----------------------------------------------------------
-
-    def export_log(self) -> str:
-        """Event log as newline-delimited records with a stable column order:
-        tick, memo, from-role, to-role, amount (decimal micro-units). It needs
-        a sink that keeps its entries, such as the default `TransferList`; each
-        is read by position, in `Transfer` field order."""
-        try:
-            transfers = iter(self.transfers)
-        except TypeError:
-            raise TypeError(f"the ledger's {type(self.transfers).__name__} sink keeps "
-                            f"no transfers to export") from None
-        lines = [
-            f"{tick},{memo.value},{src.role.value},{dst.role.value},{amount}"
-            for src, dst, amount, tick, memo in transfers
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
 
     # -- internals --------------------------------------------------------
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .ledger import AccountId, Ledger, Memo, PolicyRecord, Role
 from .mechanism import MechanismParams
-from .money import MoneyOverflowError, check_amount, rate
+from .money import UNIT, MoneyOverflowError, check_amount, format_units, rate
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,8 @@ class GainModel:
     """Distribution of the agent's one-shot misbehavior gain G, in micro-units.
 
     kind "fixed" always yields `mean`; kind "geometric" draws a discrete
-    geometric number of whole currency units with the given mean.
+    geometric number of whole currency units with the given mean, so a
+    geometric mean is zero or at least one unit.
     """
 
     kind: str = "fixed"
@@ -64,13 +65,14 @@ class GainModel:
         if self.kind not in ("fixed", "geometric"):
             raise ValueError(f"unknown gain model kind {self.kind!r}")
         check_amount(self.mean)
+        if self.kind == "geometric" and 0 < self.mean < UNIT:
+            raise ValueError(f"a geometric mean is 0 or at least 1 unit, "
+                             f"got {format_units(self.mean)}")
 
     def draw(self, rng) -> int:
         if self.kind == "fixed" or self.mean == 0:
             return self.mean
-        unit = 10**6
-        mean_units = max(1, self.mean // unit)
-        return int(rng.geometric(1.0 / mean_units)) * unit
+        return int(rng.geometric(UNIT / self.mean)) * UNIT
 
 
 @dataclass(frozen=True)

@@ -993,10 +993,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
         gain = GainModel(mean=params.G)
         if "gain" in entry:
             gain_doc = obj(entry["gain"], f"{path}.gain", ("kind", "mean"))
-            gain = build(  # money() has checked the mean, so only the kind can fail
-                f"{path}.gain.kind", GainModel, kind=gain_doc.get("kind", "fixed"),
-                mean=money(gain_doc.get("mean", 0), f"{path}.gain.mean"),
-            )
+            # The kind alone first, so that each refusal names its own field.
+            kind = build(f"{path}.gain.kind", GainModel,
+                         kind=gain_doc.get("kind", "fixed")).kind
+            gain = build(f"{path}.gain.mean", GainModel, kind=kind,
+                         mean=money(gain_doc.get("mean", 0), f"{path}.gain.mean"))
         population.append(build(  # theta is the only field AgentProfile checks
             f"{path}.theta", AgentProfile, id=agent_id,
             theta=number(entry.get("theta", 0.0), f"{path}.theta"),

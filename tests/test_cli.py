@@ -181,6 +181,10 @@ class TestSimulate:
         ({"population": [{"id": "a0", "thetaa": 0.3}]}, "population[0].thetaa"),
         ({"params": {**scenario_doc()["params"], "L": -100}}, "params.L"),
         ({"population": [{"id": "a0", "gain": {"mean": -3}}]}, "population[0].gain.mean"),
+        ({"population": [{"id": "a0", "gain": {"kind": "geometric", "mean": 0.4}}]},
+         "population[0].gain.mean"),
+        ({"population": [{"id": "a0", "gain": {"kind": "poisson", "mean": 3}}]},
+         "population[0].gain.kind"),
     ])
     def test_malformed_field_exits_two_with_its_path(self, overrides, path, tmp_path,
                                                      capsys):
