@@ -847,6 +847,36 @@ class TestCheckInvariants:
         with pytest.raises(AssertionError, match=message):
             ledger.check_invariants()
 
+    @pytest.mark.parametrize("steps, held", [
+        ((), 5),  # filed: the filing bond
+        (("deny",), 5),
+        (("deny", "escalate"), 5 + 2 * 20),  # plus both escalation bonds
+        (("deny", "escalate", "adjudicate"), 0),
+        (("deny", "drop"), 0),
+        (("accept",), 0),
+    ], ids=["filed", "denied", "escalated", "upheld", "dropped", "accepted"])
+    def test_a_bond_escrow_holds_what_its_claim_state_says(self, steps, held):
+        ledger = funded_ledger()
+        underwrite(ledger)
+        claim = ledger.file_claim("pol-1", "user", 100, ClaimValidity.VALID,
+                                  claim_bond=5, tick=1)
+        act = {
+            "accept": lambda: ledger.respond_claim(claim.id, accept=True, tick=2),
+            "deny": lambda: ledger.respond_claim(claim.id, accept=False, tick=2),
+            "escalate": lambda: ledger.escalate(claim.id, tick=3),
+            "adjudicate": lambda: ledger.adjudicate(claim.id, fee=10,
+                                                    reputation_cost=0, tick=4),
+            "drop": lambda: ledger.drop_claim(claim.id, tick=3),
+        }
+        for step in steps:
+            act[step]()
+        assert ledger.balance(claim.bond_escrow) == held
+        ledger.check_invariants()
+        ledger.deposit(claim.bond_escrow, 1)
+        with pytest.raises(AssertionError,
+                           match=f"bond escrow holds {held + 1}, not {held}$"):
+            ledger.check_invariants()
+
 
 _POLICY_IDS = tuple(f"p{i}" for i in range(8))
 _WALLETS = (AGENT, INSURER, USER, FEE_SINK)

@@ -170,6 +170,16 @@ class TestGainModel:
         draws = [gain.draw(rng) for _ in range(20_000)]
         assert abs(sum(draws) / len(draws) - units("1.9")) < units("0.05")
 
+    @pytest.mark.parametrize("whole", [1, 2, 7, 1000])
+    def test_a_whole_geometric_mean_draws_as_with_a_whole_unit_rate(self, whole):
+        # p = UNIT / mean is exactly 1 / whole for a whole mean, so golden
+        # runs drawn with a whole-unit rate keep their bytes.
+        gain = GainModel("geometric", units(whole))
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        draws = [gain.draw(ours) for _ in range(200)]
+        assert draws == [int(theirs.geometric(1 / whole)) * units(1)
+                         for _ in range(200)]
+
     def test_a_geometric_mean_below_one_unit_is_refused(self):
         with pytest.raises(ValueError, match="geometric mean is 0 or at least 1 unit"):
             GainModel("geometric", units("0.4"))
