@@ -199,14 +199,16 @@ class SettlementPlan(NamedTuple):
     """One settlement of a fresh policy, with its amounts left as fields.
 
     `moves` are its transfers in order, each `(src slot, dst slot, amount
-    field, tick offset, memo)`. The slots are the agent, insurer and user
-    wallets (0-2), the fee sink (3), the policy's stake escrow (4) and its
-    claim's bond escrow (5); a field indexes the amounts the plan is applied
-    at. `flows` gives, for slots 0-3, the fields each pays out and the
-    fields it takes in, so its gross outflow and its net delta. Both escrows
-    end as they began, empty. `claim_state` is the claim's terminal state,
-    None on a no-claim settlement, and `resolution_ticks` its filed-to-
-    resolved ticks.
+    field, tick offset, memo)`. With n wallets, the slots are the wallets
+    (0 to n - 1: the agent's, the insurer's, the user's, then each layer-1
+    issuer's that a stack pays a premium share), the fee sink (n), the
+    policy's stake escrow (n + 1) and its claim's bond escrow (n + 2); a
+    field indexes the amounts the plan is applied at. `flows` gives, for
+    each wallet and the fee sink, the fields it pays out and the fields it
+    takes in, so its gross outflow and its net delta. Both escrows end as
+    they began, empty. `claim_state` is the claim's terminal state, None on
+    a no-claim settlement, and `resolution_ticks` its filed-to-resolved
+    ticks.
     """
 
     moves: tuple[tuple[int, int, int, int, Memo], ...]
@@ -618,8 +620,9 @@ class Ledger:
     def apply_plan(self, plan: SettlementPlan, wallets: tuple[AccountId, ...],
                    policy_id: str, amounts: tuple[int, ...], tick: int) -> list[int] | None:
         """Settle a fresh policy `policy_id` by `plan` at `amounts`, from
-        `tick`, and leave it retired; `wallets` are the agent's, the
-        insurer's and the user's. Returns their balance deltas.
+        `tick`, and leave it retired. `wallets` fill the plan's wallet
+        slots: the agent's, the insurer's and the user's, then each layer-1
+        issuer's. Returns the balance deltas of the first three.
 
         Every source must hold its gross outflow in the plan, or this returns
         None and changes nothing; so does a policy id already on the books,

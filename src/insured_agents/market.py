@@ -233,6 +233,13 @@ def stack_premium(stack: InsurerStack, coverage: int, loading: float) -> int:
     return _loaded_premium(risk.numerator, risk.denominator, coverage, loading)
 
 
+def layer1_shares(stack: InsurerStack, premium: int) -> tuple[int, ...]:
+    """Each layer-1 issuer's share of `premium`, in `premium_shares` order:
+    its fraction of the premium, truncated. The one place a share is
+    computed, so a planned settlement and a played one pay the same."""
+    return tuple(premium * f.numerator // f.denominator for _, f in stack.premium_shares)
+
+
 def underwrite_stack(
     ledger: Ledger,
     agent: str,
@@ -246,25 +253,28 @@ def underwrite_stack(
     claim_deadline: int,
     expiry_tick: int,
     tick: int,
+    shares: tuple[int, ...] | None = None,
 ) -> PolicyRecord:
     """Master insurer posts the protocol-facing stake and shares premium.
 
     The policy charges the caller's `premium` as given; `stack_premium`
-    quotes the stack's residual risk. Each Layer-1 issuer gets its fixed
-    fraction of the premium, truncated; the master keeps the remainder and
-    bears all liability. The underwrite and the premium shares succeed or
-    fail as one. A stack is refused from its `expires_at` on.
+    quotes the stack's residual risk. Each Layer-1 issuer gets its share,
+    `layer1_shares` of the premium unless `shares` gives them in
+    `premium_shares` order; the master keeps the remainder and bears all
+    liability. The underwrite and the premium shares succeed or fail as
+    one. A stack is refused from its `expires_at` on.
     """
     if tick >= stack.expires_at:
         raise ExpiredCertificate(f"a certificate expired at tick {stack.expires_at}")
+    if shares is None:
+        shares = layer1_shares(stack, premium)
     with ledger.atomic():
         policy = ledger.underwrite(
             policy_id, agent, stack.master, coverage=coverage, deductible=deductible,
             premium=premium, bond=bond, claim_deadline=claim_deadline,
             expiry_tick=expiry_tick, tick=tick,
         )
-        for issuer, fraction in stack.premium_shares:
-            share = premium * fraction.numerator // fraction.denominator
+        for (issuer, _), share in zip(stack.premium_shares, shares, strict=True):
             if share > 0:
                 ledger.pay(policy.insurer, AccountId(Role.INSURER_WALLET, issuer),
                            share, tick, Memo.PREMIUM)

@@ -14,17 +14,18 @@ solver's choices with the behavior policies written over them. A world
 whose agent, user and insurer policies are all behavioral reads no choice
 of the solver's, so its episodes solve no game. Otherwise the profile is
 solved once per distinct episode parameter set and kept in a bounded memo
-(`_solved_profile`). `_World._settle` then settles the path. An unstacked
-episode applies its settlement plan in one `Ledger.apply_plan` call. The
-plan (`_settlement_plan`) is recorded once per path and per pattern of zero
-amounts, from a real `_play_episode` on a scratch ledger, so there is one
-choreography. A stacked episode, and one whose wallets cannot fund its
-plan in full, takes the checked path: `_play_episode` underwrites it and
-`play_path` drives the path through the ledger in one atomic block, then
-the policy retires, so shortfalls, clamps and aborts are as they always
-were. `replay_game_path`, which criterion 6 checks against the game tree,
-settles its path as the only episode of a one-agent world through the same
-step.
+(`_solved_profile`). `_World._settle` then settles the path. An episode,
+stacked or not, applies its settlement plan in one `Ledger.apply_plan`
+call; a stack's layer-1 premium shares are amounts of the plan like the
+premium itself. The plan (`_settlement_plan`) is recorded once per path
+and per pattern of zero amounts, from a real `_play_episode` on a scratch
+ledger, so there is one choreography. An episode whose wallets cannot fund
+its plan in full, and one whose amounts are too many to record a plan of,
+takes the checked path: `_play_episode` underwrites it and `play_path`
+drives the path through the ledger in one atomic block, then the policy
+retires, so shortfalls, clamps and aborts are as they always were.
+`replay_game_path`, which criterion 6 checks against the game tree, settles
+its path as the only episode of a one-agent world through the same step.
 
 Payoff accounting: each party's episode payoff is its ledger balance
 delta plus the exogenous components the ledger cannot carry (the user's
@@ -40,8 +41,10 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -77,6 +80,7 @@ from .market import (
     RiskPosterior,
     compose_stack,
     decide_purchase,
+    layer1_shares,
     price_premium,
     stack_premium,
     underwrite_stack,
@@ -387,6 +391,16 @@ class _World:
         self.posteriors: dict[str, RiskPosterior] = {
             a.id: RiskPosterior() for a in config.population
         }
+        insurer = AccountId(Role.INSURER_WALLET, _INSURER_ID)
+        user = AccountId(Role.USER_WALLET, _USER_ID)
+        # Each agent's (agent, insurer, user) wallets, whose deltas are its payoffs.
+        self.parties = {
+            a.id: (AccountId(Role.AGENT_WALLET, a.id), insurer, user)
+            for a in config.population
+        }
+        # Each agent's settlement wallets: its parties, then the layer-1
+        # issuers a priced stack pays a share to.
+        self.wallets = self.parties
         self.stack: InsurerStack | None = None
         # The params of every episode at the scenario's gain and its flat or
         # stack premium, built once per pricing: under flat pricing, the
@@ -394,18 +408,11 @@ class _World:
         self.fixed_ep = config.params
         if config.stack is not None:
             self._price_stack(0)
-        insurer = AccountId(Role.INSURER_WALLET, _INSURER_ID)
-        user = AccountId(Role.USER_WALLET, _USER_ID)
-        # Each agent's (agent, insurer, user) wallets, whose deltas are its payoffs.
-        self.wallets = {
-            a.id: (AccountId(Role.AGENT_WALLET, a.id), insurer, user)
-            for a in config.population
-        }
         if config.enforcement_enabled:
             fund = _funding(config)
             self.ledger.deposit(user, fund)
             self.ledger.deposit(insurer, fund)
-            for agent_wallet, _, _ in self.wallets.values():
+            for agent_wallet, _, _ in self.parties.values():
                 self.ledger.deposit(agent_wallet, fund)
         # One generator, reseeded for every episode from a block of derived
         # seeds; both are made on the first episode.
@@ -429,14 +436,18 @@ class _World:
         )
 
     def _price_stack(self, tick: int) -> None:
-        """Compose the stack of the certificates live at `tick` and price it;
-        it stays as priced until its `expires_at`."""
+        """Compose the stack of the certificates live at `tick`, price it and
+        add its issuers to each agent's wallets; it stays as priced until
+        its `expires_at`."""
         spec, params = self.config.stack, self.config.params
         self.stack = compose_stack(
             spec.base_risk, spec.certificates, master=_INSURER_ID, tick=tick,
             layer1_cut=spec.layer1_cut,
         )
         self.fixed_ep = replace(params, P=stack_premium(self.stack, params.L, spec.loading))
+        issuers = tuple(AccountId(Role.INSURER_WALLET, issuer)
+                        for issuer, _ in self.stack.premium_shares)
+        self.wallets = {a: (*parties, *issuers) for a, parties in self.parties.items()}
 
     def _episode_rng(self, index: int) -> np.random.Generator:
         """Episode `index`'s generator: the world's one generator, reseeded to
@@ -587,25 +598,29 @@ class _World:
     ) -> tuple[ClaimState | None, int | None, list[int]]:
         """Settle episode `index`, which plays `path` on a policy at `ep`.
 
-        An unstacked episode applies its settlement plan in one ledger call;
-        a stacked one, and one whose plan a wallet cannot fund in full, is
-        played through the ledger's checked operations by `_play_episode`.
-        Returns the claim's terminal state and filed-to-resolved ticks (both
-        None on a no-claim path) and the (agent, insurer, user) deltas.
+        The episode applies its settlement plan in one ledger call, at the
+        amounts (L, S_A, P, B, F, R, claim bond) and then each layer-1
+        issuer's share of the premium, if a stack is priced. One with no
+        plan, or whose plan a wallet cannot fund in full, is played through
+        the ledger's checked operations by `_play_episode`, at the same
+        shares. Returns the claim's terminal state and filed-to-resolved
+        ticks (both None on a no-claim path) and the (agent, insurer, user)
+        deltas.
         """
-        ledger, wallets = self.ledger, self.wallets[agent.id]
+        ledger, stack = self.ledger, self.stack
         claim_bond = self.config.claim_bond
-        if self.stack is None:
-            amounts = (ep.L, ep.S_A, ep.P, ep.B, ep.F, ep.R, claim_bond)
-            plan = _settlement_plan(path, tuple(map(bool, amounts)))
-            if plan is not None:
-                deltas = ledger.apply_plan(plan, wallets, f"ep-{index}", amounts,
-                                           index * _TICKS_PER_EPISODE)
-                if deltas is not None:
-                    return plan.claim_state, plan.resolution_ticks, deltas
-        before = [ledger.balance(w) for w in wallets]
-        _, claim = _play_episode(ledger, self.stack, agent.id, ep, path, claim_bond, index)
-        deltas = [ledger.balance(w) - b for w, b in zip(wallets, before)]
+        shares = () if stack is None else layer1_shares(stack, ep.P)
+        amounts = (ep.L, ep.S_A, ep.P, ep.B, ep.F, ep.R, claim_bond, *shares)
+        plan = _settlement_plan(path, tuple(map(bool, amounts)))
+        if plan is not None:
+            deltas = ledger.apply_plan(plan, self.wallets[agent.id], f"ep-{index}", amounts,
+                                       index * _TICKS_PER_EPISODE)
+            if deltas is not None:
+                return plan.claim_state, plan.resolution_ticks, deltas
+        parties = self.parties[agent.id]
+        before = [ledger.balance(w) for w in parties]
+        _, claim = _play_episode(ledger, stack, agent.id, ep, path, claim_bond, index, shares)
+        deltas = [ledger.balance(w) - b for w, b in zip(parties, before)]
         if claim is None:
             return None, None, deltas
         return claim.state, claim.resolved_tick - claim.filed_tick, deltas
@@ -613,12 +628,12 @@ class _World:
 
 def _play_episode(
     ledger: Ledger, stack: InsurerStack | None, agent: str, ep: MechanismParams,
-    path: TerminalPath, claim_bond: int, index: int,
+    path: TerminalPath, claim_bond: int, index: int, shares: tuple[int, ...],
 ) -> tuple[PolicyRecord, ClaimRecord | None]:
     """Underwrite episode `index` at `ep.P`, the premium its game is solved
-    at, through `stack` if there is one, play `path` on it in one atomic
-    block, and retire the closed policy. Returns the policy and the claim
-    (None on a no-claim path)."""
+    at, through `stack` if there is one, which pays its issuers `shares`,
+    play `path` on it in one atomic block, and retire the closed policy.
+    Returns the policy and the claim (None on a no-claim path)."""
     policy_id, tick0 = f"ep-{index}", index * _TICKS_PER_EPISODE
     expiry_tick = tick0 + _TICKS_PER_EPISODE - 1
     with ledger.atomic():
@@ -627,6 +642,7 @@ def _play_episode(
                 ledger, agent, stack, policy_id=policy_id, coverage=ep.L,
                 deductible=ep.S_A, bond=ep.B, premium=ep.P,
                 claim_deadline=_TICKS_PER_EPISODE, expiry_tick=expiry_tick, tick=tick0,
+                shares=shares,
             )
         else:
             policy = ledger.underwrite(
@@ -640,43 +656,69 @@ def _play_episode(
     return policy, claim
 
 
+#: The most nonzero amounts a settlement plan is recorded at: the largest
+#: marker, 64 ** 9 = 2 ** 54, stays far below `_FUNDING_CAP`.
+_MARKED_AMOUNTS = 10
+
+
 @functools.cache
 def _settlement_plan(path: TerminalPath, nonzero: tuple[bool, ...]) -> SettlementPlan | None:
-    """The settlement plan of an unstacked episode that plays `path` with the
-    amounts (L, S_A, P, B, F, R, claim bond) nonzero where `nonzero` is
-    true, or None if such an episode is not planned.
+    """The settlement plan of an episode that plays `path` with the amounts
+    (L, S_A, P, B, F, R, claim bond, then one premium share per layer-1
+    issuer) nonzero where `nonzero` is true, or None if such an episode is
+    not planned. The length of `nonzero` so gives the number of issuers.
 
     The choreography branches on the path and on which amounts are zero, and
     on nothing else of theirs, so one plan serves every episode with the
     same key. It is recorded once per key from a real `_play_episode` on a
-    scratch ledger with ample funds, at a marker for each nonzero amount,
-    2 ** (8 k + 8) for the k-th, so that a transfer's amount names the one
-    amount it moves. The episode is planned only if every transfer moves
-    one marker between the episode's own accounts, no fee is clamped, and
-    each escrow holds a non-negative count of every amount at every step
-    (so at any amounts) and ends empty.
+    scratch ledger with ample funds, through a stack of as many issuers if
+    there are shares, at a marker for each nonzero amount: 64 ** r for the
+    r-th of them. A transfer moves one amount, or a stake less what a claim
+    took from it: a sum of amounts, each counted between -31 and 32 times.
+    Such a sum is written in base 64 with those counts as its digits, and
+    that writing is unique, so it equals a marker only if it is that one
+    amount: a transfer of one marker names exactly one amount. The episode
+    is planned only if every transfer moves one marker between the
+    episode's own accounts, no fee is clamped, and each escrow holds a
+    non-negative count of every amount at every step (so at any amounts)
+    and ends empty. A key with more than `_MARKED_AMOUNTS` nonzero amounts
+    is not planned: its markers would not stay far below `_FUNDING_CAP`.
     """
-    markers = tuple(1 << 8 * k + 8 if used else 0 for k, used in enumerate(nonzero))
-    L, S_A, P, B, F, R, claim_bond = markers
+    if sum(nonzero) > _MARKED_AMOUNTS:
+        return None
+    markers, rank = [], 0
+    for used in nonzero:
+        markers.append(1 << 6 * rank if used else 0)
+        rank += used
+    L, S_A, P, B, F, R, claim_bond, *shares = markers
     ep = MechanismParams(L=L, G=0, S_A=S_A, S_I=L, B=B, F=F, R=R, V_future=0, P=P)
+    issuers = tuple(AccountId(Role.INSURER_WALLET, f"issuer-{j}") for j in range(len(shares)))
+    stack = None
+    if shares:  # its fractions are never read: the markers are its shares
+        stack = InsurerStack(
+            master=_INSURER_ID, layer1=(), residual_risk=1.0, expires_at=math.inf,
+            premium_shares=tuple((issuer.owner, Fraction(0)) for issuer in issuers),
+        )
     ledger = Ledger(transfers=[])
-    wallets = (AccountId(Role.AGENT_WALLET, "agent"),
+    parties = (AccountId(Role.AGENT_WALLET, "agent"),
                AccountId(Role.INSURER_WALLET, _INSURER_ID),
                AccountId(Role.USER_WALLET, _USER_ID))
-    for wallet in wallets:
+    for wallet in parties:
         ledger.deposit(wallet, _FUNDING_CAP)
     try:
-        policy, claim = _play_episode(ledger, None, "agent", ep, path, claim_bond, 0)
+        policy, claim = _play_episode(ledger, stack, "agent", ep, path, claim_bond, 0,
+                                      tuple(shares))
     except LedgerError:
         return None
     if ledger.shortfalls:
         return None
-    accounts = [*wallets, FEE_SINK, policy.escrow]
+    flowing = len(parties) + len(issuers) + 1  # the wallets and the fee sink; escrows follow
+    accounts = [*parties, *issuers, FEE_SINK, policy.escrow]
     if claim is not None:
         accounts.append(claim.bond_escrow)
     slot_of = {account: slot for slot, account in enumerate(accounts)}
     field_of = {marker: k for k, marker in enumerate(markers) if marker}
-    flows = [([], []) for _ in range(4)]  # per wallet or sink: (pays, takes)
+    flows = [([], []) for _ in range(flowing)]  # per wallet or sink: (pays, takes)
     held = [[0] * len(markers) for _ in range(2)]  # per escrow: count of each amount
     moves = []
     for src, dst, amount, tick, memo in ledger.transfers:
@@ -686,11 +728,11 @@ def _settlement_plan(path: TerminalPath, nonzero: tuple[bool, ...]) -> Settlemen
         moves.append(move)
         field = move[2]
         for slot, sign in ((move[0], -1), (move[1], 1)):
-            if slot < 4:
+            if slot < flowing:
                 flows[slot][sign > 0].append(field)
             else:
-                held[slot - 4][field] += sign
-                if held[slot - 4][field] < 0:
+                held[slot - flowing][field] += sign
+                if held[slot - flowing][field] < 0:
                     return None
     if any(map(any, held)):
         return None

@@ -2,8 +2,9 @@
 
 Each scenario below drives one branch of the episode engine (claims accepted,
 denied and escalated, denied and dropped, excluded agents, stack and experience
-pricing, enforcement off, episodes aborted mid-dispute). The canonical report
-is compared byte for byte with `golden/reports/<name>.json`, and the
+pricing, disputes through a stack across a certificate expiry, enforcement
+off, episodes aborted mid-dispute). The canonical report is compared byte
+for byte with `golden/reports/<name>.json`, and the
 `--episodes-log` output by its sha256 in `golden/episodes*.sha256` (the
 `aborted` scenario's digest is in `episodes_aborted.sha256`). The sweep CSV of
 the criterion-11 grid must equal `golden/sweep_criterion11.csv` at one and at
@@ -98,6 +99,16 @@ SCENARIOS = {
         policies={**_MALICIOUS, "insurer": "always_deny"},
     ),
     "stack": _scenario(params={"Pi_honest": 200}, stack=_STACK),
+    # every episode disputed through the stack, whose code certificate
+    # expires at tick 500 (episode 100), so the stack is priced twice
+    "stack_disputes": _scenario(
+        params={"Pi_honest": 200},
+        policies={"user": "always_claim", "insurer": "always_deny"},
+        claim_bond=1,
+        stack={**_STACK, "certificates": [
+            {**_STACK["certificates"][0], "expiry_tick": 500}, _STACK["certificates"][1],
+        ]},
+    ),
     "experience": _scenario(
         params={"Pi_honest": 200}, pricing="experience", loading=0.2
     ),

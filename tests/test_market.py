@@ -23,7 +23,7 @@ from insured_agents import (
     update_posterior,
 )
 from insured_agents.ledger import AccountId, InsufficientFunds, Ledger, Role
-from insured_agents.market import ExpiredCertificate, InsurerStack
+from insured_agents.market import ExpiredCertificate, InsurerStack, layer1_shares
 from insured_agents.money import MAX_AMOUNT, rate
 from test_ledger import ledger_state
 
@@ -405,6 +405,36 @@ class TestUnderwriteStack:
         else:
             pool = Fraction(str(cut)) * premium
             assert paid == [int(pool * Fraction(str(d)) / total) for d in discounts]
+        # What the ledger paid is what `layer1_shares` computes, in its order.
+        assert [ledger.balance(AccountId(Role.INSURER_WALLET, issuer))
+                for issuer, _ in stack.premium_shares] == list(layer1_shares(stack, premium))
+
+    def test_shares_given_are_paid_as_given(self):
+        # A settlement plan is recorded with shares of its own choosing.
+        ledger = self.setup_ledger()
+        stack = compose_stack(0.10, self.certs(), master="master", layer1_cut=0.5)
+        underwrite_stack(
+            ledger, "agent", stack,
+            policy_id="pol", coverage=units(100), deductible=0, bond=0,
+            premium=units(8), claim_deadline=10, expiry_tick=50, tick=0, shares=(7, 0),
+        )
+        assert ledger.balance(AccountId(Role.INSURER_WALLET, "i0")) == 7
+        assert ledger.balance(AccountId(Role.INSURER_WALLET, "i1")) == 0
+        assert ledger.balance(AccountId(Role.INSURER_WALLET, "master")) == (
+            units(1000 - 100 + 8) - 7)
+
+    @pytest.mark.parametrize("shares", [(), (1,), (1, 2, 3)])
+    def test_one_share_per_issuer_or_nothing_moves(self, shares):
+        ledger = self.setup_ledger()
+        before = ledger_state(ledger)
+        stack = compose_stack(0.10, self.certs(), master="master")
+        with pytest.raises(ValueError):
+            underwrite_stack(
+                ledger, "agent", stack,
+                policy_id="pol", coverage=units(100), deductible=0, bond=0,
+                premium=units(8), claim_deadline=10, expiry_tick=50, tick=0, shares=shares,
+            )
+        assert ledger_state(ledger) == before
 
     def test_failed_premium_share_undoes_the_whole_underwrite(self, monkeypatch):
         ledger = self.setup_ledger()

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -36,7 +37,14 @@ from insured_agents import (
 from insured_agents import sim
 from insured_agents.game import _ALL_PROFILES, InsurerResponse
 from insured_agents.ledger import AccountId, Ledger, LedgerError, Role
-from insured_agents.market import Certificate, RiskPosterior, price_premium
+from insured_agents.market import (
+    Certificate,
+    InsurerStack,
+    RiskPosterior,
+    layer1_shares,
+    price_premium,
+    underwrite_stack,
+)
 from insured_agents.money import MAX_AMOUNT, MoneyError
 from insured_agents.sim import (
     AgentPolicy,
@@ -782,10 +790,27 @@ class TestSolvedProfileMemo:
             assert _solved_profile.cache_info().misses > 0, name
 
 
+#: Two certificates, one of which expires at tick 40 (episode 8).
+_TWO_CERTIFICATES = [
+    {"issuer": "code-insurer", "domain": "code", "discount": 0.5, "expiry_tick": 40},
+    {"issuer": "data-insurer", "domain": "data", "discount": 0.4},
+]
+#: Ten certificates, more nonzero amounts than a settlement plan has markers
+#: for, so such a stack is never planned. Eight expire at tick 100, and the
+#: two left, from one issuer, are planned with that issuer in two slots.
+_MANY_CERTIFICATES = [
+    {"issuer": f"i{j}", "domain": f"d{j}", "discount": 0.1,
+     **({"expiry_tick": 100} if j >= 2 else {})}
+    for j in range(10)
+]
+_MANY_CERTIFICATES[1]["issuer"] = "i0"
+
+
 @st.composite
 def scenario_docs(draw) -> dict:
     """Valid scenario documents over every policy, both pricings, both gain
-    kinds, a claim bond, a stack and enforcement, at most 60 episodes."""
+    kinds, a claim bond, stacks of none, two and ten certificates, some of
+    which expire, and enforcement, at most 60 episodes."""
     def pick(*options):
         return draw(st.sampled_from(options))
 
@@ -805,16 +830,31 @@ def scenario_docs(draw) -> dict:
                   "opportunistic_p": pick(0.5, 1.0)},
         enforcement_enabled=pick(True, True, False), claim_bond=pick(0, 1),
         pricing=pick("flat", "experience"), loading=pick(0.0, 0.2),
-        stack=pick(None, {"base_risk": 0.1, "loading": 0.2, "certificates": [
-            {"issuer": "code-insurer", "domain": "code", "discount": 0.5, "expiry_tick": 40},
-            {"issuer": "data-insurer", "domain": "data", "discount": 0.4},
-        ]}),
+        stack=pick(None, {"base_risk": 0.1, "loading": 0.2, "certificates": _TWO_CERTIFICATES},
+                   {"base_risk": 0.1}, {"base_risk": 0.1, "certificates": _MANY_CERTIFICATES}),
     )
+
+
+def with_stacked_examples(test):
+    """`test` also run on one disputed, insured run through each stack
+    shape `scenario_docs` draws, each run past its certificates' expiry."""
+    for certificates in (_TWO_CERTIFICATES, [], _MANY_CERTIFICATES):
+        test = example(doc=scenario_doc(
+            seed=3, episodes=30, claim_bond=1, pricing="experience", loading=0.2,
+            params={**scenario_doc()["params"], "Pi_honest": 200},
+            population=[{"id": "a0", "theta": 0.4,
+                         "gain": {"kind": "geometric", "mean": 250}}],
+            policies={"agent": "opportunistic", "opportunistic_p": 0.5,
+                      "user": "always_claim", "insurer": "rational_spe"},
+            stack={"base_risk": 0.1, "loading": 0.2, "certificates": certificates},
+        ))(test)
+    return test
 
 
 class TestReferenceRun:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(doc=scenario_docs())
+    @with_stacked_examples
     def test_records_equal_a_run_that_solves_every_game(self, doc):
         # Whether or not a world solves its games, and whatever the memo holds,
         # an episode plays what a cold solve of its own game gives.
@@ -846,6 +886,7 @@ class TestReferenceRun:
 class TestBoundedBooks:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(doc=scenario_docs())
+    @with_stacked_examples
     def test_a_world_that_retires_and_counts_matches_one_that_keeps_every_book(self, doc):
         config = scenario_from_dict(doc)
         bounded = _World(config)
@@ -878,6 +919,7 @@ class TestBoundedBooks:
 class TestReferenceStreams:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(doc=scenario_docs())
+    @with_stacked_examples
     def test_records_and_bytes_equal_a_run_on_per_episode_generators(self, doc):
         # Each episode draws from its own `default_rng([seed, index])` and
         # prices at params built by `replace`; a rerun, and a config rebuilt
@@ -905,6 +947,7 @@ def _unplanned(path, nonzero):
 class TestSettlementPlans:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(doc=scenario_docs())
+    @with_stacked_examples
     def test_a_planned_world_matches_one_that_plays_every_path(self, doc):
         config = scenario_from_dict(doc)
         with pytest.MonkeyPatch.context() as patch:
@@ -921,8 +964,12 @@ class TestSettlementPlans:
             planned.ledger.check_invariants()
             played.ledger.check_invariants()
 
-    def test_an_unstacked_world_plays_no_path_on_its_ledger(self, monkeypatch):
-        # Only the recording of each plan plays a path, on a scratch ledger.
+    @pytest.mark.parametrize("stack", [
+        None, {"base_risk": 0.1, "loading": 0.2, "certificates": _TWO_CERTIFICATES},
+    ], ids=["unstacked", "stacked"])
+    def test_a_world_plays_no_path_on_its_ledger(self, stack, monkeypatch):
+        # Only the recording of each plan plays a path or underwrites through
+        # a stack, on a scratch ledger; that holds across the stack's repricing.
         config = scenario_from_dict(scenario_doc(
             episodes=200, pricing="experience", loading=0.2, claim_bond=1,
             params={**scenario_doc()["params"], "Pi_honest": 200},
@@ -930,19 +977,57 @@ class TestSettlementPlans:
                                                              "mean": 250}}],
             policies={"agent": "opportunistic", "opportunistic_p": 0.5,
                       "user": "always_claim", "insurer": "always_deny"},
+            stack=stack,
         ))
-        world, played = _World(config), []
-        play = sim._play_episode
+        world, played, stacked = _World(config), [], []
+        play, underwrite = sim._play_episode, sim.underwrite_stack
 
         def recording_play(ledger, *args):
             played.append(ledger)
             return play(ledger, *args)
 
+        def recording_underwrite(ledger, *args, **kwargs):
+            stacked.append(ledger)
+            return underwrite(ledger, *args, **kwargs)
+
         monkeypatch.setattr(sim, "_play_episode", recording_play)
+        monkeypatch.setattr(sim, "underwrite_stack", recording_underwrite)
+        # A fresh memo, so that this world's plans are recorded here.
+        monkeypatch.setattr(sim, "_settlement_plan",
+                            functools.cache(sim._settlement_plan.__wrapped__))
         records = [world.run_episode(index) for index in range(config.episodes)]
         assert any(r.verifier_invoked for r in records)
-        assert world.ledger not in played
+        assert world.ledger not in played and world.ledger not in stacked
+        assert bool(stacked) == (stack is not None)
         assert world.ledger.claims_filed == sum(r.claim_filed for r in records) > 0
+
+    def test_a_stack_past_the_markers_is_played_not_planned(self):
+        # Ten certificates give up to seventeen nonzero amounts, more than the
+        # markers cover: the recording refuses such a key before it plays
+        # anything, rather than raise, and every episode takes the checked
+        # path, as an unplanned world's.
+        for path in ALL_PATHS:
+            assert sim._settlement_plan(path, (True,) * 10) is not None
+            assert sim._settlement_plan(path, (True,) * 7 + (False,) * 10) is not None
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_play_episode", None)  # no recording may start
+            for path in ALL_PATHS:
+                for nonzero in ((True,) * 11, (True,) * 17):
+                    assert sim._settlement_plan.__wrapped__(path, nonzero) is None
+        config = scenario_from_dict(scenario_doc(
+            episodes=30, claim_bond=1, params={**scenario_doc()["params"], "Pi_honest": 200},
+            policies={"agent": "opportunistic", "opportunistic_p": 0.5,
+                      "user": "always_claim", "insurer": "always_deny"},
+            stack={"base_risk": 0.1, "certificates": [
+                {"issuer": f"i{j}", "domain": f"d{j}", "discount": 0.1} for j in range(10)
+            ]},
+        ))
+        _, records = run_scenario_with_records(config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_settlement_plan", _unplanned)
+            _, expected = run_scenario_with_records(config)
+        assert records == expected
+        assert all(r.verifier_invoked for r in records)
 
     def test_a_plan_is_refused_on_a_used_policy_id_and_inside_an_atomic_block(self):
         ep, path = self.PARAMS, ALL_PATHS[7]
@@ -981,18 +1066,26 @@ class TestSettlementPlans:
             ledger.deposit(AccountId(role, owner), short.get(key, self.PLENTY))
         return ledger
 
-    def play_directly(self, ledger: Ledger, path: TerminalPath, index: int) -> list[int]:
-        """The checked block: underwrite, play the path, retire."""
+    def play_directly(self, ledger: Ledger, path: TerminalPath, index: int,
+                      stack: InsurerStack | None = None) -> list[int]:
+        """The checked block: underwrite, through `stack` if one is given,
+        play the path, retire."""
         ep, tick0 = self.PARAMS, index * 5
         wallets = [AccountId(Role.AGENT_WALLET, "a0"),
                    AccountId(Role.INSURER_WALLET, "insurer-0"),
                    AccountId(Role.USER_WALLET, "user-0")]
         before = [ledger.balance(w) for w in wallets]
         with ledger.atomic():
-            policy = ledger.underwrite(
-                f"ep-{index}", "a0", "insurer-0", coverage=ep.L, deductible=ep.S_A,
-                premium=ep.P, bond=ep.B, claim_deadline=5, expiry_tick=tick0 + 4,
-                tick=tick0)
+            if stack is None:
+                policy = ledger.underwrite(
+                    f"ep-{index}", "a0", "insurer-0", coverage=ep.L, deductible=ep.S_A,
+                    premium=ep.P, bond=ep.B, claim_deadline=5, expiry_tick=tick0 + 4,
+                    tick=tick0)
+            else:
+                policy = underwrite_stack(
+                    ledger, "a0", stack, policy_id=f"ep-{index}", coverage=ep.L,
+                    deductible=ep.S_A, bond=ep.B, premium=ep.P, claim_deadline=5,
+                    expiry_tick=tick0 + 4, tick=tick0)
             play_path(ledger, policy, path, "user-0", ep, claim_bond=self.CLAIM_BOND,
                       tick=tick0)
         ledger.retire(policy.id)
@@ -1031,6 +1124,38 @@ class TestSettlementPlans:
         assert world.ledger.balances == direct.balances
         assert (claim_state is None) == (not path.claimed)
 
+    @pytest.mark.parametrize("path", ALL_PATHS, ids=lambda path: path.describe())
+    def test_a_stacked_plan_the_master_funds_from_its_premium_falls_back(self, path):
+        # The master insurer holds one micro-unit less than all it pays out in
+        # the plan, its stake and the layer-1 shares included. `apply_plan`
+        # counts no inflow, so it refuses; the checked path pays the master
+        # its premium before the master pays the shares, and settles in full.
+        # The funding check is conservative, and falling back costs no bytes.
+        stack = StackSpec(base_risk=0.1, layer1_cut=0.5, certificates=(
+            Certificate("i0", "safety", 0.5), Certificate("i1", "financial", 0.4)))
+        world = _World(make_config(params=self.PARAMS, claim_bond=self.CLAIM_BOND,
+                                   stack=stack))
+        agent, ep, index = world.config.population[0], self.PARAMS, 3
+        shares = layer1_shares(world.stack, ep.P)
+        amounts = (ep.L, ep.S_A, ep.P, ep.B, ep.F, ep.R, self.CLAIM_BOND, *shares)
+        plan = sim._settlement_plan(path, tuple(map(bool, amounts)))
+        assert plan is not None and len(plan.flows) == 6 and all(shares)
+        master = {"insurer": sum(amounts[k] for k in plan.flows[1][0]) - 1}
+        world.ledger, direct = self.funded(master), self.funded(master)
+        before = ledger_state(world.ledger)
+        wallets = world.wallets[agent.id]
+        assert wallets[3:] == tuple(AccountId(Role.INSURER_WALLET, i) for i in ("i0", "i1"))
+        assert world.ledger.apply_plan(plan, wallets, f"ep-{index}", amounts, index * 5) is None
+        assert ledger_state(world.ledger) == before
+        expected = self.play_directly(direct, path, index, world.stack)
+        claim_state, _, deltas = world._settle(agent, ep, path, index)
+        assert deltas == expected
+        assert world.ledger.transfers == direct.transfers
+        assert world.ledger.shortfalls == direct.shortfalls == []
+        assert world.ledger.claims_filed == direct.claims_filed == int(path.claimed)
+        assert world.ledger.balances == direct.balances
+        assert claim_state is plan.claim_state
+
 
 class TestEpisodeHotPath:
     @staticmethod
@@ -1049,6 +1174,7 @@ class TestEpisodeHotPath:
         doc = json.loads(BASELINE.read_text())
         doc["episodes"] = 200
         config = scenario_from_dict(doc)
+        run_scenario(config)  # records its settlement plans, whose params are its own
         validated = self.count_validations(monkeypatch)
         report, _ = run_scenario_with_records(config)
         assert report.completed == 200
@@ -1064,6 +1190,7 @@ class TestEpisodeHotPath:
             policies={"agent": "opportunistic", "opportunistic_p": 0.5,
                       "user": "always_claim", "insurer": "always_deny"},
         ))
+        run_scenario(config)  # records its settlement plans, whose params are its own
         validated = self.count_validations(monkeypatch)
         report, _ = run_scenario_with_records(config)
         assert report.completed + report.excluded == 200
