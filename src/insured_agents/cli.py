@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from .game import build_game, brute_force_spe, solve_spe
@@ -105,6 +106,10 @@ def _open_output(path: str):
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    log_path = args.episodes_log
+    if log_path and os.path.realpath(log_path) == os.path.realpath(args.out):
+        print(f"error: --out and --episodes-log name one file: {args.out}", file=sys.stderr)
+        return 2
     try:
         config = load_scenario(args.scenario)
     except ScenarioError as exc:
@@ -113,7 +118,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # Outputs open before the run: an unwritable path fails before any episode.
     with contextlib.ExitStack() as outputs:
         out = outputs.enter_context(_open_output(args.out))
-        log = args.episodes_log and outputs.enter_context(_open_output(args.episodes_log))
+        log = log_path and outputs.enter_context(_open_output(log_path))
         report, records = run_scenario_with_records(config)
         out.write(report.to_json())
         if log:

@@ -7,11 +7,12 @@ raises and leaves the ledger untouched. That includes settlements: an
 insurer's settlement larger than its policy's remaining escrowed stake is
 refused, and a verdict pays at most what the stake holds, so the stake
 never goes negative and never eats into the agent's deductible. Several
-operations that must succeed or fail as one run in `with ledger.atomic():`.
-Its state is its books (balances, policies, claims, shortfalls) and the
-count of claims filed, which numbers the next claim; defaulted parties are
-read off the shortfalls. Amounts are checked once, where they enter an
-operation; a transfer itself is a plain record.
+operations that must succeed or fail as one run in `with ledger.atomic():`,
+which copies the open books on entry and, if the block raises, puts the
+copy back. Its state is its books (balances, policies, claims, shortfalls)
+and the count of claims filed, which numbers the next claim; defaulted
+parties are read off the shortfalls. Amounts are checked once, where they
+enter an operation; a transfer itself is a plain record.
 
 A transfer costs its two balance writes and one plain tuple, `(src, dst,
 amount, tick, memo)` in `Transfer` field order, appended to the sink
@@ -20,8 +21,8 @@ with `append` (one such tuple), `extend` (a list of them, in order) and
 `len`. The default `TransferList` keeps each as a `Transfer`, which is the
 one place a `Transfer` is built; a `TransferCount` keeps only how many
 there were. A planned settlement (`apply_plan`) costs less: one funding
-check and one balance write per wallet, and its transfers handed to the
-sink in one `extend`.
+check and one balance write per wallet, and its transfers handed on in
+one `extend`.
 
 Each account is named once, where its record is filed: a `PolicyRecord`
 carries its agent and insurer wallets and its stake escrow, a `ClaimRecord`
@@ -35,13 +36,16 @@ A closed policy whose escrows are empty may retire: it leaves the books with
 its claims, so a long run keeps only its open policies. `apply_plan` runs a
 whole lifecycle, recorded once from these operations as a `SettlementPlan`,
 on a fresh policy id, and leaves it retired: it checks every source against
-all it pays out, writes the wallets' net deltas and hands the sink the
-plan's transfers with the ids and ticks put in. A source that holds less
-makes it change nothing, and the caller plays the operations instead.
+all it pays out, writes the wallets' net deltas and hands on the plan's
+transfers, with the ids and ticks put in, as an operation does. A source
+that holds less makes it change nothing, and the caller plays the
+operations instead.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -265,13 +269,12 @@ class Ledger:
         self.claims_filed = 0  # the last claim's number; retiring keeps it
         # Where `_transfer` writes: the sink, or an atomic block's journal.
         self._log = self.transfers
-        # In an atomic block: id(record) -> (record, its fields), None if new.
-        self._saved: dict | None = None
 
     # -- accounts ---------------------------------------------------------
 
     def deposit(self, account: AccountId, amount: int) -> None:
-        """Mint initial funds into a wallet. Setup only: changes total supply."""
+        """Mint initial funds into a wallet. Setup only: changes total supply.
+        An atomic block that raises undoes it like any other change."""
         check_amount(amount)
         self.balances[account] = self.balances.get(account, 0) + amount
 
@@ -287,34 +290,38 @@ class Ledger:
         """Sum of every balance, escrows and sinks included."""
         return sum(self.balances.values())
 
-    def atomic(self) -> _Atomic:
+    @contextmanager
+    def atomic(self) -> Iterator[None]:
         """A block that, if it raises, leaves the whole ledger as at entry:
-        balances, transfers, policies, claims, shortfalls and the count of
-        claims filed, and so the defaulted parties and the next claim number.
+        balances, transfers, policies, claims, each record's fields,
+        shortfalls and the count of claims filed, and so the defaulted
+        parties and the next claim number. Deposits, retires and applied
+        plans inside it are undone with the rest.
 
-        Entry is O(1) in ledger size. The block keeps its own transfers in a
-        journal and hands them to the sink only when it succeeds; undoing
-        replays the journal in reverse. The other books only grow inside a
-        block, so undoing truncates them, and a record that existed before
-        the block is saved when the block first touches it. A nested block
-        joins the outermost one. `deposit` is not undone.
+        The outermost block copies the open books on entry and puts the copy
+        back if it raises; shortfalls only ever grow, so it keeps their count.
+        It keeps its own transfers in a journal and hands them to the sink
+        only when it succeeds. A nested block joins the outermost one.
         """
-        return _Atomic(self)
-
-    def _undo(self, marks: tuple, journal: list[tuple]) -> None:
-        n_shortfalls, n_balances, n_policies, n_claims, self.claims_filed = marks
-        balances = self.balances
-        for src, dst, amount, _, _ in reversed(journal):
-            balances[dst] -= amount
-            balances[src] += amount
-        del self.shortfalls[n_shortfalls:]
-        for book, mark in ((self.balances, n_balances), (self.policies, n_policies),
-                           (self.claims, n_claims)):
-            while len(book) > mark:
-                book.popitem()
-        for saved in self._saved.values():
-            if saved is not None:
-                vars(saved[0]).update(saved[1])
+        if self._log is not self.transfers:  # already inside a block
+            yield
+            return
+        saved = (dict(self.balances), dict(self.policies), dict(self.claims),
+                 len(self.shortfalls), self.claims_filed)
+        records = [(record, vars(record).copy())
+                   for book in (self.policies, self.claims) for record in book.values()]
+        self._log = journal = []
+        try:
+            yield
+        except BaseException:
+            self.balances, self.policies, self.claims, n_shortfalls, self.claims_filed = saved
+            del self.shortfalls[n_shortfalls:]
+            for record, fields in records:
+                vars(record).update(fields)
+            raise
+        finally:
+            self._log = self.transfers
+        self.transfers.extend(journal)
 
     def check_invariants(self) -> None:
         """Raise AssertionError unless every balance is non-negative and
@@ -437,7 +444,7 @@ class Ledger:
         self._transfer(policy.insurer, policy.escrow, coverage, tick, Memo.STAKE_POST)
         self._transfer(policy.agent, policy.escrow, deductible, tick, Memo.DEDUCTIBLE_POST)
         self._transfer(policy.agent, policy.insurer, premium, tick, Memo.PREMIUM)
-        self._file(self.policies, policy)
+        self.policies[policy_id] = policy
         return policy
 
     def file_claim(
@@ -479,7 +486,7 @@ class Ledger:
         self.claims_filed += 1
         policy.open_claims += 1
         policy.claims += (claim_id,)
-        self._file(self.claims, claim)
+        self.claims[claim_id] = claim
         return claim
 
     def respond_claim(self, claim_id: str, accept: bool, tick: int) -> ClaimRecord:
@@ -589,13 +596,11 @@ class Ledger:
 
         Only an expired or exhausted policy with no open claim and nothing
         left in its stake or bond escrows retires; otherwise this raises
-        WrongState and changes nothing. It refuses inside an atomic block,
-        whose undo truncates the books by their order of insertion. A
-        retired id is forgotten, so it may be underwritten again as a new
-        policy. Claim numbers keep counting from `claims_filed`.
+        WrongState and changes nothing. An atomic block that raises puts a
+        policy retired inside it back on the books. A retired id is
+        forgotten, so it may be underwritten again as a new policy. Claim
+        numbers keep counting from `claims_filed`.
         """
-        if self._saved is not None:
-            raise WrongState(f"policy {policy_id} cannot retire inside an atomic block")
         policy = self.policies.get(policy_id)
         if policy is None:
             raise WrongState(f"unknown policy {policy_id}")
@@ -625,16 +630,16 @@ class Ledger:
         issuer's. Returns the balance deltas of the first three.
 
         Every source must hold its gross outflow in the plan, or this returns
-        None and changes nothing; so does a policy id already on the books,
-        and so does a call inside an atomic block, whose undo replays
-        transfers through escrow accounts. When each source holds it, the
-        checked operations the plan was recorded from would pay every
-        transfer in full and refuse none, so only the net deltas are
-        written, and no escrow account or record is made. The sink gets each
-        transfer with the ids and ticks put in, and a claim advances
+        None and changes nothing; so does a policy id already on the books.
+        When each source holds it, the checked operations the plan was
+        recorded from would pay every transfer in full and refuse none, so
+        only the net deltas are written, and no escrow account or record is
+        made. The transfers go where a checked operation's go, with the ids
+        and ticks put in: to the sink, or to an atomic block's journal, and
+        a block that raises undoes the whole plan. A claim advances
         `claims_filed` as filing one does.
         """
-        if policy_id in self.policies or self._saved is not None:
+        if policy_id in self.policies:
             return None
         balances, get = self.balances, amounts.__getitem__
         accounts = (*wallets, FEE_SINK)
@@ -652,8 +657,8 @@ class Ledger:
             self.claims_filed += 1
             bond_escrow = AccountId(Role.BOND_ESCROW, f"{policy_id}/claim-{self.claims_filed}")
         accounts += (AccountId(Role.STAKE_ESCROW, policy_id), bond_escrow)
-        self.transfers.extend([(accounts[src], accounts[dst], amounts[field], tick + offset,
-                                memo) for src, dst, field, offset, memo in plan.moves])
+        self._log.extend([(accounts[src], accounts[dst], amounts[field], tick + offset, memo)
+                          for src, dst, field, offset, memo in plan.moves])
         return deltas[:3]
 
     # -- internals --------------------------------------------------------
@@ -664,21 +669,13 @@ class Ledger:
     def _claim(self, claim_id: str) -> ClaimRecord:
         return self._record(self.claims, claim_id, "claim")
 
-    def _record(self, book: dict, key: str, kind: str):
-        """Every record an operation may change is fetched here, so inside an
-        atomic block its fields are saved before the first change."""
+    @staticmethod
+    def _record(book: dict, key: str, kind: str):
+        """The record `key` of `book`; an unknown key raises WrongState."""
         record = book.get(key)
         if record is None:
             raise WrongState(f"unknown {kind} {key}")
-        if self._saved is not None and id(record) not in self._saved:
-            self._saved[id(record)] = (record, vars(record).copy())
         return record
-
-    def _file(self, book: dict, record: PolicyRecord | ClaimRecord) -> None:
-        """Add a new record; an atomic block that raises just drops it."""
-        book[record.id] = record
-        if self._saved is not None:
-            self._saved[id(record)] = None
 
     @staticmethod
     def _check_transition(claim: ClaimRecord, target: ClaimState) -> None:
@@ -724,33 +721,3 @@ class Ledger:
         if policy.escrowed_stake == 0 and policy.status is PolicyStatus.ACTIVE:
             self._release_escrow(policy, tick)
             policy.status = PolicyStatus.EXHAUSTED
-
-
-class _Atomic:
-    """The context manager `Ledger.atomic()` returns."""
-
-    __slots__ = ("ledger", "marks")
-
-    def __init__(self, ledger: Ledger):
-        self.ledger = ledger
-        self.marks: tuple | None = None
-
-    def __enter__(self) -> None:
-        ledger = self.ledger
-        if ledger._saved is None:  # outermost block
-            ledger._saved = {}
-            ledger._log = []
-            self.marks = (
-                len(ledger.shortfalls), len(ledger.balances), len(ledger.policies),
-                len(ledger.claims), ledger.claims_filed,
-            )
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if self.marks is not None:
-            ledger = self.ledger
-            journal, ledger._log = ledger._log, ledger.transfers
-            if exc_type is not None:
-                ledger._undo(self.marks, journal)
-            else:
-                ledger.transfers.extend(journal)
-            ledger._saved = None

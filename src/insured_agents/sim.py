@@ -21,9 +21,10 @@ premium itself. The plan (`_settlement_plan`) is recorded once per path
 and per pattern of zero amounts, from a real `_play_episode` on a scratch
 ledger, so there is one choreography. An episode whose wallets cannot fund
 its plan in full, and one whose amounts are too many to record a plan of,
-takes the checked path: `_play_episode` underwrites it and `play_path`
-drives the path through the ledger in one atomic block, then the policy
-retires, so shortfalls, clamps and aborts are as they always were.
+takes the checked path: `_play_episode` underwrites it, `play_path`
+drives the path through the ledger and the policy retires, all in one
+atomic block, so shortfalls and clamps are as they always were and an
+aborted episode leaves the ledger as it found it.
 `replay_game_path`, which criterion 6 checks against the game tree, settles
 its path as the only episode of a one-agent world through the same step.
 
@@ -632,8 +633,9 @@ def _play_episode(
 ) -> tuple[PolicyRecord, ClaimRecord | None]:
     """Underwrite episode `index` at `ep.P`, the premium its game is solved
     at, through `stack` if there is one, which pays its issuers `shares`,
-    play `path` on it in one atomic block, and retire the closed policy.
-    Returns the policy and the claim (None on a no-claim path)."""
+    play `path` on it and retire the closed policy, as one atomic block: if
+    any step raises, the ledger is left as it was. Returns the policy and
+    the claim (None on a no-claim path)."""
     policy_id, tick0 = f"ep-{index}", index * _TICKS_PER_EPISODE
     expiry_tick = tick0 + _TICKS_PER_EPISODE - 1
     with ledger.atomic():
@@ -652,7 +654,7 @@ def _play_episode(
             )
         claim = play_path(ledger, policy, path, _USER_ID, ep, claim_bond=claim_bond,
                           tick=tick0)
-    ledger.retire(policy_id)
+        ledger.retire(policy_id)
     return policy, claim
 
 

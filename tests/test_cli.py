@@ -149,6 +149,19 @@ class TestSimulate:
         first = json.loads(lines[0])
         assert first["index"] == 0
 
+    @pytest.mark.parametrize("log", ["report.json", "./sub/../report.json", "link.json"])
+    def test_one_file_for_report_and_log_exits_two_before_opening_it(
+            self, log, scenario_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to(tmp_path / "report.json")
+        code = main(["simulate", str(scenario_file), "--out", "report.json",
+                     "--episodes-log", log])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "--episodes-log" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         code = main(["simulate", str(tmp_path / "no.json"), "--out", "x.json"])
         assert code == 2

@@ -786,14 +786,22 @@ class TestRetire:
             ledger.retire("pol-1")
         assert ledger_state(ledger) == before
 
-    def test_retire_inside_an_atomic_block_is_refused(self):
-        ledger = funded_ledger()
+    def test_retire_inside_a_block_is_undone_with_it_or_holds(self):
+        ledger, outside = funded_ledger(), funded_ledger()
         _closed_policy(ledger)
+        _closed_policy(outside)
+        outside.retire("pol-1")
         before = ledger_state(ledger)
-        with ledger.atomic():
-            with pytest.raises(WrongState, match="atomic block"):
+        with pytest.raises(RuntimeError):
+            with ledger.atomic():
                 ledger.retire("pol-1")
+                assert not ledger.policies and not ledger.claims
+                raise RuntimeError
         assert ledger_state(ledger) == before
+        ledger.check_invariants()
+        with ledger.atomic():
+            ledger.retire("pol-1")
+        assert ledger_state(ledger) == ledger_state(outside)
 
     def test_unknown_policy_does_not_retire(self):
         with pytest.raises(WrongState, match="unknown policy"):
@@ -880,6 +888,7 @@ class TestCheckInvariants:
 
 _POLICY_IDS = tuple(f"p{i}" for i in range(8))
 _WALLETS = (AGENT, INSURER, USER, FEE_SINK)
+_NEW_WALLET = AccountId(Role.AGENT_WALLET, "newcomer")
 _TICKS = st.integers(0, 40)
 _TICKS_PAST_EXPIRY = 41
 
@@ -1018,8 +1027,15 @@ class LedgerMachine(RuleBasedStateMachine):
                     data.draw(st.sampled_from(_WALLETS)), data.draw(_amount(300)),
                     data.draw(_TICKS), Memo.PREMIUM)
 
+    def deposit(self, data) -> None:
+        # Not a rule: a deposit mints money, so it runs only inside the block
+        # that raises, which must undo it, on an existing wallet or a new one.
+        self.ledger.deposit(data.draw(st.sampled_from([*_WALLETS, _NEW_WALLET])),
+                            data.draw(st.integers(1, 50)))
+
+    # What the block that raises may run.
     _OPERATIONS = (underwrite, file_claim, respond_claim, escalate, adjudicate,
-                   drop_claim, expire_policy, retire, pay)
+                   drop_claim, expire_policy, retire, pay, deposit)
     # The rules that move a claim on from each non-terminal state.
     _NEXT_STEP = {
         ClaimState.FILED: (respond_claim,),
@@ -1033,9 +1049,9 @@ class LedgerMachine(RuleBasedStateMachine):
     @precondition(_open_claims)
     @rule(data=st.data(), n=st.integers(1, 3))
     def atomic_block_that_raises(self, data, n):
-        """Each of the block's operations is either any operation or the
-        next lifecycle step of a claim that existed before the block; the
-        first is always the latter."""
+        """Each of the block's operations is either any operation, a
+        deposit included, or the next lifecycle step of a claim that existed
+        before the block; the first is always the latter."""
         before = ledger_state(self.ledger)
         claim = data.draw(st.sampled_from(self._open_claims()))
         with pytest.raises(_Abort):

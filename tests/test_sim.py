@@ -36,7 +36,7 @@ from insured_agents import (
 )
 from insured_agents import sim
 from insured_agents.game import _ALL_PROFILES, InsurerResponse
-from insured_agents.ledger import AccountId, Ledger, LedgerError, Role
+from insured_agents.ledger import AccountId, Ledger, LedgerError, Role, WrongState
 from insured_agents.market import (
     Certificate,
     InsurerStack,
@@ -1029,7 +1029,7 @@ class TestSettlementPlans:
         assert records == expected
         assert all(r.verifier_invoked for r in records)
 
-    def test_a_plan_is_refused_on_a_used_policy_id_and_inside_an_atomic_block(self):
+    def test_a_plan_is_refused_on_a_used_policy_id_and_undone_by_a_raising_block(self):
         ep, path = self.PARAMS, ALL_PATHS[7]
         amounts = (ep.L, ep.S_A, ep.P, ep.B, ep.F, ep.R, self.CLAIM_BOND)
         plan = sim._settlement_plan(path, tuple(map(bool, amounts)))
@@ -1040,10 +1040,15 @@ class TestSettlementPlans:
                           premium=ep.P, bond=ep.B, claim_deadline=5, expiry_tick=4, tick=0)
         before = ledger_state(ledger)
         assert ledger.apply_plan(plan, wallets, "ep-0", amounts, 0) is None
-        with ledger.atomic():
-            assert ledger.apply_plan(plan, wallets, "ep-1", amounts, 5) is None
         assert ledger_state(ledger) == before
+        with pytest.raises(RuntimeError):
+            with ledger.atomic():
+                assert ledger.apply_plan(plan, wallets, "ep-1", amounts, 5) is not None
+                assert len(ledger._log) == len(plan.moves) and ledger.claims_filed == 1
+                raise RuntimeError
+        assert ledger_state(ledger) == before  # the sink got none of the plan's transfers
         assert ledger.apply_plan(plan, wallets, "ep-1", amounts, 5) is not None
+        assert len(ledger.transfers) == len(before[1]) + len(plan.moves)
 
     #: Wallets that hold less than the plan pays out: the agent cannot post
     #: its deductible and premium, the insurer cannot post its stake or pay a
@@ -1088,7 +1093,7 @@ class TestSettlementPlans:
                     expiry_tick=tick0 + 4, tick=tick0)
             play_path(ledger, policy, path, "user-0", ep, claim_bond=self.CLAIM_BOND,
                       tick=tick0)
-        ledger.retire(policy.id)
+            ledger.retire(policy.id)
         return [ledger.balance(w) - b for w, b in zip(wallets, before)]
 
     @pytest.mark.parametrize("short", sorted(SHORT))
@@ -1392,3 +1397,21 @@ class TestAbortedEpisodes:
                 aborted += 1
                 assert ledger_state(world.ledger) == before, f"episode {index}"
         assert aborted == 37
+
+    @pytest.mark.parametrize("policy", [
+        BehaviorPolicy(),
+        BehaviorPolicy(agent=AgentPolicy.ALWAYS_MALICIOUS, insurer=InsurerPolicy.ALWAYS_DENY),
+    ], ids=["honest", "dispute"])
+    def test_a_checked_episode_refused_at_its_retire_leaves_the_ledger_unchanged(
+            self, policy, monkeypatch):
+        # The checked episode is one block, so a refusal at its last step
+        # undoes the underwrite and the path played before it.
+        def refuse(ledger, policy_id):
+            raise WrongState(f"policy {policy_id} refused")
+
+        monkeypatch.setattr(sim, "_settlement_plan", _unplanned)
+        monkeypatch.setattr(Ledger, "retire", refuse)
+        world = _World(make_config(policy=policy, claim_bond=units(1)))
+        before = ledger_state(world.ledger)
+        assert world.run_episode(0).aborted
+        assert ledger_state(world.ledger) == before
