@@ -17,12 +17,13 @@ enter an operation; a transfer itself is a plain record.
 A transfer costs its two balance writes and one plain tuple, `(src, dst,
 amount, tick, memo)` in `Transfer` field order, appended to the sink
 `Ledger.transfers` or to an atomic block's journal. A sink is any object
-with `append` (one such tuple), `extend` (a list of them, in order) and
-`len`. The default `TransferList` keeps each as a `Transfer`, which is the
-one place a `Transfer` is built; a `TransferCount` keeps only how many
-there were. A planned settlement (`apply_plan`) costs less: one funding
-check and one balance write per wallet, and its transfers handed on in
-one `extend`.
+with `append` (one such tuple), `extend` (a sized iterable of them, in
+order, which a sink that only counts need not iterate) and `len`. The
+default `TransferList` keeps each as a `Transfer`, which is the one place a
+`Transfer` is built; a `TransferCount` keeps only how many there were. A
+planned settlement (`apply_plan`) costs less: one funding check and one
+balance write per wallet, and its transfers handed on in one `extend` as a
+`PlannedTransfers` view, which builds their tuples only when iterated.
 
 Each account is named once, where its record is filed: a `PolicyRecord`
 carries its agent and insurer wallets and its stake escrow, a `ClaimRecord`
@@ -44,7 +45,7 @@ operations instead.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator, Sized
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -220,6 +221,46 @@ class SettlementPlan(NamedTuple):
     claim_state: ClaimState | None
     resolution_ticks: int | None
 
+    def totals(self, amounts: tuple[int, ...]) -> tuple[list[int], list[int]]:
+        """Each wallet's and the fee sink's gross outflow and net delta at
+        `amounts`, in slot order."""
+        get = amounts.__getitem__
+        outflows, deltas = [], []
+        for pays, takes in self.flows:
+            paid = sum(map(get, pays))
+            outflows.append(paid)
+            deltas.append(sum(map(get, takes)) - paid)
+        return outflows, deltas
+
+
+def _claim_id(policy_id: str, number: int) -> str:
+    return f"{policy_id}/claim-{number}"
+
+
+class PlannedTransfers:
+    """The transfers of one applied plan as a sized view: its length is the
+    plan's number of moves, and iterating it builds each transfer's plain
+    tuple, escrow accounts included, in the plan's order. A sink that only
+    counts reads the length and builds nothing."""
+
+    __slots__ = ("moves", "accounts", "amounts", "tick", "policy_id", "claim")
+
+    def __init__(self, moves: tuple, accounts: tuple[AccountId, ...],
+                 amounts: tuple[int, ...], tick: int, policy_id: str, claim: int | None):
+        self.moves, self.accounts, self.amounts = moves, accounts, amounts
+        self.tick, self.policy_id, self.claim = tick, policy_id, claim
+
+    def __len__(self) -> int:
+        return len(self.moves)
+
+    def __iter__(self) -> Iterator[tuple]:
+        policy_id, amounts, tick = self.policy_id, self.amounts, self.tick
+        accounts = (*self.accounts, AccountId(Role.STAKE_ESCROW, policy_id),
+                    None if self.claim is None
+                    else AccountId(Role.BOND_ESCROW, _claim_id(policy_id, self.claim)))
+        for src, dst, field, offset, memo in self.moves:
+            yield accounts[src], accounts[dst], amounts[field], tick + offset, memo
+
 
 class TransferList(list):
     """The default transfer sink: it keeps every transfer it is handed, in
@@ -230,7 +271,7 @@ class TransferList(list):
     def append(self, transfer: tuple) -> None:
         super().append(Transfer._make(transfer))
 
-    def extend(self, transfers: list[tuple]) -> None:
+    def extend(self, transfers: Iterable[tuple]) -> None:
         super().extend(map(Transfer._make, transfers))
 
 
@@ -245,7 +286,7 @@ class TransferCount:
     def append(self, transfer: tuple) -> None:
         self.count += 1
 
-    def extend(self, transfers: list[tuple]) -> None:
+    def extend(self, transfers: Sized) -> None:
         self.count += len(transfers)
 
     def __len__(self) -> int:
@@ -470,7 +511,7 @@ class Ledger:
             )
         if amount > policy.escrowed_stake:
             raise OverCoverage(f"claim {amount} exceeds available coverage")
-        claim_id = f"{policy_id}/claim-{self.claims_filed + 1}"
+        claim_id = _claim_id(policy_id, self.claims_filed + 1)
         claim = ClaimRecord(
             id=claim_id,
             policy_id=policy_id,
@@ -623,42 +664,49 @@ class Ledger:
         del self.policies[policy_id]
 
     def apply_plan(self, plan: SettlementPlan, wallets: tuple[AccountId, ...],
-                   policy_id: str, amounts: tuple[int, ...], tick: int) -> list[int] | None:
+                   policy_id: str, amounts: tuple[int, ...], tick: int,
+                   totals: tuple[list[int], list[int]] | None = None) -> list[int] | None:
         """Settle a fresh policy `policy_id` by `plan` at `amounts`, from
         `tick`, and leave it retired. `wallets` fill the plan's wallet
         slots: the agent's, the insurer's and the user's, then each layer-1
-        issuer's. Returns the balance deltas of the first three.
+        issuer's. `totals` is `plan.totals(amounts)` if the caller keeps it
+        for many settlements; otherwise the sums are made here, and the first
+        source short of its outflow stops them. Returns the balance deltas of
+        the first three.
 
         Every source must hold its gross outflow in the plan, or this returns
         None and changes nothing; so does a policy id already on the books.
         When each source holds it, the checked operations the plan was
         recorded from would pay every transfer in full and refuse none, so
         only the net deltas are written, and no escrow account or record is
-        made. The transfers go where a checked operation's go, with the ids
-        and ticks put in: to the sink, or to an atomic block's journal, and
-        a block that raises undoes the whole plan. A claim advances
-        `claims_filed` as filing one does.
+        made. The transfers go where a checked operation's go, as one sized
+        `PlannedTransfers` view with the ids and ticks put in: to the sink,
+        or to an atomic block's journal, and a block that raises undoes the
+        whole plan. A claim advances `claims_filed` as filing one does.
         """
         if policy_id in self.policies:
             return None
-        balances, get = self.balances, amounts.__getitem__
+        balances = self.balances
         accounts = (*wallets, FEE_SINK)
-        deltas = []
-        for account, (pays, takes) in zip(accounts, plan.flows):
-            paid = sum(map(get, pays))
-            if balances.get(account, 0) < paid:
-                return None
-            deltas.append(sum(map(get, takes)) - paid)
+        if totals is None:
+            get, deltas = amounts.__getitem__, []
+            for account, (pays, takes) in zip(accounts, plan.flows):
+                paid = sum(map(get, pays))
+                if balances.get(account, 0) < paid:
+                    return None
+                deltas.append(sum(map(get, takes)) - paid)
+        else:
+            outflows, deltas = totals
+            for account, paid in zip(accounts, outflows):
+                if balances.get(account, 0) < paid:
+                    return None
         for account, delta, (pays, takes) in zip(accounts, deltas, plan.flows):
             if pays or takes:
                 balances[account] = balances.get(account, 0) + delta
-        bond_escrow = None
+        claim = None
         if plan.claim_state is not None:
-            self.claims_filed += 1
-            bond_escrow = AccountId(Role.BOND_ESCROW, f"{policy_id}/claim-{self.claims_filed}")
-        accounts += (AccountId(Role.STAKE_ESCROW, policy_id), bond_escrow)
-        self._log.extend([(accounts[src], accounts[dst], amounts[field], tick + offset, memo)
-                          for src, dst, field, offset, memo in plan.moves])
+            self.claims_filed = claim = self.claims_filed + 1
+        self._log.extend(PlannedTransfers(plan.moves, accounts, amounts, tick, policy_id, claim))
         return deltas[:3]
 
     # -- internals --------------------------------------------------------

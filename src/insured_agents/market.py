@@ -69,8 +69,13 @@ class GainModel:
             raise ValueError(f"a geometric mean is 0 or at least 1 unit, "
                              f"got {format_units(self.mean)}")
 
+    @property
+    def drawn(self) -> bool:
+        """Whether `draw` reads the generator: a geometric gain of nonzero mean."""
+        return self.kind == "geometric" and self.mean != 0
+
     def draw(self, rng) -> int:
-        if self.kind == "fixed" or self.mean == 0:
+        if not self.drawn:
             return self.mean
         return int(rng.geometric(UNIT / self.mean)) * UNIT
 

@@ -7,14 +7,23 @@ stream derived from (scenario seed, episode index), so results are
 independent of execution order and a (config, seed) pair fully determines
 every report field. That stream is exactly `np.random.default_rng([seed,
 index])`'s, but no episode builds a generator: the world derives the seeds
-of a block of episodes at once (`_seed_states`) and reseeds its one PCG64.
+of a block of episodes at once (`_seed_states`), and an episode's
+`_EpisodeStream` draws its uniforms from its seed in Python ints. Only a
+drawn gain hands the stream to the world's one numpy generator, so a run
+whose gains are fixed never imports `numpy.random`.
 
 An enforced episode first picks the `ALL_PATHS` member it will play: the
 solver's choices with the behavior policies written over them. A world
 whose agent, user and insurer policies are all behavioral reads no choice
 of the solver's, so its episodes solve no game. Otherwise the profile is
 solved once per distinct episode parameter set and kept in a bounded memo
-(`_solved_profile`). `_World._settle` then settles the path. An episode,
+(`_solved_profile`). Under enforced flat pricing, an agent with a fixed
+gain plays every episode at one parameter set until the stack is priced
+again, so the world keeps a table of `_Terms`, rebuilt at every pricing:
+each such agent's params, purchase decision and solved profile, and the
+`_Settlement` of each path it plays, which holds the plan's amounts and
+totals and the record fields they give. Such an episode does only what its
+draw changes. `_World._settle` then settles the path. An episode,
 stacked or not, applies its settlement plan in one `Ledger.apply_plan`
 call; a stack's layer-1 premium shares are amounts of the plan like the
 premium itself. The plan (`_settlement_plan`) is recorded once per path
@@ -46,6 +55,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -272,6 +282,7 @@ _INSURER_ID = "insurer-0"
 _SEED_BLOCK = 256
 
 _MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -341,6 +352,46 @@ def _seed_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     return out
 
 
+class _EpisodeStream:
+    """An episode's draws: the stream of `np.random.default_rng([seed,
+    index])`, from the PCG64 (state, inc) that `_seed_states` derives.
+
+    `random()` steps PCG64's 128-bit LCG in Python ints and applies its
+    XSL-RR output and numpy's `(x >> 11) * 2**-53`, so an episode that draws
+    only uniforms builds no generator. Its first other draw hands the
+    stream's current state to a numpy `Generator`, made once per stream,
+    which serves the rest of that episode.
+    """
+
+    __slots__ = ("state", "inc", "serving", "_generator")
+
+    def __init__(self) -> None:
+        self.state = self.inc = 0
+        self.serving: np.random.Generator | None = None  # this episode's, once handed
+        self._generator: np.random.Generator | None = None
+
+    def random(self) -> float:
+        if self.serving is not None:
+            return self.serving.random()
+        self.state = state = (self.state * _PCG64_MULTIPLIER + self.inc) & _MASK128
+        high = state >> 64
+        word, rot = (high ^ state) & _MASK64, high >> 58
+        return (((word >> rot | word << (64 - rot)) & _MASK64) >> 11) * 2.0**-53
+
+    def geometric(self, p: float) -> int:
+        serving = self.serving
+        if serving is None:  # hand the stream on from where it stands
+            serving = self._generator
+            if serving is None:
+                serving = self._generator = np.random.Generator(np.random.PCG64(0))
+            serving.bit_generator.state = {
+                "bit_generator": "PCG64", "state": {"state": self.state, "inc": self.inc},
+                "has_uint32": 0, "uinteger": 0,
+            }
+            self.serving = serving
+        return serving.geometric(p)
+
+
 @functools.lru_cache(maxsize=256)
 def _solved_profile(ep: MechanismParams) -> StrategyProfile:
     """The SPE profile of `ep`'s game, solved once per distinct `ep`.
@@ -367,6 +418,37 @@ def _funding(config: ScenarioConfig) -> int:
     `_FUNDING_CAP` (which `ScenarioConfig` keeps one episode's obligations under)."""
     total = config.episodes * _obligations(config) + config.params.L
     return min(total, _FUNDING_CAP)
+
+
+class _Settlement(NamedTuple):
+    """How an episode at known params that plays `path` settles: its
+    amounts (L, S_A, P, B, F, R, claim bond, then each layer-1 share), its
+    plan (None if it has none), and, if it has one, `plan.totals(amounts)`,
+    the planned (claim state, resolution ticks, party deltas) and the
+    record fields and observation those give."""
+
+    path: TerminalPath
+    amounts: tuple[int, ...]
+    plan: SettlementPlan | None = None
+    totals: tuple[list[int], list[int]] | None = None
+    planned: tuple[ClaimState | None, int | None, list[int]] | None = None
+    outcome: tuple[dict, bool] | None = None
+
+
+class _Terms:
+    """An agent's episode terms while the world's pricing holds, for an
+    agent whose gain no draw changes: its episode params, its purchase
+    decision, its solved profile once an insured episode needs it, and the
+    `_Settlement` of each path it has played. Those are keyed by the path's
+    `id`, which each entry keeps alive: a `TerminalPath` hashes its fields
+    in Python on every lookup."""
+
+    __slots__ = ("ep", "buys", "profile", "settlements")
+
+    def __init__(self, ep: MechanismParams, buys: bool) -> None:
+        self.ep, self.buys = ep, buys
+        self.profile: StrategyProfile | None = None
+        self.settlements: dict[int, _Settlement] = {}
 
 
 class _World:
@@ -409,15 +491,17 @@ class _World:
         self.fixed_ep = config.params
         if config.stack is not None:
             self._price_stack(0)
+        else:
+            self.terms = self._price_terms()
         if config.enforcement_enabled:
             fund = _funding(config)
             self.ledger.deposit(user, fund)
             self.ledger.deposit(insurer, fund)
             for agent_wallet, _, _ in self.parties.values():
                 self.ledger.deposit(agent_wallet, fund)
-        # One generator, reseeded for every episode from a block of derived
-        # seeds; both are made on the first episode.
-        self._rng: np.random.Generator | None = None
+        # One stream, set to each episode's seed from a block of derived
+        # seeds, which the first episode derives.
+        self._stream = _EpisodeStream()
         self._block, self._seeds = -1, []
 
     def _episode_params(self, gain: int, premium: int) -> MechanismParams:
@@ -449,28 +533,39 @@ class _World:
         issuers = tuple(AccountId(Role.INSURER_WALLET, issuer)
                         for issuer, _ in self.stack.premium_shares)
         self.wallets = {a: (*parties, *issuers) for a, parties in self.parties.items()}
+        self.terms = self._price_terms()
 
-    def _episode_rng(self, index: int) -> np.random.Generator:
-        """Episode `index`'s generator: the world's one generator, reseeded to
-        the stream `np.random.default_rng([seed, index])` gives.
+    def _price_terms(self) -> dict[str, _Terms]:
+        """The `_Terms` of each agent whose episode params the pricing fixes:
+        under enforced flat pricing, each agent whose gain is not drawn."""
+        config, fixed = self.config, self.fixed_ep
+        if config.pricing != "flat" or not config.enforcement_enabled:
+            return {}
+        terms = {}
+        for agent in config.population:
+            if agent.gain.drawn:
+                continue
+            ep = self._episode_params(min(agent.gain.mean, MAX_AMOUNT // 8), fixed.P)
+            terms[agent.id] = _Terms(ep, decide_purchase(agent, fixed.P, ep))
+        return terms
+
+    def _episode_rng(self, index: int) -> _EpisodeStream:
+        """Episode `index`'s draws: the world's one stream, set to the stream
+        `np.random.default_rng([seed, index])` gives.
 
         Seeds are derived a block of `_SEED_BLOCK` indices at a time, never
         past the world's last episode.
         """
         block, offset = divmod(index, _SEED_BLOCK)
         if block != self._block:
-            if self._rng is None:
-                self._rng = np.random.Generator(np.random.PCG64(0))
             self._seeds.clear()  # free the finished block before building the next
             start = block * _SEED_BLOCK
             stop = min(start + _SEED_BLOCK, self.config.episodes)
             self._block, self._seeds = block, _seed_states(self.config.seed, start, stop)
-        state, inc = self._seeds[offset]
-        self._rng.bit_generator.state = {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
-        return self._rng
+        stream = self._stream
+        stream.state, stream.inc = self._seeds[offset]
+        stream.serving = None
+        return stream
 
     # -- per-episode decisions -------------------------------------------
 
@@ -478,7 +573,7 @@ class _World:
         self,
         profile: StrategyProfile | None,
         ep: MechanismParams,
-        rng: np.random.Generator,
+        rng: _EpisodeStream,
     ) -> AgentAction:
         """The agent's move; `profile` is the solved game, None when no
         episode solves one (enforcement off, or every policy behavioral)."""
@@ -508,7 +603,7 @@ class _World:
         profile: StrategyProfile | None,
         agent: AgentProfile,
         ep: MechanismParams,
-        rng: np.random.Generator,
+        rng: _EpisodeStream,
     ) -> TerminalPath:
         """The solver's choices with the behavior policies written over them;
         `profile` is None when every policy is behavioral and none reads it."""
@@ -544,44 +639,96 @@ class _World:
         if self.stack is not None and tick0 >= self.stack.expires_at:
             self._price_stack(tick0)
 
-        fixed = self.fixed_ep
-        gain = min(agent.gain.draw(rng), MAX_AMOUNT // 8)
-        if config.pricing == "experience" and config.enforcement_enabled:
-            premium = price_premium(self.posteriors[agent.id], fixed.L, config.loading)
+        terms = self.terms.get(agent.id)
+        if terms is not None:  # params, decision and profile fixed by the pricing
+            if not terms.buys:
+                record.excluded = True
+                return record
+            ep, profile = terms.ep, terms.profile
+            if profile is None and self.solves:
+                profile = terms.profile = _solved_profile(ep)
         else:
-            premium = fixed.P
-        ep = self._episode_params(gain, premium)
+            fixed = self.fixed_ep
+            gain = min(agent.gain.draw(rng), MAX_AMOUNT // 8)
+            if config.pricing == "experience" and config.enforcement_enabled:
+                premium = price_premium(self.posteriors[agent.id], fixed.L, config.loading)
+            else:
+                premium = fixed.P
+            ep = self._episode_params(gain, premium)
 
-        if not config.enforcement_enabled:
-            action = self._agent_action(None, ep, rng)
-            record.action = action.value
-            record.misbehaved = action is AgentAction.MALICIOUS
-            record.payoff_agent, record.payoff_insurer, record.payoff_user = (
-                _payoffs(ep, path_of(record.misbehaved, False, False, False), [0, 0, 0])
-            )
-            return record
+            if not config.enforcement_enabled:
+                action = self._agent_action(None, ep, rng)
+                record.action = action.value
+                record.misbehaved = action is AgentAction.MALICIOUS
+                record.payoff_agent, record.payoff_insurer, record.payoff_user = _payoffs(
+                    ep, path_of(record.misbehaved, False, False, False), [0, 0, 0])
+                return record
 
-        if not decide_purchase(agent, premium, ep):
-            record.excluded = True
-            return record
+            if not decide_purchase(agent, premium, ep):
+                record.excluded = True
+                return record
+            profile = _solved_profile(ep) if self.solves else None
 
-        profile = _solved_profile(ep) if self.solves else None
         path = self._episode_path(profile, agent, ep, rng)
+        settlement = None
+        if terms is not None:
+            settlement = terms.settlements.get(id(path))
+            if settlement is None:
+                settlement = terms.settlements[id(path)] = self._settlement(agent, ep, path)
         try:
-            claim_state, resolution_ticks, deltas = self._settle(agent, ep, path, index)
+            settled = self._settle(agent, ep, path, index, settlement)
         except LedgerError:
             record.aborted = True
             return record
+        if settlement is not None and settled is settlement.planned:
+            fields, observed = settlement.outcome
+            vars(record).update(fields)
+        else:
+            observed = self._record_outcome(record, agent, ep, path, *settled)
+        self.posteriors[agent.id] = update_posterior(self.posteriors[agent.id], observed)
+        return record
 
+    def _plan(self, ep: MechanismParams,
+              path: TerminalPath) -> tuple[tuple[int, ...], SettlementPlan | None]:
+        """The amounts of an episode at `ep`, under the stack as now priced,
+        and the plan it settles `path` by, if it has one."""
+        stack = self.stack
+        shares = () if stack is None else layer1_shares(stack, ep.P)
+        amounts = (ep.L, ep.S_A, ep.P, ep.B, ep.F, ep.R, self.config.claim_bond, *shares)
+        return amounts, _settlement_plan(path, tuple(map(bool, amounts)))
+
+    def _settlement(self, agent: AgentProfile, ep: MechanismParams,
+                    path: TerminalPath) -> _Settlement:
+        """The `_Settlement` of an episode of `agent` at `ep` that plays
+        `path`, under the stack as now priced."""
+        amounts, plan = self._plan(ep, path)
+        if plan is None:
+            return _Settlement(path, amounts)
+        totals = plan.totals(amounts)
+        planned = (plan.claim_state, plan.resolution_ticks, totals[1][:3])
+        record = EpisodeRecord(index=0, agent_id=agent.id, insurer_id=_INSURER_ID)
+        observed = self._record_outcome(record, agent, ep, path, *planned)
+        # Every field but the index is the same in each episode it settles.
+        fields = {name: value for name, value in vars(record).items() if name != "index"}
+        return _Settlement(path, amounts, plan, totals, planned, (fields, observed))
+
+    def _record_outcome(
+        self, record: EpisodeRecord, agent: AgentProfile, ep: MechanismParams,
+        path: TerminalPath, claim_state: ClaimState | None, resolution_ticks: int | None,
+        deltas: list[int],
+    ) -> bool:
+        """Fill in `record`, an insured episode at `ep` that settled `path`
+        as `_settle` returns; return whether the insurer observed the agent
+        misbehave."""
         record.action = path.agent.value
-        record.misbehaved = path.agent is AgentAction.MALICIOUS
+        record.misbehaved = misbehaved = path.agent is AgentAction.MALICIOUS
         record.premium_paid = ep.P
         if claim_state is not None:
             record.claim_filed = True
             record.claim_state = claim_state.value
             record.escalated = record.verifier_invoked = bool(path.escalated)
             record.audit_access_event = (
-                config.policy.insurer is InsurerPolicy.RATIONAL_SPE
+                self.config.policy.insurer is InsurerPolicy.RATIONAL_SPE
                 and agent.audit_access_granted
             )
             if claim_state in (ClaimState.ACCEPTED, ClaimState.UPHELD_VALID):
@@ -590,37 +737,40 @@ class _World:
         record.payoff_agent, record.payoff_insurer, record.payoff_user = (
             _payoffs(ep, path, deltas)
         )
-        observed = _caught(path) or (record.misbehaved and agent.audit_access_granted)
-        self.posteriors[agent.id] = update_posterior(self.posteriors[agent.id], observed)
-        return record
+        return _caught(path) or (misbehaved and agent.audit_access_granted)
 
     def _settle(
-        self, agent: AgentProfile, ep: MechanismParams, path: TerminalPath, index: int
+        self, agent: AgentProfile, ep: MechanismParams, path: TerminalPath, index: int,
+        settlement: _Settlement | None = None,
     ) -> tuple[ClaimState | None, int | None, list[int]]:
-        """Settle episode `index`, which plays `path` on a policy at `ep`.
+        """Settle episode `index`, which plays `path` on a policy at `ep`, by
+        `settlement` if it is given.
 
         The episode applies its settlement plan in one ledger call, at the
         amounts (L, S_A, P, B, F, R, claim bond) and then each layer-1
-        issuer's share of the premium, if a stack is priced. One with no
-        plan, or whose plan a wallet cannot fund in full, is played through
-        the ledger's checked operations by `_play_episode`, at the same
-        shares. Returns the claim's terminal state and filed-to-resolved
+        issuer's share of the premium, if a stack is priced; given a
+        `settlement`, it then returns `settlement.planned` itself. One with
+        no plan, or whose plan a wallet cannot fund in full, is played
+        through the ledger's checked operations by `_play_episode`, at the
+        same shares. Returns the claim's terminal state and filed-to-resolved
         ticks (both None on a no-claim path) and the (agent, insurer, user)
         deltas.
         """
-        ledger, stack = self.ledger, self.stack
-        claim_bond = self.config.claim_bond
-        shares = () if stack is None else layer1_shares(stack, ep.P)
-        amounts = (ep.L, ep.S_A, ep.P, ep.B, ep.F, ep.R, claim_bond, *shares)
-        plan = _settlement_plan(path, tuple(map(bool, amounts)))
+        ledger = self.ledger
+        if settlement is None:
+            amounts, plan = self._plan(ep, path)
+            totals = planned = None
+        else:
+            _, amounts, plan, totals, planned, _ = settlement
         if plan is not None:
             deltas = ledger.apply_plan(plan, self.wallets[agent.id], f"ep-{index}", amounts,
-                                       index * _TICKS_PER_EPISODE)
+                                       index * _TICKS_PER_EPISODE, totals)
             if deltas is not None:
-                return plan.claim_state, plan.resolution_ticks, deltas
+                return planned or (plan.claim_state, plan.resolution_ticks, deltas)
         parties = self.parties[agent.id]
         before = [ledger.balance(w) for w in parties]
-        _, claim = _play_episode(ledger, stack, agent.id, ep, path, claim_bond, index, shares)
+        _, claim = _play_episode(ledger, self.stack, agent.id, ep, path,
+                                 self.config.claim_bond, index, amounts[7:])
         deltas = [ledger.balance(w) - b for w, b in zip(parties, before)]
         if claim is None:
             return None, None, deltas
@@ -885,20 +1035,25 @@ def sweep_configs(
 ) -> list[ScenarioConfig]:
     """Every grid cell's config, row-major, each built (and so validated).
 
-    `grid` maps distinct MechanismParams field names to value lists. An
-    empty grid or axis, an unknown or repeated name, and a `P` axis under
-    experience or stack pricing, which price each episode themselves and so
-    would ignore it, raise ValueError; a malformed cell raises ScenarioError
+    `grid` maps distinct MechanismParams field names to lists of distinct
+    values. An empty grid or axis, an unknown or repeated name, a repeated
+    value, which would run one cell twice, and a `P` axis under experience
+    or stack pricing, which price each episode themselves and so would
+    ignore it, raise ValueError; a malformed cell raises ScenarioError
     naming the cell.
     """
     if not grid or any(not values for _, values in grid):
         raise ValueError("sweep grid must be non-empty in every dimension")
     names = [name for name, _ in grid]
-    for i, name in enumerate(names):
+    for i, (name, values) in enumerate(grid):
         if name not in FIELDS:
             raise ValueError(f"unknown grid parameter {name!r}")
         if name in names[:i]:
             raise ValueError(f"grid parameter {name!r} is repeated")
+        for j, value in enumerate(values):
+            if value in values[:j]:
+                raise ValueError(f"grid parameter {name!r} repeats the value "
+                                 f"{_grid_value(value)}")
     if "P" in names and (config.pricing == "experience" or config.stack is not None):
         pricing = "experience" if config.pricing == "experience" else "stack"
         raise ValueError(f"grid parameter 'P' has no effect under {pricing} pricing, "

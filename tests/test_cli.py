@@ -260,6 +260,11 @@ class TestSweep:
     @pytest.mark.parametrize("grid, message", [
         pytest.param("Q=1,2", "unknown grid parameter 'Q'", id="unknown-name"),
         pytest.param("F=1,2;F=300", "grid parameter 'F' is repeated", id="repeated-name"),
+        # `1` and `1.0` are one amount: the cell would run twice.
+        pytest.param("S_A=1,1.0", "grid parameter 'S_A' repeats the value 1",
+                     id="repeated-value"),
+        pytest.param("F=50;S_A=0,2,0.5,2", "grid parameter 'S_A' repeats the value 2",
+                     id="repeated-value-second-axis"),
     ])
     def test_bad_grid_exits_two(self, grid, message, scenario_file, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -122,6 +122,9 @@ SCENARIOS = {
         loading=0.2,
     ),
     "enforcement_off": _scenario(enforcement_enabled=False),
+    # a fixed gain high enough that a tempted agent nets G - S_A - V_future =
+    # 200 > Pi_honest, so each episode's uniform decides whether it misbehaves
+    "fixed_tempted": {**BASELINE, "params": {**_PARAMS, "G": 250}},
 }
 
 # Funding is capped, so an escalation bond this large drains the user wallet

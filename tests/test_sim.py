@@ -36,7 +36,9 @@ from insured_agents import (
 )
 from insured_agents import sim
 from insured_agents.game import _ALL_PROFILES, InsurerResponse
-from insured_agents.ledger import AccountId, Ledger, LedgerError, Role, WrongState
+from insured_agents.ledger import (
+    AccountId, Ledger, LedgerError, PlannedTransfers, Role, WrongState,
+)
 from insured_agents.market import (
     Certificate,
     InsurerStack,
@@ -209,10 +211,11 @@ class TestDeterminism:
 
 
 class TestEpisodeStream:
-    """A world reseeds one generator from seeds it derives in blocks; every
-    episode must still draw exactly the stream `default_rng([seed, index])`
-    gives. These tests and `tests/golden/` are the stream's only guard: the
-    baseline scenario never misbehaves, so its report is the same at any seed."""
+    """A world sets one stream from seeds it derives in blocks and draws its
+    uniforms in Python; every episode must still draw exactly the stream
+    `default_rng([seed, index])` gives. These tests and `tests/golden/` are
+    the stream's only guard: the baseline scenario never misbehaves, so its
+    report is the same at any seed."""
 
     @pytest.mark.filterwarnings("error")  # a uint32 overflow warning fails
     @given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**33 - 2))
@@ -227,16 +230,48 @@ class TestEpisodeStream:
             expected.append((state["state"], state["inc"]))
         assert sim._seed_states(seed, index, index + 2) == expected
 
+    @settings(deadline=None)
+    @given(
+        # A seed of one 32-bit word, and of two.
+        seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1)),
+        # Indices on both sides of a seed block's boundary and of 2**32.
+        index=st.sampled_from([sim._SEED_BLOCK, 2**32]).flatmap(
+            lambda edge: st.integers(edge - 2, edge + 1)),
+    )
+    def test_uniforms_are_default_rng_uniforms(self, seed, index):
+        world = _World(make_config(seed=seed, episodes=index + 1))
+        stream, expected = world._episode_rng(index), np.random.default_rng([seed, index])
+        assert [stream.random() for _ in range(3)] == [expected.random() for _ in range(3)]
+
+    @pytest.mark.parametrize("uniforms_first", [0, 2])
+    def test_a_geometric_draw_hands_the_stream_on(self, uniforms_first):
+        # An episode whose first draw, or a later one, is a geometric gain:
+        # numpy's generator takes the stream from where it stands, serves the
+        # rest of the episode, and the next episode draws in Python again.
+        config = make_config(seed=2**40 + 3, episodes=3)
+        world = _World(config)
+        for index in (0, 1):
+            stream = world._episode_rng(index)
+            expected = np.random.default_rng([config.seed, index])
+            draws = [stream.random() for _ in range(uniforms_first)]
+            draws += [stream.geometric(0.3), stream.random(), stream.geometric(0.6)]
+            assert draws == ([expected.random() for _ in range(uniforms_first)]
+                             + [expected.geometric(0.3), expected.random(),
+                                expected.geometric(0.6)])
+        stream, expected = world._episode_rng(2), np.random.default_rng([config.seed, 2])
+        assert stream.serving is None
+        assert stream.random() == expected.random()
+
     def test_each_episode_reseeds_to_its_own_stream(self):
         config = make_config(seed=2**40 + 3, episodes=sim._SEED_BLOCK + 5)
         world = _World(config)
         for index in range(config.episodes):
-            rng = world._episode_rng(index)
+            stream = world._episode_rng(index)
             expected = np.random.default_rng([config.seed, index])
-            assert rng.bit_generator.state == expected.bit_generator.state, index
-            # A 32-bit draw leaves half a word buffered; a reseed must drop it.
-            assert rng.integers(2**32, dtype=np.uint32) == expected.integers(
-                2**32, dtype=np.uint32)
+            # Every third episode hands its stream on; the next must not inherit it.
+            draws = [stream.random()] + ([stream.geometric(0.5)] if index % 3 == 0 else [])
+            assert draws == [expected.random()] + (
+                [expected.geometric(0.5)] if index % 3 == 0 else []), index
         assert len(world._seeds) == 5  # no seed past the last episode
 
     def test_episodes_play_the_default_rng_stream(self, monkeypatch):
@@ -418,6 +453,12 @@ class TestSweep:
         # A second F axis would overwrite the first in every cell.
         with pytest.raises(ValueError, match="'F'"):
             sweep(make_config(), [("F", [units(1), units(2)]), ("F", [units(300)])])
+
+    def test_repeated_value_rejected(self):
+        # A repeated value would run the identical cell twice.
+        with pytest.raises(ValueError, match="grid parameter 'F' repeats the value 2"):
+            sweep_configs(make_config(), [("S_A", [units(1)]),
+                                          ("F", [units(2), units(3), units(2)])])
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown grid parameter 'Q'"):
@@ -1160,6 +1201,84 @@ class TestSettlementPlans:
         assert world.ledger.claims_filed == direct.claims_filed == int(path.claimed)
         assert world.ledger.balances == direct.balances
         assert claim_state is plan.claim_state
+
+
+class TestSettlementTable:
+    @staticmethod
+    def count_decisions(monkeypatch) -> list[str]:
+        decided = []
+        decide = sim.decide_purchase
+
+        def counting(agent, quote, params):
+            decided.append(agent.id)
+            return decide(agent, quote, params)
+
+        monkeypatch.setattr(sim, "decide_purchase", counting)
+        return decided
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(doc=scenario_docs())
+    @with_stacked_examples
+    def test_a_tabled_world_matches_one_that_prices_every_episode(self, doc):
+        config = scenario_from_dict(doc)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "TransferCount", list)
+            tabled, priced = _World(config), _World(config)
+        priced._price_terms = lambda: {}  # also when a stack is priced again
+        priced.terms = {}
+        for index in range(config.episodes):
+            assert tabled.run_episode(index) == priced.run_episode(index)
+            assert tabled.ledger.transfers == priced.ledger.transfers
+            assert tabled.ledger.balances == priced.ledger.balances
+        assert tabled.terms.keys() == {
+            a.id for a in config.population
+            if config.enforcement_enabled and config.pricing == "flat" and not a.gain.drawn}
+
+    def test_a_flat_priced_world_decides_once_per_agent_per_pricing(self, monkeypatch):
+        decided = self.count_decisions(monkeypatch)
+        population = [{"id": "a0", "theta": 0.1}, {"id": "a1", "theta": 0.4}]
+        run_scenario(scenario_from_dict(scenario_doc(episodes=50, population=population)))
+        assert decided == ["a0", "a1"]
+        # The code certificate expires at episode 8 and the stack is priced again.
+        decided.clear()
+        run_scenario(scenario_from_dict(scenario_doc(
+            episodes=30, population=population,
+            params={**scenario_doc()["params"], "Pi_honest": 200},
+            stack={"base_risk": 0.1, "loading": 0.2, "certificates": _TWO_CERTIFICATES},
+        )))
+        assert decided == ["a0", "a1"] * 2
+
+    def test_an_experience_priced_world_decides_once_per_episode(self, monkeypatch):
+        decided = self.count_decisions(monkeypatch)
+        report = run_scenario(scenario_from_dict(scenario_doc(
+            episodes=40, pricing="experience", loading=0.2,
+            population=[{"id": "a0", "theta": 0.1}, {"id": "a1", "theta": 0.4}],
+        )))
+        assert report.excluded > 0
+        assert decided == ["a0", "a1"] * 20
+
+    @pytest.mark.parametrize("policies", [
+        {"agent": "opportunistic", "opportunistic_p": 0.5},
+        {"agent": "always_malicious", "user": "always_claim", "insurer": "always_deny"},
+    ], ids=["honest", "disputed"])
+    def test_a_counting_world_builds_no_planned_transfer(self, policies):
+        def refuse(view):
+            raise AssertionError("a counting sink iterated a planned settlement")
+
+        config = scenario_from_dict(scenario_doc(
+            episodes=60, claim_bond=1, policies=policies,
+            params={**scenario_doc()["params"], "Pi_honest": 200},
+        ))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(PlannedTransfers, "__iter__", refuse)
+            counting = _World(config)
+            records = [counting.run_episode(index) for index in range(config.episodes)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "TransferCount", list)
+            listing = _World(config)
+        assert [listing.run_episode(index) for index in range(config.episodes)] == records
+        assert not any(r.aborted or r.excluded for r in records)
+        assert len(counting.ledger.transfers) == len(listing.ledger.transfers) >= 5 * 60
 
 
 class TestEpisodeHotPath:
