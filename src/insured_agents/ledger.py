@@ -665,14 +665,12 @@ class Ledger:
 
     def apply_plan(self, plan: SettlementPlan, wallets: tuple[AccountId, ...],
                    policy_id: str, amounts: tuple[int, ...], tick: int,
-                   totals: tuple[list[int], list[int]] | None = None) -> list[int] | None:
+                   totals: tuple[list[int], list[int]]) -> list[int] | None:
         """Settle a fresh policy `policy_id` by `plan` at `amounts`, from
         `tick`, and leave it retired. `wallets` fill the plan's wallet
         slots: the agent's, the insurer's and the user's, then each layer-1
-        issuer's. `totals` is `plan.totals(amounts)` if the caller keeps it
-        for many settlements; otherwise the sums are made here, and the first
-        source short of its outflow stops them. Returns the balance deltas of
-        the first three.
+        issuer's. `totals` is `plan.totals(amounts)`, which the caller keeps
+        for many settlements. Returns the balance deltas of the first three.
 
         Every source must hold its gross outflow in the plan, or this returns
         None and changes nothing; so does a policy id already on the books.
@@ -688,18 +686,10 @@ class Ledger:
             return None
         balances = self.balances
         accounts = (*wallets, FEE_SINK)
-        if totals is None:
-            get, deltas = amounts.__getitem__, []
-            for account, (pays, takes) in zip(accounts, plan.flows):
-                paid = sum(map(get, pays))
-                if balances.get(account, 0) < paid:
-                    return None
-                deltas.append(sum(map(get, takes)) - paid)
-        else:
-            outflows, deltas = totals
-            for account, paid in zip(accounts, outflows):
-                if balances.get(account, 0) < paid:
-                    return None
+        outflows, deltas = totals
+        for account, paid in zip(accounts, outflows):
+            if balances.get(account, 0) < paid:
+                return None
         for account, delta, (pays, takes) in zip(accounts, deltas, plan.flows):
             if pays or takes:
                 balances[account] = balances.get(account, 0) + delta

@@ -8,7 +8,10 @@ discount the base risk the Layer-2 master insurer underwrites.
 Every rate (loading, propensity, base risk, discount, layer-1 cut, residual
 risk) is read by `money.rate`, as the exact decimal it is written as. A
 premium is computed on integers: the risk and the loading as numerators and
-denominators, rounded half-up once, at the end.
+denominators, rounded half-up once, at the end. `loaded_premium` is that one
+formula: `price_premium` and `stack_premium` quote through it, and so does a
+simulated world that keeps a posterior as its two counts. `max_premium` is
+the most it can quote at a loading, which a world's funding is sized for.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class AgentProfile:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
 
 
-def _loaded_premium(risk_num: int, risk_den: int, coverage: int, loading: float) -> int:
+def loaded_premium(risk_num: int, risk_den: int, coverage: int, loading: float) -> int:
     """(risk_num / risk_den) x coverage x (1 + loading) in micro-units.
 
     `loading` is read by `money.rate` as n/d. The exact price is then the
@@ -115,10 +118,16 @@ def _loaded_premium(risk_num: int, risk_den: int, coverage: int, loading: float)
         raise MoneyOverflowError(f"premium at loading {loading!r}: {exc}") from None
 
 
+def max_premium(coverage: int, loading: float) -> int:
+    """The most `loaded_premium` can quote for `coverage` at `loading`: a
+    risk is at most 1, so coverage x (1 + loading), rounded up."""
+    return math.ceil(coverage * (1 + rate(loading)))
+
+
 def price_premium(posterior: RiskPosterior, coverage: int, loading: float) -> int:
     """Expected-loss premium at the posterior mean, with a proportional loading."""
     alpha = posterior.alpha
-    return _loaded_premium(alpha, alpha + posterior.beta, coverage, loading)
+    return loaded_premium(alpha, alpha + posterior.beta, coverage, loading)
 
 
 def decide_purchase(agent: AgentProfile, quote: int, params: MechanismParams) -> bool:
@@ -235,7 +244,7 @@ def compose_stack(
 def stack_premium(stack: InsurerStack, coverage: int, loading: float) -> int:
     """Premium the master insurer quotes at the stack's residual risk."""
     risk = rate(stack.residual_risk)
-    return _loaded_premium(risk.numerator, risk.denominator, coverage, loading)
+    return loaded_premium(risk.numerator, risk.denominator, coverage, loading)
 
 
 def layer1_shares(stack: InsurerStack, premium: int) -> tuple[int, ...]:

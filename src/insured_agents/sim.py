@@ -17,21 +17,17 @@ solver's choices with the behavior policies written over them. A world
 whose agent, user and insurer policies are all behavioral reads no choice
 of the solver's, so its episodes solve no game. Otherwise the profile is
 solved once per distinct episode parameter set and kept in a bounded memo
-(`_solved_profile`). Under enforced flat pricing, an agent with a fixed
-gain plays every episode at one parameter set until the stack is priced
-again, so the world keeps a table of `_Terms`, rebuilt at every pricing:
-each such agent's params, purchase decision and solved profile, and the
-`_Settlement` of each path it plays, which holds the plan's amounts and
-totals and the record fields they give. Such an episode does only what its
-draw changes. `_World._settle` then settles the path. An episode,
-stacked or not, applies its settlement plan in one `Ledger.apply_plan`
-call; a stack's layer-1 premium shares are amounts of the plan like the
-premium itself. The plan (`_settlement_plan`) is recorded once per path
-and per pattern of zero amounts, from a real `_play_episode` on a scratch
-ledger, so there is one choreography. An episode whose wallets cannot fund
-its plan in full, and one whose amounts are too many to record a plan of,
-takes the checked path: `_play_episode` underwrites it, `play_path`
-drives the path through the ledger and the policy retires, all in one
+(`_solved_profile`). Every agent of an enforced world has `_Terms` in a
+table rebuilt at every pricing: its params, purchase decision and profile
+where the pricing fixes them, and the `_Settlement` of each path it plays.
+A drawn gain and a quoted premium stay ints: params are built only to key
+a game to solve, or for the checked path. `_World._settle` applies an
+episode's plan, layer-1 premium shares included, in one `Ledger.apply_plan`
+call. The plan (`_settlement_plan`) is recorded once per path and pattern
+of zero amounts from a real `_play_episode` on a scratch ledger, so there
+is one choreography. An episode whose wallets cannot fund its plan, or
+whose amounts are too many to plan, takes the checked path: `_play_episode`
+underwrites it, `play_path` drives the path and the policy retires, in one
 atomic block, so shortfalls and clamps are as they always were and an
 aborted episode leaves the ledger as it found it.
 `replay_game_path`, which criterion 6 checks against the game tree, settles
@@ -88,17 +84,16 @@ from .market import (
     Certificate,
     GainModel,
     InsurerStack,
-    RiskPosterior,
     compose_stack,
     decide_purchase,
     layer1_shares,
-    price_premium,
+    loaded_premium,
+    max_premium,
     stack_premium,
     underwrite_stack,
-    update_posterior,
 )
 from .mechanism import FIELDS, REQUIRED, SIGNED, MechanismParams
-from .money import MAX_AMOUNT, MoneyError, check_amount, format_units, rate, units
+from .money import MAX_AMOUNT, MoneyError, check_amount, format_units, units
 
 
 class AgentPolicy(Enum):
@@ -205,11 +200,10 @@ class ScenarioConfig:
                 domains.add(cert.domain)
         for path, loading in loadings:
             try:
-                factor = 1 + rate(loading)
+                premium = max_premium(self.params.L, loading)
             except ValueError as exc:
                 raise ScenarioError(path, str(exc)) from None
-            if self.params.L * factor > MAX_AMOUNT:
-                # A premium is at most L x (1 + loading): risk never exceeds 1.
+            if premium > MAX_AMOUNT:
                 raise ScenarioError(path, f"prices a premium beyond the representable "
                                           f"range at L = {self.params.L}, got {loading}")
         try:
@@ -408,9 +402,13 @@ _FUNDING_CAP = MAX_AMOUNT // 8
 
 def _obligations(config: ScenarioConfig) -> int:
     """The most one episode can ask of a wallet: its harm, stake, bond, fee,
-    reputation cost, premium and claim bond, plus one unit."""
-    p = config.params
-    return p.L + p.S_A + p.B + p.F + p.R + p.P + config.claim_bond + units(1)
+    reputation cost, claim bond and the most premium its pricing quotes (P,
+    else `max_premium` at the experience or stack loading), plus one unit."""
+    p, premium = config.params, config.params.P
+    if config.pricing == "experience" or config.stack is not None:
+        loading = config.loading if config.pricing == "experience" else config.stack.loading
+        premium = max_premium(p.L, loading)
+    return p.L + p.S_A + p.B + p.F + p.R + premium + config.claim_bond + units(1)
 
 
 def _funding(config: ScenarioConfig) -> int:
@@ -421,39 +419,41 @@ def _funding(config: ScenarioConfig) -> int:
 
 
 class _Settlement(NamedTuple):
-    """How an episode at known params that plays `path` settles: its
-    amounts (L, S_A, P, B, F, R, claim bond, then each layer-1 share), its
-    plan (None if it has none), and, if it has one, `plan.totals(amounts)`,
-    the planned (claim state, resolution ticks, party deltas) and the
-    record fields and observation those give."""
+    """How an agent's episodes settle `path` under the pricing: the plan
+    (None if there is none) and its totals with each amount a quoted premium
+    changes at 0, listed in `linear` as (slot, field, times paid, net); the
+    record fields and the observation. If `exact` (gain and premium fixed by
+    the pricing) the fields are the whole record; otherwise they are at a
+    gain and premium of 0, and an episode sets its premium and adds its
+    deltas and gain to their payoffs."""
 
     path: TerminalPath
-    amounts: tuple[int, ...]
-    plan: SettlementPlan | None = None
+    plan: SettlementPlan | None
     totals: tuple[list[int], list[int]] | None = None
-    planned: tuple[ClaimState | None, int | None, list[int]] | None = None
-    outcome: tuple[dict, bool] | None = None
+    linear: tuple[tuple[int, int, int, int], ...] = ()
+    fields: dict | None = None
+    observed: bool = False
+    exact: bool = False
 
 
 class _Terms:
-    """An agent's episode terms while the world's pricing holds, for an
-    agent whose gain no draw changes: its episode params, its purchase
-    decision, its solved profile once an insured episode needs it, and the
-    `_Settlement` of each path it has played. Those are keyed by the path's
-    `id`, which each entry keeps alive: a `TerminalPath` hashes its fields
-    in Python on every lookup."""
+    """An enforced agent's terms while the pricing holds: its params and
+    purchase decision where they are fixed (else None), its solved profile
+    once needed, and each `_Settlement` it has played, keyed by its path's
+    `id` (kept alive by the entry: a path hashes in Python) and, if premiums
+    are quoted, by which of P and the layer-1 shares are zero."""
 
     __slots__ = ("ep", "buys", "profile", "settlements")
 
-    def __init__(self, ep: MechanismParams, buys: bool) -> None:
+    def __init__(self, ep: MechanismParams | None, buys: bool | None) -> None:
         self.ep, self.buys = ep, buys
         self.profile: StrategyProfile | None = None
-        self.settlements: dict[int, _Settlement] = {}
+        self.settlements: dict = {}
 
 
 class _World:
-    """Mutable scenario state: the ledger, each agent's posterior and the
-    priced stack. An episode's ticks follow from its index.
+    """Mutable scenario state: the ledger, each agent's posterior counts
+    and the priced stack. An episode's ticks follow from its index.
 
     The ledger keeps only open books: it counts its transfers, and each
     settled episode's policy retires, so the world's memory does not grow
@@ -471,9 +471,8 @@ class _World:
             or policy.insurer is InsurerPolicy.RATIONAL_SPE
         )
         self.ledger = Ledger(transfers=TransferCount())
-        self.posteriors: dict[str, RiskPosterior] = {
-            a.id: RiskPosterior() for a in config.population
-        }
+        # Each agent's `RiskPosterior` pseudo-counts, [alpha, beta].
+        self.counts = {a.id: [1, 1] for a in config.population}
         insurer = AccountId(Role.INSURER_WALLET, _INSURER_ID)
         user = AccountId(Role.USER_WALLET, _USER_ID)
         # Each agent's (agent, insurer, user) wallets, whose deltas are its payoffs.
@@ -492,7 +491,7 @@ class _World:
         if config.stack is not None:
             self._price_stack(0)
         else:
-            self.terms = self._price_terms()
+            self._price_terms()
         if config.enforcement_enabled:
             fund = _funding(config)
             self.ledger.deposit(user, fund)
@@ -533,21 +532,27 @@ class _World:
         issuers = tuple(AccountId(Role.INSURER_WALLET, issuer)
                         for issuer, _ in self.stack.premium_shares)
         self.wallets = {a: (*parties, *issuers) for a, parties in self.parties.items()}
-        self.terms = self._price_terms()
+        self._price_terms()
 
-    def _price_terms(self) -> dict[str, _Terms]:
-        """The `_Terms` of each agent whose episode params the pricing fixes:
-        under enforced flat pricing, each agent whose gain is not drawn."""
+    def _price_terms(self) -> None:
+        """Set the amounts at the flat or stack premium and each enforced
+        agent's `_Terms`: fixed under flat pricing for a gain not drawn."""
         config, fixed = self.config, self.fixed_ep
-        if config.pricing != "flat" or not config.enforcement_enabled:
-            return {}
-        terms = {}
-        for agent in config.population:
-            if agent.gain.drawn:
-                continue
-            ep = self._episode_params(min(agent.gain.mean, MAX_AMOUNT // 8), fixed.P)
-            terms[agent.id] = _Terms(ep, decide_purchase(agent, fixed.P, ep))
-        return terms
+        self.amounts = self._amounts(fixed.P)
+        self.terms = {}
+        for agent in config.population if config.enforcement_enabled else ():
+            ep = buys = None
+            if config.pricing == "flat" and not agent.gain.drawn:
+                ep = self._episode_params(min(agent.gain.mean, MAX_AMOUNT // 8), fixed.P)
+                buys = decide_purchase(agent, fixed.P, fixed)
+            self.terms[agent.id] = _Terms(ep, buys)
+
+    def _amounts(self, premium: int) -> tuple[int, ...]:
+        """An episode's amounts at `premium`: (L, S_A, P, B, F, R, claim
+        bond), then each layer-1 issuer's share of P under the stack as priced."""
+        p, stack = self.fixed_ep, self.stack
+        shares = () if stack is None else layer1_shares(stack, premium)
+        return (p.L, p.S_A, premium, p.B, p.F, p.R, self.config.claim_bond, *shares)
 
     def _episode_rng(self, index: int) -> _EpisodeStream:
         """Episode `index`'s draws: the world's one stream, set to the stream
@@ -569,16 +574,14 @@ class _World:
 
     # -- per-episode decisions -------------------------------------------
 
-    def _agent_action(
-        self,
-        profile: StrategyProfile | None,
-        ep: MechanismParams,
-        rng: _EpisodeStream,
-    ) -> AgentAction:
-        """The agent's move; `profile` is the solved game, None when no
-        episode solves one (enforcement off, or every policy behavioral)."""
+    def _agent_action(self, profile: StrategyProfile | None, gain: int,
+                      rng: _EpisodeStream) -> AgentAction:
+        """The agent's move at its drawn `gain`; `profile` is the solved
+        game, None when no episode solves one (enforcement off, or every
+        policy behavioral)."""
         kind = self.config.policy.agent
         enforced = self.config.enforcement_enabled
+        fixed = self.fixed_ep
         if kind is AgentPolicy.ALWAYS_MALICIOUS:
             return AgentAction.MALICIOUS
         if kind is AgentPolicy.ALWAYS_HONEST:
@@ -586,29 +589,20 @@ class _World:
         if kind is AgentPolicy.RATIONAL_SPE:
             if enforced:
                 return profile.agent
-            return (
-                AgentAction.MALICIOUS
-                if ep.G > ep.Pi_honest
-                else AgentAction.HONEST
-            )
+            return AgentAction.MALICIOUS if gain > fixed.Pi_honest else AgentAction.HONEST
         # Opportunistic: tempted with probability p, then weighs the net
         # deviation payoff (deterrence applies only when enforcement is on).
         if rng.random() >= self.config.policy.opportunistic_p:
             return AgentAction.HONEST
-        net = ep.G - ep.S_A - ep.V_future if enforced else ep.G
-        return AgentAction.MALICIOUS if net > ep.Pi_honest else AgentAction.HONEST
+        net = gain - fixed.S_A - fixed.V_future if enforced else gain
+        return AgentAction.MALICIOUS if net > fixed.Pi_honest else AgentAction.HONEST
 
-    def _episode_path(
-        self,
-        profile: StrategyProfile | None,
-        agent: AgentProfile,
-        ep: MechanismParams,
-        rng: _EpisodeStream,
-    ) -> TerminalPath:
+    def _episode_path(self, profile: StrategyProfile | None, agent: AgentProfile, gain: int,
+                      rng: _EpisodeStream) -> TerminalPath:
         """The solver's choices with the behavior policies written over them;
         `profile` is None when every policy is behavioral and none reads it."""
         policy = self.config.policy
-        malicious = self._agent_action(profile, ep, rng) is AgentAction.MALICIOUS
+        malicious = self._agent_action(profile, gain, rng) is AgentAction.MALICIOUS
         if policy.user is UserPolicy.RATIONAL_SPE:
             if malicious:
                 claims, escalation = profile.claims_when_harmed, profile.escalate_valid
@@ -620,10 +614,9 @@ class _World:
         if policy.insurer is not InsurerPolicy.RATIONAL_SPE:
             accepts = policy.insurer is InsurerPolicy.ALWAYS_ACCEPT
         else:
-            # Without audit access the insurer only has its posterior.
-            valid = malicious if agent.audit_access_granted else (
-                self.posteriors[agent.id].mean >= 0.5
-            )
+            # Without audit access the insurer only has its posterior mean.
+            alpha, beta = self.counts[agent.id]
+            valid = malicious if agent.audit_access_granted else alpha / (alpha + beta) >= 0.5
             response = profile.respond_valid if valid else profile.respond_invalid
             accepts = response is InsurerResponse.ACCEPT
         return path_of(malicious, claims, accepts, escalates)
@@ -640,89 +633,78 @@ class _World:
             self._price_stack(tick0)
 
         terms = self.terms.get(agent.id)
-        if terms is not None:  # params, decision and profile fixed by the pricing
+        if terms is None:  # enforcement off: no policy, so no premium and no game
+            gain = min(agent.gain.draw(rng), MAX_AMOUNT // 8)
+            action = self._agent_action(None, gain, rng)
+            record.action = action.value
+            record.misbehaved = action is AgentAction.MALICIOUS
+            record.payoff_agent, record.payoff_insurer, record.payoff_user = _payoffs(
+                self.fixed_ep, gain, path_of(record.misbehaved, False, False, False), [0, 0, 0])
+            return record
+        counts, ep, amounts, quoted = self.counts[agent.id], terms.ep, self.amounts, False
+        if ep is not None:  # params, decision and profile fixed by the pricing
             if not terms.buys:
                 record.excluded = True
                 return record
-            ep, profile = terms.ep, terms.profile
+            gain, profile = ep.G, terms.profile
             if profile is None and self.solves:
                 profile = terms.profile = _solved_profile(ep)
         else:
             fixed = self.fixed_ep
-            gain = min(agent.gain.draw(rng), MAX_AMOUNT // 8)
-            if config.pricing == "experience" and config.enforcement_enabled:
-                premium = price_premium(self.posteriors[agent.id], fixed.L, config.loading)
-            else:
-                premium = fixed.P
-            ep = self._episode_params(gain, premium)
-
-            if not config.enforcement_enabled:
-                action = self._agent_action(None, ep, rng)
-                record.action = action.value
-                record.misbehaved = action is AgentAction.MALICIOUS
-                record.payoff_agent, record.payoff_insurer, record.payoff_user = _payoffs(
-                    ep, path_of(record.misbehaved, False, False, False), [0, 0, 0])
-                return record
-
-            if not decide_purchase(agent, premium, ep):
+            gain, premium = min(agent.gain.draw(rng), MAX_AMOUNT // 8), fixed.P
+            if config.pricing == "experience":
+                alpha, beta = counts
+                premium = loaded_premium(alpha, alpha + beta, fixed.L, config.loading)
+                amounts, quoted = self._amounts(premium), True
+            if not decide_purchase(agent, premium, fixed):
                 record.excluded = True
                 return record
-            profile = _solved_profile(ep) if self.solves else None
+            profile = _solved_profile(self._episode_params(gain, premium)) if self.solves else None
 
-        path = self._episode_path(profile, agent, ep, rng)
-        settlement = None
-        if terms is not None:
-            settlement = terms.settlements.get(id(path))
-            if settlement is None:
-                settlement = terms.settlements[id(path)] = self._settlement(agent, ep, path)
+        path = self._episode_path(profile, agent, gain, rng)
+        key = (id(path), amounts[2] > 0, *map(bool, amounts[7:])) if quoted else id(path)
+        settlement = terms.settlements.get(key)
+        if settlement is None:
+            settlement = terms.settlements[key] = self._settlement(agent, path, amounts, quoted, None if ep is None else gain)
         try:
-            settled = self._settle(agent, ep, path, index, settlement)
+            observed = self._settle(record, agent, settlement, gain, amounts, index)
         except LedgerError:
             record.aborted = True
             return record
-        if settlement is not None and settled is settlement.planned:
-            fields, observed = settlement.outcome
-            vars(record).update(fields)
-        else:
-            observed = self._record_outcome(record, agent, ep, path, *settled)
-        self.posteriors[agent.id] = update_posterior(self.posteriors[agent.id], observed)
+        counts[not observed] += 1  # alpha counts a misbehavior observed, beta a clean episode
         return record
 
-    def _plan(self, ep: MechanismParams,
-              path: TerminalPath) -> tuple[tuple[int, ...], SettlementPlan | None]:
-        """The amounts of an episode at `ep`, under the stack as now priced,
-        and the plan it settles `path` by, if it has one."""
-        stack = self.stack
-        shares = () if stack is None else layer1_shares(stack, ep.P)
-        amounts = (ep.L, ep.S_A, ep.P, ep.B, ep.F, ep.R, self.config.claim_bond, *shares)
-        return amounts, _settlement_plan(path, tuple(map(bool, amounts)))
-
-    def _settlement(self, agent: AgentProfile, ep: MechanismParams,
-                    path: TerminalPath) -> _Settlement:
-        """The `_Settlement` of an episode of `agent` at `ep` that plays
-        `path`, under the stack as now priced."""
-        amounts, plan = self._plan(ep, path)
+    def _settlement(self, agent: AgentProfile, path: TerminalPath, amounts: tuple[int, ...],
+                    quoted: bool, gain: int | None = None) -> _Settlement:
+        """The `_Settlement` of `agent`'s episodes on `path` at `amounts`,
+        `quoted` if each episode quotes its premium, exact at a `gain` all share."""
+        plan = _settlement_plan(path, tuple(map(bool, amounts)))
         if plan is None:
-            return _Settlement(path, amounts)
-        totals = plan.totals(amounts)
-        planned = (plan.claim_state, plan.resolution_ticks, totals[1][:3])
+            return _Settlement(path, None)
+        varying = (2, *range(7, len(amounts))) if quoted else ()
+        totals = plan.totals([0 if k in varying else a for k, a in enumerate(amounts)])
+        linear = tuple((slot, k, pays.count(k), takes.count(k) - pays.count(k))
+                       for slot, (pays, takes) in enumerate(plan.flows) for k in varying
+                       if k in pays or k in takes)
         record = EpisodeRecord(index=0, agent_id=agent.id, insurer_id=_INSURER_ID)
-        observed = self._record_outcome(record, agent, ep, path, *planned)
-        # Every field but the index is the same in each episode it settles.
-        fields = {name: value for name, value in vars(record).items() if name != "index"}
-        return _Settlement(path, amounts, plan, totals, planned, (fields, observed))
+        exact = gain is not None
+        observed = self._record_outcome(
+            record, agent, path, gain or 0, amounts[2] if exact else 0, plan.claim_state,
+            plan.resolution_ticks, totals[1][:3] if exact else [0, 0, 0])
+        # Every field but the index is the same in each episode it settles,
+        # and so are the premium and the payoffs if it is exact.
+        return _Settlement(path, plan, totals, linear, {
+            name: value for name, value in vars(record).items() if name != "index"
+        }, observed, exact)
 
-    def _record_outcome(
-        self, record: EpisodeRecord, agent: AgentProfile, ep: MechanismParams,
-        path: TerminalPath, claim_state: ClaimState | None, resolution_ticks: int | None,
-        deltas: list[int],
-    ) -> bool:
-        """Fill in `record`, an insured episode at `ep` that settled `path`
-        as `_settle` returns; return whether the insurer observed the agent
-        misbehave."""
+    def _record_outcome(self, record: EpisodeRecord, agent: AgentProfile, path: TerminalPath,
+                        gain: int, premium: int, claim_state: ClaimState | None,
+                        resolution_ticks: int | None, deltas: list[int]) -> bool:
+        """Fill in `record`, an insured episode at `gain` and `premium` that
+        settled `path`; return whether the insurer observed misbehavior."""
         record.action = path.agent.value
         record.misbehaved = misbehaved = path.agent is AgentAction.MALICIOUS
-        record.premium_paid = ep.P
+        record.premium_paid = premium
         if claim_state is not None:
             record.claim_filed = True
             record.claim_state = claim_state.value
@@ -732,49 +714,48 @@ class _World:
                 and agent.audit_access_granted
             )
             if claim_state in (ClaimState.ACCEPTED, ClaimState.UPHELD_VALID):
-                record.compensation_paid = ep.L
+                record.compensation_paid = self.fixed_ep.L
             record.resolution_ticks = resolution_ticks
         record.payoff_agent, record.payoff_insurer, record.payoff_user = (
-            _payoffs(ep, path, deltas)
+            _payoffs(self.fixed_ep, gain, path, deltas)
         )
         return _caught(path) or (misbehaved and agent.audit_access_granted)
 
-    def _settle(
-        self, agent: AgentProfile, ep: MechanismParams, path: TerminalPath, index: int,
-        settlement: _Settlement | None = None,
-    ) -> tuple[ClaimState | None, int | None, list[int]]:
-        """Settle episode `index`, which plays `path` on a policy at `ep`, by
-        `settlement` if it is given.
-
-        The episode applies its settlement plan in one ledger call, at the
-        amounts (L, S_A, P, B, F, R, claim bond) and then each layer-1
-        issuer's share of the premium, if a stack is priced; given a
-        `settlement`, it then returns `settlement.planned` itself. One with
-        no plan, or whose plan a wallet cannot fund in full, is played
-        through the ledger's checked operations by `_play_episode`, at the
-        same shares. Returns the claim's terminal state and filed-to-resolved
-        ticks (both None on a no-claim path) and the (agent, insurer, user)
-        deltas.
-        """
-        ledger = self.ledger
-        if settlement is None:
-            amounts, plan = self._plan(ep, path)
-            totals = planned = None
-        else:
-            _, amounts, plan, totals, planned, _ = settlement
+    def _settle(self, record: EpisodeRecord, agent: AgentProfile, settlement: _Settlement,
+                gain: int, amounts: tuple[int, ...], index: int) -> bool:
+        """Settle episode `index` by `settlement` at `gain` and `amounts`
+        (L, S_A, P, B, F, R, claim bond, each layer-1 share) in one ledger
+        call, fill in `record`, return whether the insurer saw misbehavior.
+        With no plan, or one a wallet cannot fund, `_play_episode` plays it
+        through the checked operations at params built for it."""
+        ledger, plan, path = self.ledger, settlement.plan, settlement.path
         if plan is not None:
+            totals = settlement.totals
+            if settlement.linear:
+                outflows, deltas = totals[0][:], totals[1][:]
+                for slot, field, paid, net in settlement.linear:
+                    outflows[slot] += paid * amounts[field]
+                    deltas[slot] += net * amounts[field]
+                totals = outflows, deltas
             deltas = ledger.apply_plan(plan, self.wallets[agent.id], f"ep-{index}", amounts,
                                        index * _TICKS_PER_EPISODE, totals)
             if deltas is not None:
-                return planned or (plan.claim_state, plan.resolution_ticks, deltas)
+                vars(record).update(settlement.fields)
+                if not settlement.exact:
+                    record.premium_paid = amounts[2]
+                    record.payoff_agent += deltas[0] + (gain if record.misbehaved else 0)
+                    record.payoff_insurer += deltas[1]
+                    record.payoff_user += deltas[2]
+                return settlement.observed
         parties = self.parties[agent.id]
         before = [ledger.balance(w) for w in parties]
-        _, claim = _play_episode(ledger, self.stack, agent.id, ep, path,
+        _, claim = _play_episode(ledger, self.stack, agent.id,
+                                 self._episode_params(gain, amounts[2]), path,
                                  self.config.claim_bond, index, amounts[7:])
         deltas = [ledger.balance(w) - b for w, b in zip(parties, before)]
-        if claim is None:
-            return None, None, deltas
-        return claim.state, claim.resolved_tick - claim.filed_tick, deltas
+        ticks = None if claim is None else claim.resolved_tick - claim.filed_tick
+        return self._record_outcome(record, agent, path, gain, amounts[2],
+                                    claim and claim.state, ticks, deltas)
 
 
 def _play_episode(
@@ -1000,13 +981,13 @@ def _caught(path: TerminalPath) -> bool:
 
 
 def _payoffs(
-    params: MechanismParams, path: TerminalPath, deltas: list[int]
+    params: MechanismParams, gain: int, path: TerminalPath, deltas: list[int]
 ) -> tuple[int, int, int]:
     """(pi_A, pi_I, pi_U): the (agent, insurer, user) wallet deltas plus the
-    exogenous harm, gain or honest-path payoff, and future value lost."""
+    exogenous harm, `gain` or honest-path payoff, and future value lost."""
     malicious = path.agent is AgentAction.MALICIOUS
     d_agent, d_insurer, d_user = deltas
-    exo_agent = params.G if malicious else params.Pi_honest
+    exo_agent = gain if malicious else params.Pi_honest
     if _caught(path):
         exo_agent -= params.V_future
     return d_agent + exo_agent, d_insurer, d_user - (params.L if malicious else 0)
@@ -1023,8 +1004,11 @@ def replay_game_path(
     """
     config = ScenarioConfig(seed=0, episodes=1, params=params,
                             population=(AgentProfile(id="agent"),), claim_bond=claim_bond)
-    _, _, deltas = _World(config)._settle(config.population[0], params, path, 0)
-    return _payoffs(params, path, deltas)
+    world, agent = _World(config), config.population[0]
+    record = EpisodeRecord(index=0, agent_id=agent.id)
+    world._settle(record, agent, world._settlement(agent, path, world.amounts, False),
+                  params.G, world.amounts, 0)
+    return record.payoff_agent, record.payoff_insurer, record.payoff_user
 
 
 # -- parameter sweeps ------------------------------------------------------

@@ -23,7 +23,9 @@ from insured_agents import (
     update_posterior,
 )
 from insured_agents.ledger import AccountId, InsufficientFunds, Ledger, Role
-from insured_agents.market import ExpiredCertificate, InsurerStack, layer1_shares
+from insured_agents.market import (
+    ExpiredCertificate, InsurerStack, layer1_shares, loaded_premium, max_premium,
+)
 from insured_agents.money import MAX_AMOUNT, rate
 from test_ledger import ledger_state
 
@@ -89,6 +91,14 @@ class TestPremiumMatchesExactReference:
         assert stack_premium(stack, coverage, float(loading)) == (
             reference_premium(Fraction(risk), coverage, loading)
         )
+
+    @given(alpha=st.integers(1, 60), beta=st.integers(0, 60),
+           coverage=st.integers(0, 10**12), loading=decimal_text("0", "4"))
+    @example(alpha=1, beta=0, coverage=10, loading="0.35")  # 13.5 exactly
+    def test_max_premium_bounds_every_quote(self, alpha, beta, coverage, loading):
+        bound = max_premium(coverage, float(loading))
+        assert bound == math.ceil(coverage * (1 + Fraction(loading)))
+        assert loaded_premium(alpha, alpha + beta, coverage, float(loading)) <= bound
 
 
 class TestRate:

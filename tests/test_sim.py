@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from insured_agents import (
     ALL_PATHS,
@@ -46,6 +47,7 @@ from insured_agents.market import (
     layer1_shares,
     price_premium,
     underwrite_stack,
+    update_posterior,
 )
 from insured_agents.money import MAX_AMOUNT, MoneyError
 from insured_agents.sim import (
@@ -560,6 +562,33 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="^params: "):
             replace(at_cap, claim_bond=1)
 
+    @pytest.mark.parametrize("pricing", [
+        {"pricing": "experience", "loading": 5, "policies": {
+            "agent": "always_malicious", "user": "always_claim", "insurer": "always_accept"}},
+        {"stack": {"base_risk": 1.0, "loading": 5},
+         "policies": {"agent": "always_honest", "user": "never_claim"}},
+    ], ids=["experience", "stack"])
+    def test_wallets_are_funded_for_the_premium_the_pricing_can_charge(self, pricing):
+        # The flat P is zero, but each premium is quoted up to L x (1 + 5):
+        # wallets funded for P ran dry and most episodes aborted.
+        doc = {**json.loads(BASELINE.read_text()), "episodes": 400, **pricing,
+               "population": [{"id": "a0", "theta": 0.9}]}
+        doc["params"] = {**doc["params"], "Pi_honest": 1000,
+                         **dict.fromkeys(("S_A", "B", "F", "R", "P", "V_future", "G"), 0)}
+        report = run_scenario(scenario_from_dict(doc))
+        assert (report.completed, report.aborted) == (400, 0)
+
+    @pytest.mark.parametrize("pricing", [
+        {"pricing": "experience", "loading": 7.0},
+        {"stack": StackSpec(base_risk=0.1, loading=7.0)},
+    ], ids=["experience", "stack"])
+    def test_obligations_count_the_premium_the_pricing_can_charge(self, pricing):
+        # One episode may be charged L x 8, past the cap at L = MAX / 64.
+        params = make_params(L=MAX_AMOUNT // 64, S_I=MAX_AMOUNT // 64)
+        make_config(params=params)
+        with pytest.raises(ScenarioError, match="^params: .* exceed the funding cap"):
+            make_config(params=params, **pricing)
+
     def test_bad_policy_name(self):
         with pytest.raises(ScenarioError, match="policies"):
             scenario_from_dict(scenario_doc(policies={"agent": "chaotic"}))
@@ -876,6 +905,69 @@ def scenario_docs(draw) -> dict:
     )
 
 
+def capped(doc: dict) -> dict:
+    """`doc` with every amount scaled by 10 ** 9, so that one episode owes a
+    sixth to three quarters of the funding cap: a run of more than a few episodes
+    funds its wallets at the cap, and they run dry. Plans are then refused,
+    checked paths clamp fees and episodes abort."""
+    doc = {**doc, "params": {name: v * 10**9 for name, v in doc["params"].items()},
+           "claim_bond": doc.get("claim_bond", 0) * 10**9}
+    doc["population"] = [
+        {**agent, "gain": {**agent["gain"], "mean": agent["gain"]["mean"] * 10**9}}
+        if "gain" in agent else agent for agent in doc["population"]
+    ]
+    return doc
+
+
+def capped_scenario_docs():
+    """`scenario_docs` draws, each `capped`."""
+    return scenario_docs().map(capped)
+
+
+@contextlib.contextmanager
+def marked_routes():
+    """Mark with `hypothesis.event` each route off the plan that an episode
+    run in the block takes: a plan its wallets cannot fund, the checked path
+    that settles it, an aborted episode, a fee clamped at what a payer holds."""
+    routes, recording = set(), []
+    plan, play, apply = sim._settlement_plan, sim._play_episode, Ledger.apply_plan
+
+    def recorded_plan(*args):
+        recording.append(True)
+        try:
+            return plan(*args)
+        finally:
+            recording.pop()
+
+    def applied(ledger, *args):
+        deltas = apply(ledger, *args)
+        if deltas is None:
+            routes.add("refused plan")
+        return deltas
+
+    def played(ledger, *args):
+        if recording:  # a plan's recording on its scratch ledger
+            return play(ledger, *args)
+        shortfalls = len(ledger.shortfalls)
+        try:
+            settled = play(ledger, *args)
+        except LedgerError:
+            routes.add("abort")
+            raise
+        routes.add("checked fallback")
+        if len(ledger.shortfalls) > shortfalls:
+            routes.add("clamped fee")
+        return settled
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_settlement_plan", recorded_plan)
+        patch.setattr(sim, "_play_episode", played)
+        patch.setattr(Ledger, "apply_plan", applied)
+        yield
+    for route in sorted(routes):
+        event(route)
+
+
 def with_stacked_examples(test):
     """`test` also run on one disputed, insured run through each stack
     shape `scenario_docs` draws, each run past its certificates' expiry."""
@@ -892,11 +984,47 @@ def with_stacked_examples(test):
     return test
 
 
+def with_capped_examples(test):
+    """`test` also run on a capped run down each route off the plan."""
+    malicious = {"agent": "always_malicious", "user": "always_claim",
+                 "insurer": "always_accept"}
+    params = {**scenario_doc()["params"], "Pi_honest": 200}
+    for doc in (
+        # The insurer pays every accepted claim until it cannot post a stake:
+        # its plans are refused, and the checked episodes abort.
+        scenario_doc(episodes=30, params=params, policies=malicious),
+        # The same under experience pricing, through a stack.
+        scenario_doc(episodes=30, params=params, policies=malicious, pricing="experience",
+                     loading=0.2, stack={"base_risk": 0.1, "loading": 0.2,
+                                         "certificates": _TWO_CERTIFICATES}),
+        # The user loses every dispute until it cannot pay the verifier's fee,
+        # which the checked path clamps.
+        scenario_doc(episodes=6, params={**params, "F": 500},
+                     policies={"agent": "always_honest", "user": "always_claim",
+                               "insurer": "always_deny"}),
+        # Ten certificates: no plan, so every episode takes the checked path.
+        scenario_doc(episodes=3, params=params,
+                     stack={"base_risk": 0.1, "certificates": _MANY_CERTIFICATES}),
+    ):
+        test = example(doc=capped(doc))(test)
+    return test
+
+
 class TestReferenceRun:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(doc=scenario_docs())
     @with_stacked_examples
     def test_records_equal_a_run_that_solves_every_game(self, doc):
+        self.check(doc, contextlib.nullcontext)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(doc=capped_scenario_docs())
+    @with_capped_examples
+    def test_records_equal_a_run_that_solves_every_game_as_wallets_run_dry(self, doc):
+        self.check(doc, marked_routes)
+
+    @staticmethod
+    def check(doc, routes):
         # Whether or not a world solves its games, and whatever the memo holds,
         # an episode plays what a cold solve of its own game gives.
         config = scenario_from_dict(doc)
@@ -904,7 +1032,8 @@ class TestReferenceRun:
         rational = "rational_spe" in (policy.agent.value, policy.user.value,
                                       policy.insurer.value)
         before = _solved_profile.cache_info()
-        _, records = run_scenario_with_records(config)
+        with routes():
+            _, records = run_scenario_with_records(config)
         after = _solved_profile.cache_info()
         # A game is looked up exactly when an enforced episode is insured and
         # a rational policy plays it.
@@ -929,16 +1058,27 @@ class TestBoundedBooks:
     @given(doc=scenario_docs())
     @with_stacked_examples
     def test_a_world_that_retires_and_counts_matches_one_that_keeps_every_book(self, doc):
+        self.check(doc, contextlib.nullcontext)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(doc=capped_scenario_docs())
+    @with_capped_examples
+    def test_a_counting_world_matches_a_keeping_one_as_wallets_run_dry(self, doc):
+        self.check(doc, marked_routes)
+
+    @staticmethod
+    def check(doc, routes):
         config = scenario_from_dict(doc)
         bounded = _World(config)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "TransferCount", list)
             kept = _World(config)
         kept.ledger.retire = lambda policy_id: None  # every closed policy stays
-        for index in range(config.episodes):
-            assert bounded.run_episode(index) == kept.run_episode(index)
-            bounded.ledger.check_invariants()
-            kept.ledger.check_invariants()
+        with routes():
+            for index in range(config.episodes):
+                assert bounded.run_episode(index) == kept.run_episode(index)
+                bounded.ledger.check_invariants()
+                kept.ledger.check_invariants()
         assert isinstance(kept.ledger.transfers, list)
         assert len(bounded.ledger.transfers) == len(kept.ledger.transfers)
         assert not bounded.ledger.policies and not bounded.ledger.claims
@@ -990,12 +1130,23 @@ class TestSettlementPlans:
     @given(doc=scenario_docs())
     @with_stacked_examples
     def test_a_planned_world_matches_one_that_plays_every_path(self, doc):
+        self.check(doc, contextlib.nullcontext)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(doc=capped_scenario_docs())
+    @with_capped_examples
+    def test_a_planned_world_matches_one_that_plays_every_path_as_wallets_run_dry(self, doc):
+        self.check(doc, marked_routes)
+
+    @staticmethod
+    def check(doc, routes):
         config = scenario_from_dict(doc)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "TransferCount", list)
             planned, played = _World(config), _World(config)
         for index in range(config.episodes):
-            record = planned.run_episode(index)
+            with routes():
+                record = planned.run_episode(index)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(sim, "_settlement_plan", _unplanned)
                 assert played.run_episode(index) == record
@@ -1074,21 +1225,21 @@ class TestSettlementPlans:
         ep, path = self.PARAMS, ALL_PATHS[7]
         amounts = (ep.L, ep.S_A, ep.P, ep.B, ep.F, ep.R, self.CLAIM_BOND)
         plan = sim._settlement_plan(path, tuple(map(bool, amounts)))
-        ledger = self.funded({})
+        totals, ledger = plan.totals(amounts), self.funded({})
         wallets = (AccountId(Role.AGENT_WALLET, "a0"), AccountId(Role.INSURER_WALLET, "insurer-0"),
                    AccountId(Role.USER_WALLET, "user-0"))
         ledger.underwrite("ep-0", "a0", "insurer-0", coverage=ep.L, deductible=ep.S_A,
                           premium=ep.P, bond=ep.B, claim_deadline=5, expiry_tick=4, tick=0)
         before = ledger_state(ledger)
-        assert ledger.apply_plan(plan, wallets, "ep-0", amounts, 0) is None
+        assert ledger.apply_plan(plan, wallets, "ep-0", amounts, 0, totals) is None
         assert ledger_state(ledger) == before
         with pytest.raises(RuntimeError):
             with ledger.atomic():
-                assert ledger.apply_plan(plan, wallets, "ep-1", amounts, 5) is not None
+                assert ledger.apply_plan(plan, wallets, "ep-1", amounts, 5, totals) is not None
                 assert len(ledger._log) == len(plan.moves) and ledger.claims_filed == 1
                 raise RuntimeError
         assert ledger_state(ledger) == before  # the sink got none of the plan's transfers
-        assert ledger.apply_plan(plan, wallets, "ep-1", amounts, 5) is not None
+        assert ledger.apply_plan(plan, wallets, "ep-1", amounts, 5, totals) is not None
         assert len(ledger.transfers) == len(before[1]) + len(plan.moves)
 
     #: Wallets that hold less than the plan pays out: the agent cannot post
@@ -1137,6 +1288,20 @@ class TestSettlementPlans:
             ledger.retire(policy.id)
         return [ledger.balance(w) - b for w, b in zip(wallets, before)]
 
+    @staticmethod
+    def settle(world: _World, path: TerminalPath, index: int,
+               amounts: tuple[int, ...]) -> tuple[sim.EpisodeRecord, list[int]]:
+        """Settle episode `index` of `world`'s first agent, which plays `path`
+        at `amounts`, by its `_Settlement`; return its record and the
+        (agent, insurer, user) deltas."""
+        agent = world.config.population[0]
+        parties = world.parties[agent.id]
+        before = [world.ledger.balance(w) for w in parties]
+        record = sim.EpisodeRecord(index=index, agent_id=agent.id)
+        world._settle(record, agent, world._settlement(agent, path, amounts, True),
+                      world.fixed_ep.G, amounts, index)
+        return record, [world.ledger.balance(w) - b for w, b in zip(parties, before)]
+
     @pytest.mark.parametrize("short", sorted(SHORT))
     @pytest.mark.parametrize("path", ALL_PATHS, ids=lambda path: path.describe())
     def test_an_unfunded_plan_falls_back_to_the_checked_path(self, short, path):
@@ -1150,7 +1315,8 @@ class TestSettlementPlans:
         paid = [sum(amounts[k] for k in pays) for pays, _ in plan.flows[:3]]
         unfunded = any(world.ledger.balance(w) < out for w, out in zip(wallets, paid))
         before = ledger_state(world.ledger)
-        applied = world.ledger.apply_plan(plan, wallets, f"ep-{index}", amounts, index * 5)
+        applied = world.ledger.apply_plan(plan, wallets, f"ep-{index}", amounts, index * 5,
+                                          plan.totals(amounts))
         assert (applied is None) == unfunded
         if applied is not None:
             return  # funded in full on this path: the property above covers it
@@ -1159,16 +1325,16 @@ class TestSettlementPlans:
             expected = self.play_directly(direct, path, index)
         except LedgerError as exc:
             with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
-                world._settle(agent, ep, path, index)
+                self.settle(world, path, index, amounts)
             assert ledger_state(world.ledger) == before == ledger_state(direct)
             return
-        claim_state, _, deltas = world._settle(agent, ep, path, index)
+        record, deltas = self.settle(world, path, index, amounts)
         assert deltas == expected
         assert world.ledger.transfers == direct.transfers
         assert world.ledger.shortfalls == direct.shortfalls
         assert world.ledger.claims_filed == direct.claims_filed
         assert world.ledger.balances == direct.balances
-        assert (claim_state is None) == (not path.claimed)
+        assert record.claim_filed == path.claimed
 
     @pytest.mark.parametrize("path", ALL_PATHS, ids=lambda path: path.describe())
     def test_a_stacked_plan_the_master_funds_from_its_premium_falls_back(self, path):
@@ -1191,16 +1357,17 @@ class TestSettlementPlans:
         before = ledger_state(world.ledger)
         wallets = world.wallets[agent.id]
         assert wallets[3:] == tuple(AccountId(Role.INSURER_WALLET, i) for i in ("i0", "i1"))
-        assert world.ledger.apply_plan(plan, wallets, f"ep-{index}", amounts, index * 5) is None
+        assert world.ledger.apply_plan(plan, wallets, f"ep-{index}", amounts, index * 5,
+                                      plan.totals(amounts)) is None
         assert ledger_state(world.ledger) == before
         expected = self.play_directly(direct, path, index, world.stack)
-        claim_state, _, deltas = world._settle(agent, ep, path, index)
+        record, deltas = self.settle(world, path, index, amounts)
         assert deltas == expected
         assert world.ledger.transfers == direct.transfers
         assert world.ledger.shortfalls == direct.shortfalls == []
         assert world.ledger.claims_filed == direct.claims_filed == int(path.claimed)
         assert world.ledger.balances == direct.balances
-        assert claim_state is plan.claim_state
+        assert record.claim_state == (plan.claim_state and plan.claim_state.value)
 
 
 class TestSettlementTable:
@@ -1220,19 +1387,29 @@ class TestSettlementTable:
     @given(doc=scenario_docs())
     @with_stacked_examples
     def test_a_tabled_world_matches_one_that_prices_every_episode(self, doc):
+        self.check(doc, contextlib.nullcontext)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(doc=capped_scenario_docs())
+    @with_capped_examples
+    def test_a_tabled_world_matches_one_that_prices_every_episode_as_wallets_run_dry(self, doc):
+        self.check(doc, marked_routes)
+
+    @staticmethod
+    def check(doc, routes):
         config = scenario_from_dict(doc)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sim, "TransferCount", list)
             tabled, priced = _World(config), _World(config)
-        priced._price_terms = lambda: {}  # also when a stack is priced again
-        priced.terms = {}
         for index in range(config.episodes):
-            assert tabled.run_episode(index) == priced.run_episode(index)
+            with routes():
+                record = tabled.run_episode(index)
+            priced._price_terms()  # an empty table, each agent's terms priced afresh
+            assert record == priced.run_episode(index)
             assert tabled.ledger.transfers == priced.ledger.transfers
             assert tabled.ledger.balances == priced.ledger.balances
-        assert tabled.terms.keys() == {
-            a.id for a in config.population
-            if config.enforcement_enabled and config.pricing == "flat" and not a.gain.drawn}
+        assert tabled.terms.keys() == (
+            {a.id for a in config.population} if config.enforcement_enabled else set())
 
     def test_a_flat_priced_world_decides_once_per_agent_per_pricing(self, monkeypatch):
         decided = self.count_decisions(monkeypatch)
@@ -1256,6 +1433,45 @@ class TestSettlementTable:
         )))
         assert report.excluded > 0
         assert decided == ["a0", "a1"] * 20
+
+    def test_an_experience_priced_world_records_each_settlement_once(self, monkeypatch):
+        # Each agent's path records its plan and its record fields once per
+        # pricing; every other episode on that path reads them off the table.
+        recorded, outcomes = [], []
+        plan, outcome = sim._settlement_plan, _World._record_outcome
+        monkeypatch.setattr(sim, "_settlement_plan",
+                            lambda *args: recorded.append(args) or plan(*args))
+        monkeypatch.setattr(_World, "_record_outcome", lambda world, record, agent, path, *rest: (
+            outcomes.append((agent.id, path)) or outcome(world, record, agent, path, *rest)))
+        config = TestEpisodeHotPath.experience_priced({
+            "agent": "opportunistic", "opportunistic_p": 0.5,
+            "user": "always_claim", "insurer": "always_deny"})
+        world = _World(config)
+        records = [world.run_episode(index) for index in range(config.episodes)]
+        assert not any(r.aborted or r.excluded for r in records)
+        table = [(agent_id, settlement.path) for agent_id, terms in world.terms.items()
+                 for settlement in terms.settlements.values()]
+        played = {(r.agent_id, r.action, r.claim_state) for r in records}
+        assert len(table) == len(played) == 4  # each agent honest and malicious
+        assert sorted(outcomes, key=str) == sorted(table, key=str)
+        assert [path for path, _ in recorded] == [path for _, path in outcomes]
+
+    def test_counts_fold_each_insured_episodes_observation(self):
+        # The insurer observes a misbehavior it settles or the verifier
+        # upholds, and any misbehavior of an agent that grants audit access.
+        config = TestEpisodeHotPath.experience_priced({"agent": "opportunistic",
+                                                       "opportunistic_p": 0.5})
+        world = _World(config)
+        audited = {a.id: a.audit_access_granted for a in config.population}
+        expected = {a.id: RiskPosterior() for a in config.population}
+        for index in range(config.episodes):
+            r = world.run_episode(index)
+            if not (r.excluded or r.aborted):
+                caught = r.claim_state in ("accepted", "upheld_valid")
+                expected[r.agent_id] = update_posterior(
+                    expected[r.agent_id], r.misbehaved and (caught or audited[r.agent_id]))
+        assert {a: RiskPosterior(*c) for a, c in world.counts.items()} == expected
+        assert all(p.alpha > 1 and p.beta > 1 for p in expected.values())
 
     @pytest.mark.parametrize("policies", [
         {"agent": "opportunistic", "opportunistic_p": 0.5},
@@ -1304,21 +1520,38 @@ class TestEpisodeHotPath:
         assert report.completed == 200
         assert validated == []
 
-    def test_experience_priced_episodes_are_validated_once_each(self, monkeypatch):
+    @staticmethod
+    def experience_priced(policies: dict) -> ScenarioConfig:
         gain = {"kind": "geometric", "mean": 250}
-        config = scenario_from_dict(scenario_doc(
+        return scenario_from_dict(scenario_doc(
             episodes=200, pricing="experience", loading=0.2,
             params={**scenario_doc()["params"], "Pi_honest": 200},
             population=[{"id": "a0", "theta": 0.1, "gain": gain},
                         {"id": "a1", "theta": 0.4, "gain": gain, "audit_access": False}],
-            policies={"agent": "opportunistic", "opportunistic_p": 0.5,
-                      "user": "always_claim", "insurer": "always_deny"},
+            policies=policies,
         ))
+
+    def test_game_free_experience_priced_episodes_are_not_validated(self, monkeypatch):
+        # No game is solved, so no episode builds params: its drawn gain and
+        # its quoted premium stay ints.
+        config = self.experience_priced({"agent": "opportunistic", "opportunistic_p": 0.5,
+                                         "user": "always_claim", "insurer": "always_deny"})
         run_scenario(config)  # records its settlement plans, whose params are its own
         validated = self.count_validations(monkeypatch)
         report, _ = run_scenario_with_records(config)
-        assert report.completed + report.excluded == 200
-        assert len(validated) == 200
+        assert report.completed == 200 and report.verifier_invocations > 0
+        assert validated == []
+
+    def test_rational_experience_priced_episodes_are_validated_once_each(self, monkeypatch):
+        # An insured episode's params key its solved game; an excluded one
+        # solves none.
+        config = self.experience_priced({"agent": "rational_spe", "user": "always_claim",
+                                         "insurer": "always_deny"})
+        run_scenario(config)
+        validated = self.count_validations(monkeypatch)
+        report, _ = run_scenario_with_records(config)
+        assert report.completed + report.excluded == 200 and report.completed > 0
+        assert len(validated) == report.completed
         assert all((ep.G, ep.P) != (config.params.G, config.params.P) for ep in validated)
 
 
@@ -1397,11 +1630,11 @@ class TestEpisodePath:
             world = _World(make_config(episodes=1, population=(agent,), policy=policy))
             ep = world.config.params
             for profile, posterior in itertools.product(_ALL_PROFILES, posteriors):
-                world.posteriors[agent.id] = posterior
+                world.counts[agent.id] = [posterior.alpha, posterior.beta]
                 action = fixed_actions.get(agent_policy, profile.agent)
                 expected = reference_episode_path(profile, policy, agent, action, posterior)
                 # None for the RNG: none of these agent policies draws.
-                assert world._episode_path(profile, agent, ep, None) == expected, (
+                assert world._episode_path(profile, agent, ep.G, None) == expected, (
                     profile, policy, audit, posterior,
                 )
 
@@ -1429,7 +1662,7 @@ class TestOnePremiumPerEpisode:
         quotes = set()
         for index in range(config.episodes):
             agent = config.population[index % len(config.population)]
-            quote = price_premium(world.posteriors[agent.id], config.params.L, 0.2)
+            quote = price_premium(RiskPosterior(*world.counts[agent.id]), config.params.L, 0.2)
             before = [world.ledger.balance(w) for w in issuers]
             record = world.run_episode(index)
             assert not record.aborted and not record.excluded, f"episode {index}"
