@@ -12,6 +12,7 @@ denominators, rounded half-up once, at the end. `loaded_premium` is that one
 formula: `price_premium` and `stack_premium` quote through it, and so does a
 simulated world that keeps a posterior as its two counts. `max_premium` is
 the most it can quote at a loading, which a world's funding is sized for.
+An agent buys at any quote up to its `max_quote`, the one purchase formula.
 """
 
 from __future__ import annotations
@@ -130,25 +131,26 @@ def price_premium(posterior: RiskPosterior, coverage: int, loading: float) -> in
     return loaded_premium(alpha, alpha + posterior.beta, coverage, loading)
 
 
-def decide_purchase(agent: AgentProfile, quote: int, params: MechanismParams) -> bool:
-    """Does insured operation beat the zero outside option, strictly?
+def max_quote(agent: AgentProfile, params: MechanismParams) -> int:
+    """The largest quote at which insured operation strictly beats the zero
+    outside option; negative if none does.
 
     The baseline value is the honest-path payoff net of the premium. An
     agent with misbehavior propensity adds the option value of profitable
     deviation (what a deviation nets beyond the honest path, if positive),
     which is what drives adverse selection under flat pricing. With the
-    propensity read by `money.rate` as n/d, the test is exact:
-    (Pi_honest - quote) x d + n x bonus > 0.
+    propensity read by `money.rate` as n/d, a quote buys exactly when
+    (Pi_honest - quote) x d + n x bonus > 0, that is, up to
+    (Pi_honest x d + n x bonus - 1) // d. No quote enters it.
     """
-    check_amount(quote)
-    deviation_bonus = max(
-        0, agent.gain.mean - params.S_A - params.V_future - params.Pi_honest
-    )
-    theta = rate(agent.theta)
-    return (
-        (params.Pi_honest - quote) * theta.denominator
-        + theta.numerator * deviation_bonus > 0
-    )
+    bonus = max(0, agent.gain.mean - params.S_A - params.V_future - params.Pi_honest)
+    n, d = rate(agent.theta).as_integer_ratio()
+    return (params.Pi_honest * d + n * bonus - 1) // d
+
+
+def decide_purchase(agent: AgentProfile, quote: int, params: MechanismParams) -> bool:
+    """Does `agent` buy at `quote`: is the quote at most its `max_quote`?"""
+    return check_amount(quote) <= max_quote(agent, params)
 
 
 @dataclass(frozen=True)

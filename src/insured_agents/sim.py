@@ -17,13 +17,13 @@ solver's choices with the behavior policies written over them. A world
 whose agent, user and insurer policies are all behavioral reads no choice
 of the solver's, so its episodes solve no game. Otherwise the profile is
 solved once per distinct episode parameter set and kept in a bounded memo
-(`_solved_profile`). Every agent of an enforced world has `_Terms` in a
-table rebuilt at every pricing: its params, purchase decision and profile
-where the pricing fixes them, and the `_Settlement` of each path it plays.
-A drawn gain and a quoted premium stay ints: params are built only to key
-a game to solve, or for the checked path. `_World._settle` applies an
-episode's plan, layer-1 premium shares included, in one `Ledger.apply_plan`
-call. The plan (`_settlement_plan`) is recorded once per path and pattern
+(`_solved_profile`). Each population member has one `_AgentState`, which
+holds the largest quote it buys at (`market.max_quote`), so a purchase is
+one comparison, and the `_Settlement` of each path it plays under the
+pricing. A drawn gain and a quoted premium stay ints: params are built
+only to key a game to solve, or for the checked path. `_World._settle`
+applies an episode's plan, layer-1 premium shares included, in one
+`Ledger.apply_plan` call. The plan (`_settlement_plan`) is recorded once per path and pattern
 of zero amounts from a real `_play_episode` on a scratch ledger, so there
 is one choreography. An episode whose wallets cannot fund its plan, or
 whose amounts are too many to plan, takes the checked path: `_play_episode`
@@ -85,10 +85,10 @@ from .market import (
     GainModel,
     InsurerStack,
     compose_stack,
-    decide_purchase,
     layer1_shares,
     loaded_premium,
     max_premium,
+    max_quote,
     stack_premium,
     underwrite_stack,
 )
@@ -436,24 +436,31 @@ class _Settlement(NamedTuple):
     exact: bool = False
 
 
-class _Terms:
-    """An enforced agent's terms while the pricing holds: its params and
-    purchase decision where they are fixed (else None), its solved profile
-    once needed, and each `_Settlement` it has played, keyed by its path's
-    `id` (kept alive by the entry: a path hashes in Python) and, if premiums
-    are quoted, by which of P and the layer-1 shares are zero."""
+class _AgentState:
+    """A population member in a world: its `AgentProfile`, settlement wallets
+    (agent, insurer, user, then a priced stack's layer-1 issuers), posterior
+    counts [alpha, beta], gain where no draw changes it (else None) and
+    `max_quote`. `_price_terms` empties the rest: its solved profile where
+    gain and premium are fixed, and each `_Settlement` it has played, keyed
+    by its path's `id` (kept alive by the entry: a path hashes in Python)
+    and, if premiums are quoted, by which of P and the layer-1 shares are 0."""
 
-    __slots__ = ("ep", "buys", "profile", "settlements")
+    __slots__ = ("agent", "wallets", "counts", "gain", "max_quote", "profile", "settlements")
 
-    def __init__(self, ep: MechanismParams | None, buys: bool | None) -> None:
-        self.ep, self.buys = ep, buys
+    def __init__(self, agent: AgentProfile, params: MechanismParams, insurer: AccountId,
+                 user: AccountId) -> None:
+        self.agent = agent
+        self.wallets = (AccountId(Role.AGENT_WALLET, agent.id), insurer, user)
+        self.counts = [1, 1]
+        self.gain = None if agent.gain.drawn else min(agent.gain.mean, MAX_AMOUNT // 8)
+        self.max_quote = max_quote(agent, params)
         self.profile: StrategyProfile | None = None
         self.settlements: dict = {}
 
 
 class _World:
-    """Mutable scenario state: the ledger, each agent's posterior counts
-    and the priced stack. An episode's ticks follow from its index.
+    """Mutable scenario state: the ledger, each agent's `_AgentState` and
+    the priced stack. An episode's ticks follow from its index.
 
     The ledger keeps only open books: it counts its transfers, and each
     settled episode's policy retires, so the world's memory does not grow
@@ -471,18 +478,11 @@ class _World:
             or policy.insurer is InsurerPolicy.RATIONAL_SPE
         )
         self.ledger = Ledger(transfers=TransferCount())
-        # Each agent's `RiskPosterior` pseudo-counts, [alpha, beta].
-        self.counts = {a.id: [1, 1] for a in config.population}
         insurer = AccountId(Role.INSURER_WALLET, _INSURER_ID)
         user = AccountId(Role.USER_WALLET, _USER_ID)
-        # Each agent's (agent, insurer, user) wallets, whose deltas are its payoffs.
-        self.parties = {
-            a.id: (AccountId(Role.AGENT_WALLET, a.id), insurer, user)
-            for a in config.population
-        }
-        # Each agent's settlement wallets: its parties, then the layer-1
-        # issuers a priced stack pays a share to.
-        self.wallets = self.parties
+        # Episode `index` is played by `states[index % len(states)]`.
+        self.states = [_AgentState(a, config.params, insurer, user)
+                       for a in config.population]
         self.stack: InsurerStack | None = None
         # The params of every episode at the scenario's gain and its flat or
         # stack premium, built once per pricing: under flat pricing, the
@@ -496,8 +496,8 @@ class _World:
             fund = _funding(config)
             self.ledger.deposit(user, fund)
             self.ledger.deposit(insurer, fund)
-            for agent_wallet, _, _ in self.parties.values():
-                self.ledger.deposit(agent_wallet, fund)
+            for state in self.states:
+                self.ledger.deposit(state.wallets[0], fund)
         # One stream, set to each episode's seed from a block of derived
         # seeds, which the first episode derives.
         self._stream = _EpisodeStream()
@@ -520,32 +520,26 @@ class _World:
         )
 
     def _price_stack(self, tick: int) -> None:
-        """Compose the stack of the certificates live at `tick`, price it and
-        add its issuers to each agent's wallets; it stays as priced until
-        its `expires_at`."""
+        """Compose the stack of the certificates live at `tick` and price it;
+        it stays as priced until its `expires_at`."""
         spec, params = self.config.stack, self.config.params
         self.stack = compose_stack(
             spec.base_risk, spec.certificates, master=_INSURER_ID, tick=tick,
             layer1_cut=spec.layer1_cut,
         )
         self.fixed_ep = replace(params, P=stack_premium(self.stack, params.L, spec.loading))
-        issuers = tuple(AccountId(Role.INSURER_WALLET, issuer)
-                        for issuer, _ in self.stack.premium_shares)
-        self.wallets = {a: (*parties, *issuers) for a, parties in self.parties.items()}
         self._price_terms()
 
     def _price_terms(self) -> None:
-        """Set the amounts at the flat or stack premium and each enforced
-        agent's `_Terms`: fixed under flat pricing for a gain not drawn."""
-        config, fixed = self.config, self.fixed_ep
-        self.amounts = self._amounts(fixed.P)
-        self.terms = {}
-        for agent in config.population if config.enforcement_enabled else ():
-            ep = buys = None
-            if config.pricing == "flat" and not agent.gain.drawn:
-                ep = self._episode_params(min(agent.gain.mean, MAX_AMOUNT // 8), fixed.P)
-                buys = decide_purchase(agent, fixed.P, fixed)
-            self.terms[agent.id] = _Terms(ep, buys)
+        """Set the amounts at the flat or stack premium, give each agent's
+        wallets the stack's issuers, and empty its profile and settlements."""
+        stack = self.stack
+        self.amounts = self._amounts(self.fixed_ep.P)
+        issuers = () if stack is None else tuple(
+            AccountId(Role.INSURER_WALLET, issuer) for issuer, _ in stack.premium_shares)
+        for state in self.states:
+            state.wallets = (*state.wallets[:3], *issuers)
+            state.profile, state.settlements = None, {}
 
     def _amounts(self, premium: int) -> tuple[int, ...]:
         """An episode's amounts at `premium`: (L, S_A, P, B, F, R, claim
@@ -597,7 +591,7 @@ class _World:
         net = gain - fixed.S_A - fixed.V_future if enforced else gain
         return AgentAction.MALICIOUS if net > fixed.Pi_honest else AgentAction.HONEST
 
-    def _episode_path(self, profile: StrategyProfile | None, agent: AgentProfile, gain: int,
+    def _episode_path(self, profile: StrategyProfile | None, state: _AgentState, gain: int,
                       rng: _EpisodeStream) -> TerminalPath:
         """The solver's choices with the behavior policies written over them;
         `profile` is None when every policy is behavioral and none reads it."""
@@ -615,8 +609,9 @@ class _World:
             accepts = policy.insurer is InsurerPolicy.ALWAYS_ACCEPT
         else:
             # Without audit access the insurer only has its posterior mean.
-            alpha, beta = self.counts[agent.id]
-            valid = malicious if agent.audit_access_granted else alpha / (alpha + beta) >= 0.5
+            alpha, beta = state.counts
+            valid = (malicious if state.agent.audit_access_granted
+                     else alpha / (alpha + beta) >= 0.5)
             response = profile.respond_valid if valid else profile.respond_invalid
             accepts = response is InsurerResponse.ACCEPT
         return path_of(malicious, claims, accepts, escalates)
@@ -625,49 +620,45 @@ class _World:
 
     def run_episode(self, index: int) -> EpisodeRecord:
         config = self.config
-        agent = config.population[index % len(config.population)]
+        state = self.states[index % len(self.states)]
+        agent = state.agent
         rng = self._episode_rng(index)
         record = EpisodeRecord(index=index, agent_id=agent.id, insurer_id=_INSURER_ID)
         tick0 = index * _TICKS_PER_EPISODE
         if self.stack is not None and tick0 >= self.stack.expires_at:
             self._price_stack(tick0)
-
-        terms = self.terms.get(agent.id)
-        if terms is None:  # enforcement off: no policy, so no premium and no game
+        gain = state.gain
+        if gain is None:
             gain = min(agent.gain.draw(rng), MAX_AMOUNT // 8)
-            action = self._agent_action(None, gain, rng)
-            record.action = action.value
-            record.misbehaved = action is AgentAction.MALICIOUS
-            record.payoff_agent, record.payoff_insurer, record.payoff_user = _payoffs(
-                self.fixed_ep, gain, path_of(record.misbehaved, False, False, False), [0, 0, 0])
+        if not config.enforcement_enabled:  # no policy, so no premium and no game
+            malicious = self._agent_action(None, gain, rng) is AgentAction.MALICIOUS
+            self._record_outcome(record, agent, path_of(malicious, False, False, False),
+                                 gain, 0, None, None, [0, 0, 0])
             return record
-        counts, ep, amounts, quoted = self.counts[agent.id], terms.ep, self.amounts, False
-        if ep is not None:  # params, decision and profile fixed by the pricing
-            if not terms.buys:
-                record.excluded = True
-                return record
-            gain, profile = ep.G, terms.profile
-            if profile is None and self.solves:
-                profile = terms.profile = _solved_profile(ep)
-        else:
-            fixed = self.fixed_ep
-            gain, premium = min(agent.gain.draw(rng), MAX_AMOUNT // 8), fixed.P
-            if config.pricing == "experience":
-                alpha, beta = counts
-                premium = loaded_premium(alpha, alpha + beta, fixed.L, config.loading)
-                amounts, quoted = self._amounts(premium), True
-            if not decide_purchase(agent, premium, fixed):
-                record.excluded = True
-                return record
-            profile = _solved_profile(self._episode_params(gain, premium)) if self.solves else None
+        counts, amounts, premium = state.counts, self.amounts, self.fixed_ep.P
+        quoted = config.pricing == "experience"
+        if quoted:
+            alpha, beta = counts
+            premium = loaded_premium(alpha, alpha + beta, self.fixed_ep.L, config.loading)
+            amounts = self._amounts(premium)
+        if premium > state.max_quote:
+            record.excluded = True
+            return record
+        exact = state.gain is not None and not quoted  # the pricing fixes gain and premium
+        profile = state.profile  # set only where exact
+        if profile is None and self.solves:
+            profile = _solved_profile(self._episode_params(gain, premium))
+            if exact:
+                state.profile = profile
 
-        path = self._episode_path(profile, agent, gain, rng)
+        path = self._episode_path(profile, state, gain, rng)
         key = (id(path), amounts[2] > 0, *map(bool, amounts[7:])) if quoted else id(path)
-        settlement = terms.settlements.get(key)
+        settlement = state.settlements.get(key)
         if settlement is None:
-            settlement = terms.settlements[key] = self._settlement(agent, path, amounts, quoted, None if ep is None else gain)
+            settlement = state.settlements[key] = self._settlement(
+                agent, path, amounts, quoted, gain if exact else None)
         try:
-            observed = self._settle(record, agent, settlement, gain, amounts, index)
+            observed = self._settle(record, state, settlement, gain, amounts, index)
         except LedgerError:
             record.aborted = True
             return record
@@ -721,7 +712,7 @@ class _World:
         )
         return _caught(path) or (misbehaved and agent.audit_access_granted)
 
-    def _settle(self, record: EpisodeRecord, agent: AgentProfile, settlement: _Settlement,
+    def _settle(self, record: EpisodeRecord, state: _AgentState, settlement: _Settlement,
                 gain: int, amounts: tuple[int, ...], index: int) -> bool:
         """Settle episode `index` by `settlement` at `gain` and `amounts`
         (L, S_A, P, B, F, R, claim bond, each layer-1 share) in one ledger
@@ -737,7 +728,7 @@ class _World:
                     outflows[slot] += paid * amounts[field]
                     deltas[slot] += net * amounts[field]
                 totals = outflows, deltas
-            deltas = ledger.apply_plan(plan, self.wallets[agent.id], f"ep-{index}", amounts,
+            deltas = ledger.apply_plan(plan, state.wallets, f"ep-{index}", amounts,
                                        index * _TICKS_PER_EPISODE, totals)
             if deltas is not None:
                 vars(record).update(settlement.fields)
@@ -747,7 +738,7 @@ class _World:
                     record.payoff_insurer += deltas[1]
                     record.payoff_user += deltas[2]
                 return settlement.observed
-        parties = self.parties[agent.id]
+        agent, parties = state.agent, state.wallets[:3]  # their deltas are the payoffs
         before = [ledger.balance(w) for w in parties]
         _, claim = _play_episode(ledger, self.stack, agent.id,
                                  self._episode_params(gain, amounts[2]), path,
@@ -1006,7 +997,7 @@ def replay_game_path(
                             population=(AgentProfile(id="agent"),), claim_bond=claim_bond)
     world, agent = _World(config), config.population[0]
     record = EpisodeRecord(index=0, agent_id=agent.id)
-    world._settle(record, agent, world._settlement(agent, path, world.amounts, False),
+    world._settle(record, world.states[0], world._settlement(agent, path, world.amounts, False),
                   params.G, world.amounts, 0)
     return record.payoff_agent, record.payoff_insurer, record.payoff_user
 

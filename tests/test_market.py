@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from insured_agents import (
     AgentProfile,
@@ -24,7 +24,7 @@ from insured_agents import (
 )
 from insured_agents.ledger import AccountId, InsufficientFunds, Ledger, Role
 from insured_agents.market import (
-    ExpiredCertificate, InsurerStack, layer1_shares, loaded_premium, max_premium,
+    ExpiredCertificate, InsurerStack, layer1_shares, loaded_premium, max_premium, max_quote,
 )
 from insured_agents.money import MAX_AMOUNT, rate
 from test_ledger import ledger_state
@@ -231,6 +231,37 @@ class TestDecidePurchase:
         safe = self.agent(theta=0.0, gain_mean=units(200))
         assert decide_purchase(risky, quote, params)
         assert not decide_purchase(safe, quote, params)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        theta=st.sampled_from([0.0, 1.0]) | st.decimals(0, 1, places=6).map(float),
+        s_a=st.integers(0, units(1000)),
+        v_future=st.integers(0, units(1000)),
+        pi_honest=st.integers(-units(1000), units(1000)),
+        # The gain, from the deviation threshold S_A + V_future + Pi_honest.
+        offset=st.integers(-units(1000), units(1000)),
+        quote=st.integers(0, units(3000)),
+    )
+    # No quote buys: the honest path loses and deviation pays nothing.
+    @example(theta=0.5, s_a=units(30), v_future=units(20), pi_honest=-units(5),
+             offset=-units(1), quote=0)
+    # The tie: (Pi_honest - q) + theta x bonus is 0 at q = max_quote + 1.
+    @example(theta=0.5, s_a=0, v_future=0, pi_honest=units(5), offset=units(2), quote=0)
+    def test_max_quote_is_the_largest_quote_the_exact_inequality_buys(
+            self, theta, s_a, v_future, pi_honest, offset, quote):
+        gain = s_a + v_future + pi_honest + offset
+        assume(0 <= gain <= MAX_AMOUNT)
+        agent = self.agent(theta, gain)
+        params = MechanismParams(L=units(100), G=0, S_A=s_a, S_I=units(150), B=0, F=0,
+                                 R=0, V_future=v_future, Pi_honest=pi_honest)
+        bonus = max(0, gain - s_a - v_future - pi_honest)
+        top = max_quote(agent, params)
+        event("no quote buys" if top < 0 else "some quote buys")
+        event("deviation pays" if bonus else "deviation does not pay")
+        for q in (top - 1, top, top + 1, quote):
+            if 0 <= q <= MAX_AMOUNT:
+                expected = Fraction(pi_honest - q) + rate(theta) * bonus > 0
+                assert decide_purchase(agent, q, params) is expected, q
 
 
 class TestComposeStack:

@@ -35,7 +35,7 @@ from insured_agents import (
     sweep,
     units,
 )
-from insured_agents import sim
+from insured_agents import market, sim
 from insured_agents.game import _ALL_PROFILES, InsurerResponse
 from insured_agents.ledger import (
     AccountId, Ledger, LedgerError, PlannedTransfers, Role, WrongState,
@@ -861,6 +861,7 @@ class TestSolvedProfileMemo:
 
 
 #: Two certificates, one of which expires at tick 40 (episode 8).
+_TWO_AGENTS = [{"id": "a0", "theta": 0.1}, {"id": "a1", "theta": 0.4}]
 _TWO_CERTIFICATES = [
     {"issuer": "code-insurer", "domain": "code", "discount": 0.5, "expiry_tick": 40},
     {"issuer": "data-insurer", "domain": "data", "discount": 0.4},
@@ -1294,11 +1295,11 @@ class TestSettlementPlans:
         """Settle episode `index` of `world`'s first agent, which plays `path`
         at `amounts`, by its `_Settlement`; return its record and the
         (agent, insurer, user) deltas."""
-        agent = world.config.population[0]
-        parties = world.parties[agent.id]
+        state = world.states[0]
+        agent, parties = state.agent, state.wallets[:3]
         before = [world.ledger.balance(w) for w in parties]
         record = sim.EpisodeRecord(index=index, agent_id=agent.id)
-        world._settle(record, agent, world._settlement(agent, path, amounts, True),
+        world._settle(record, state, world._settlement(agent, path, amounts, True),
                       world.fixed_ep.G, amounts, index)
         return record, [world.ledger.balance(w) - b for w, b in zip(parties, before)]
 
@@ -1311,7 +1312,7 @@ class TestSettlementPlans:
         plan = sim._settlement_plan(path, tuple(map(bool, amounts)))
         assert plan is not None
         world.ledger, direct = self.funded(self.SHORT[short]), self.funded(self.SHORT[short])
-        wallets = world.wallets[agent.id]
+        wallets = world.states[0].wallets
         paid = [sum(amounts[k] for k in pays) for pays, _ in plan.flows[:3]]
         unfunded = any(world.ledger.balance(w) < out for w, out in zip(wallets, paid))
         before = ledger_state(world.ledger)
@@ -1355,7 +1356,7 @@ class TestSettlementPlans:
         master = {"insurer": sum(amounts[k] for k in plan.flows[1][0]) - 1}
         world.ledger, direct = self.funded(master), self.funded(master)
         before = ledger_state(world.ledger)
-        wallets = world.wallets[agent.id]
+        wallets = world.states[0].wallets
         assert wallets[3:] == tuple(AccountId(Role.INSURER_WALLET, i) for i in ("i0", "i1"))
         assert world.ledger.apply_plan(plan, wallets, f"ep-{index}", amounts, index * 5,
                                       plan.totals(amounts)) is None
@@ -1371,18 +1372,6 @@ class TestSettlementPlans:
 
 
 class TestSettlementTable:
-    @staticmethod
-    def count_decisions(monkeypatch) -> list[str]:
-        decided = []
-        decide = sim.decide_purchase
-
-        def counting(agent, quote, params):
-            decided.append(agent.id)
-            return decide(agent, quote, params)
-
-        monkeypatch.setattr(sim, "decide_purchase", counting)
-        return decided
-
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(doc=scenario_docs())
     @with_stacked_examples
@@ -1402,37 +1391,52 @@ class TestSettlementTable:
             patch.setattr(sim, "TransferCount", list)
             tabled, priced = _World(config), _World(config)
         for index in range(config.episodes):
+            state = tabled.states[index % len(tabled.states)]
+            counts = list(state.counts)
             with routes():
                 record = tabled.run_episode(index)
             priced._price_terms()  # an empty table, each agent's terms priced afresh
             assert record == priced.run_episode(index)
             assert tabled.ledger.transfers == priced.ledger.transfers
             assert tabled.ledger.balances == priced.ledger.balances
-        assert tabled.terms.keys() == (
-            {a.id for a in config.population} if config.enforcement_enabled else set())
+            # The world's purchase rule is the formula's, at the quote this
+            # episode was offered under the pricing it ran at.
+            quote = tabled.fixed_ep.P
+            if config.pricing == "experience":
+                quote = price_premium(RiskPosterior(*counts), config.params.L, config.loading)
+            assert record.excluded is (config.enforcement_enabled and not
+                                       market.decide_purchase(state.agent, quote, config.params))
+        assert [state.agent for state in tabled.states] == list(config.population)
 
-    def test_a_flat_priced_world_decides_once_per_agent_per_pricing(self, monkeypatch):
-        decided = self.count_decisions(monkeypatch)
-        population = [{"id": "a0", "theta": 0.1}, {"id": "a1", "theta": 0.4}]
-        run_scenario(scenario_from_dict(scenario_doc(episodes=50, population=population)))
-        assert decided == ["a0", "a1"]
+    @pytest.mark.parametrize("premium, excluded", [(4.999999, False), (5, True)])
+    def test_a_world_buys_up_to_its_agents_max_quote(self, premium, excluded):
+        # Deviation pays a0 nothing, so it buys below Pi_honest = 5 and not at it.
+        doc = scenario_doc(episodes=4, params={**scenario_doc()["params"], "P": premium})
+        self.check(doc, contextlib.nullcontext)
+        _, records = run_scenario_with_records(scenario_from_dict(doc))
+        assert [r.excluded for r in records] == [excluded] * 4
+
+    @pytest.mark.parametrize("doc", [
+        scenario_doc(episodes=50, population=_TWO_AGENTS),
         # The code certificate expires at episode 8 and the stack is priced again.
-        decided.clear()
-        run_scenario(scenario_from_dict(scenario_doc(
-            episodes=30, population=population,
-            params={**scenario_doc()["params"], "Pi_honest": 200},
-            stack={"base_risk": 0.1, "loading": 0.2, "certificates": _TWO_CERTIFICATES},
-        )))
-        assert decided == ["a0", "a1"] * 2
-
-    def test_an_experience_priced_world_decides_once_per_episode(self, monkeypatch):
-        decided = self.count_decisions(monkeypatch)
-        report = run_scenario(scenario_from_dict(scenario_doc(
-            episodes=40, pricing="experience", loading=0.2,
-            population=[{"id": "a0", "theta": 0.1}, {"id": "a1", "theta": 0.4}],
-        )))
-        assert report.excluded > 0
-        assert decided == ["a0", "a1"] * 20
+        scenario_doc(episodes=30, population=_TWO_AGENTS,
+                     params={**scenario_doc()["params"], "Pi_honest": 200},
+                     stack={"base_risk": 0.1, "loading": 0.2,
+                            "certificates": _TWO_CERTIFICATES}),
+        scenario_doc(episodes=40, population=_TWO_AGENTS, pricing="experience", loading=0.2),
+    ], ids=["flat", "stack", "experience"])
+    def test_a_world_solves_each_agents_max_quote_once(self, doc, monkeypatch):
+        solved, priced = [], []
+        solve, compose = sim.max_quote, sim.compose_stack
+        monkeypatch.setattr(sim, "max_quote", lambda agent, params: (
+            solved.append(agent.id) or solve(agent, params)))
+        monkeypatch.setattr(sim, "compose_stack", lambda *args, **kwargs: (
+            priced.append(kwargs["tick"]) or compose(*args, **kwargs)))
+        report = run_scenario(scenario_from_dict(doc))
+        assert solved == ["a0", "a1"]
+        assert priced == ([0, 40] if "stack" in doc else [])
+        if doc.get("pricing") == "experience":
+            assert report.excluded > 0  # some quotes exceed an agent's max_quote
 
     def test_an_experience_priced_world_records_each_settlement_once(self, monkeypatch):
         # Each agent's path records its plan and its record fields once per
@@ -1449,8 +1453,8 @@ class TestSettlementTable:
         world = _World(config)
         records = [world.run_episode(index) for index in range(config.episodes)]
         assert not any(r.aborted or r.excluded for r in records)
-        table = [(agent_id, settlement.path) for agent_id, terms in world.terms.items()
-                 for settlement in terms.settlements.values()]
+        table = [(state.agent.id, settlement.path) for state in world.states
+                 for settlement in state.settlements.values()]
         played = {(r.agent_id, r.action, r.claim_state) for r in records}
         assert len(table) == len(played) == 4  # each agent honest and malicious
         assert sorted(outcomes, key=str) == sorted(table, key=str)
@@ -1470,7 +1474,7 @@ class TestSettlementTable:
                 caught = r.claim_state in ("accepted", "upheld_valid")
                 expected[r.agent_id] = update_posterior(
                     expected[r.agent_id], r.misbehaved and (caught or audited[r.agent_id]))
-        assert {a: RiskPosterior(*c) for a, c in world.counts.items()} == expected
+        assert {s.agent.id: RiskPosterior(*s.counts) for s in world.states} == expected
         assert all(p.alpha > 1 and p.beta > 1 for p in expected.values())
 
     @pytest.mark.parametrize("policies", [
@@ -1628,13 +1632,13 @@ class TestEpisodePath:
             agent = AgentProfile(id="a0", audit_access_granted=audit)
             policy = BehaviorPolicy(agent=agent_policy, user=user, insurer=insurer)
             world = _World(make_config(episodes=1, population=(agent,), policy=policy))
-            ep = world.config.params
+            ep, state = world.config.params, world.states[0]
             for profile, posterior in itertools.product(_ALL_PROFILES, posteriors):
-                world.counts[agent.id] = [posterior.alpha, posterior.beta]
+                state.counts = [posterior.alpha, posterior.beta]
                 action = fixed_actions.get(agent_policy, profile.agent)
                 expected = reference_episode_path(profile, policy, agent, action, posterior)
                 # None for the RNG: none of these agent policies draws.
-                assert world._episode_path(profile, agent, ep.G, None) == expected, (
+                assert world._episode_path(profile, state, ep.G, None) == expected, (
                     profile, policy, audit, posterior,
                 )
 
@@ -1661,8 +1665,8 @@ class TestOnePremiumPerEpisode:
         cut = Fraction("0.2") / Fraction("0.9")  # layer1_cut over the total discount
         quotes = set()
         for index in range(config.episodes):
-            agent = config.population[index % len(config.population)]
-            quote = price_premium(RiskPosterior(*world.counts[agent.id]), config.params.L, 0.2)
+            counts = world.states[index % len(world.states)].counts
+            quote = price_premium(RiskPosterior(*counts), config.params.L, 0.2)
             before = [world.ledger.balance(w) for w in issuers]
             record = world.run_episode(index)
             assert not record.aborted and not record.excluded, f"episode {index}"
