@@ -15,11 +15,13 @@ The leaf formulas live in one table, written out in `build_game` in
 malicious agent's (valid-claim) one, each as (no-claim, accept, deny+drop,
 deny+escalate); `leaf_payoffs` reads its entries. The backward-induction
 solver `solve_spe` and the brute-force oracle `brute_force_spe` both read
-that per-validity table by position; they share its layout and nothing of
-their decision logic. The oracle checks each claim subgame's eight choice
-triples once, then visits only the (agent, triple, triple) combinations
-whose two subgames pass, and keeps those whose Stage-1 choice is a best
-reply to the two continuation payoffs.
+that per-validity table by position, and both answer with profiles from
+one enumeration, placed by one position table (`_POSITION`); they share
+those layouts and nothing of their decision logic. The oracle checks each
+claim subgame node by node, once per choice that node's check depends on,
+then visits only the (agent, triple, triple) combinations whose two
+subgames pass, and keeps those whose Stage-1 choice is a best reply to
+the two continuation payoffs.
 """
 
 from __future__ import annotations
@@ -146,18 +148,21 @@ def build_game(params: MechanismParams) -> GameTree:
     p = params
     honest, G, P, L, B, F = p.Pi_honest, p.G, p.P, p.L, p.B, p.F
     caught = G - p.S_A - p.V_future
-    unclaimed = LeafPayoffs(honest, P, 0, False)
-    unpaid = LeafPayoffs(G, P, -L, False)
+    # `tuple.__new__` builds each leaf without the NamedTuple's Python-level
+    # `__new__`; the field order is `LeafPayoffs`'.
+    leaf = tuple.__new__
+    unclaimed = leaf(LeafPayoffs, (honest, P, 0, False))
+    unpaid = leaf(LeafPayoffs, (G, P, -L, False))
     return GameTree((
         # (pi_A, pi_I, pi_U, verifier_invoked)
-        unclaimed,                                           # H/NoClaim
-        LeafPayoffs(honest, P - L, L, False),                # H/Claim/Accept
-        unclaimed,                                           # H/Claim/Deny/Drop
-        LeafPayoffs(honest, P + B - F, -B - F, True),        # H/Claim/Deny/Escalate
-        unpaid,                                              # M/NoClaim
-        LeafPayoffs(caught, p.S_A - L, 0, False),            # M/Claim/Accept
-        unpaid,                                              # M/Claim/Deny/Drop
-        LeafPayoffs(caught, -L - B - F - p.R, L + B - F, True),  # M/Claim/Deny/Escalate
+        unclaimed,                                                   # H/NoClaim
+        leaf(LeafPayoffs, (honest, P - L, L, False)),                # H/Claim/Accept
+        unclaimed,                                                   # H/Claim/Deny/Drop
+        leaf(LeafPayoffs, (honest, P + B - F, -B - F, True)),        # H/Claim/Deny/Escalate
+        unpaid,                                                      # M/NoClaim
+        leaf(LeafPayoffs, (caught, p.S_A - L, 0, False)),            # M/Claim/Accept
+        unpaid,                                                      # M/Claim/Deny/Drop
+        leaf(LeafPayoffs, (caught, -L - B - F - p.R, L + B - F, True)),  # M/Claim/Deny/Escalate
     ))
 
 
@@ -203,11 +208,6 @@ COMPLIANT_PROFILE = StrategyProfile(
 )
 
 
-# Indexed by the solver's bool: accepts, escalates.
-_RESPONSE = (InsurerResponse.DENY, InsurerResponse.ACCEPT)
-_ESCALATION = (EscalationChoice.DROP, EscalationChoice.ESCALATE)
-
-
 def solve_spe(tree: GameTree) -> tuple[StrategyProfile, LeafPayoffs]:
     """Backward-induction SPE with deterministic compliant tie-breaking.
 
@@ -218,7 +218,8 @@ def solve_spe(tree: GameTree) -> tuple[StrategyProfile, LeafPayoffs]:
     the acting player maximizes its own continuation payoff given
     downstream choices; indifference resolves toward the compliant action
     (Honest, NoClaim, Accept-valid / Deny-invalid, Drop), so the result is
-    unique and deterministic.
+    unique and deterministic. The profile returned is the `_ALL_PROFILES`
+    member at the `_POSITION` of those choices, so none is built.
     """
     subgames = []
     for (no_claim, accept, drop, esc), valid in zip(_leaf_table(tree), (False, True)):
@@ -231,23 +232,14 @@ def solve_spe(tree: GameTree) -> tuple[StrategyProfile, LeafPayoffs]:
         filed = accept if accepts else deny
         # Stage 2: user decides whether to file.
         claims = filed.pi_U > no_claim.pi_U
-        subgames.append((escalates, accepts, claims, filed if claims else no_claim))
-    (esc_invalid, acc_invalid, claims_unharmed, honest), (
-        esc_valid, acc_valid, claims_harmed, malicious
-    ) = subgames
+        # The `_TRIPLES` index of (claims, accepts, escalates).
+        subgames.append((4 * claims + 2 * accepts + escalates, filed if claims else no_claim))
+    (invalid, honest), (valid, malicious) = subgames
 
     # Stage 1: agent compares full continuations.
-    stays_honest = honest.pi_A >= malicious.pi_A
-    profile = StrategyProfile(
-        agent=AgentAction.HONEST if stays_honest else AgentAction.MALICIOUS,
-        claims_when_harmed=claims_harmed,
-        claims_when_unharmed=claims_unharmed,
-        respond_valid=_RESPONSE[acc_valid],
-        respond_invalid=_RESPONSE[acc_invalid],
-        escalate_valid=_ESCALATION[esc_valid],
-        escalate_invalid=_ESCALATION[esc_invalid],
-    )
-    return profile, honest if stays_honest else malicious
+    if honest.pi_A >= malicious.pi_A:
+        return _ALL_PROFILES[_POSITION[False, invalid, valid]], honest
+    return _ALL_PROFILES[_POSITION[True, invalid, valid]], malicious
 
 
 def _all_profiles() -> tuple[StrategyProfile, ...]:
@@ -273,37 +265,6 @@ def _leaf_table(tree: GameTree) -> tuple[tuple[LeafPayoffs, ...], ...]:
     return tree.leaves[:4], tree.leaves[4:]
 
 
-def _subgame_value(
-    subtree: tuple[LeafPayoffs, ...], files: bool, accepts: bool, escalates: bool
-) -> int | None:
-    """One-shot-deviation check at the three nodes of one claim subgame.
-
-    Returns the agent's continuation payoff under these choices, or None
-    when a node admits a strictly profitable single deviation. The game is
-    finite with perfect information, so a profile is subgame perfect exactly
-    when neither subgame nor Stage 1 (`_stage1_ok`) has such a node.
-    """
-    no_claim, accept, drop, esc = subtree
-    chosen4 = esc if escalates else drop
-    if esc.pi_U > chosen4.pi_U or drop.pi_U > chosen4.pi_U:
-        return None
-    chosen3 = accept if accepts else chosen4
-    if accept.pi_I > chosen3.pi_I or chosen4.pi_I > chosen3.pi_I:
-        return None
-    chosen2 = chosen3 if files else no_claim
-    if chosen3.pi_U > chosen2.pi_U or no_claim.pi_U > chosen2.pi_U:
-        return None
-    return chosen2.pi_A
-
-
-def _stage1_ok(malicious: bool, honest: int | None, deviant: int | None) -> bool:
-    """Both subgames pass and the agent's Stage-1 choice is a best reply to
-    their continuation payoffs."""
-    if honest is None or deviant is None:
-        return False
-    return deviant >= honest if malicious else honest >= deviant
-
-
 def _subgame_choices(
     profile: StrategyProfile,
 ) -> tuple[bool, tuple[bool, bool, bool], tuple[bool, bool, bool]]:
@@ -324,18 +285,9 @@ def _subgame_choices(
     )
 
 
-def is_subgame_perfect(tree: GameTree, profile: StrategyProfile) -> bool:
-    """True iff no player strictly gains from a single-node deviation."""
-    malicious, invalid_choices, valid_choices = _subgame_choices(profile)
-    invalid, valid = _leaf_table(tree)
-    return _stage1_ok(
-        malicious,
-        _subgame_value(invalid, *invalid_choices),
-        _subgame_value(valid, *valid_choices),
-    )
-
-
-# Every (files, accepts, escalates) choice triple of one claim subgame.
+# Every (files, accepts, escalates) choice triple of one claim subgame; the
+# triple at index i is the bits of i, so files counts 4, accepts 2 and
+# escalates 1.
 _TRIPLES = tuple(itertools.product((False, True), repeat=3))
 
 
@@ -350,21 +302,53 @@ _POSITION = {
 
 def _passing(subtree: tuple[LeafPayoffs, ...]) -> list[tuple[int, int]]:
     """(`_TRIPLES` index, agent's continuation payoff) of each choice triple
-    that passes the subgame's one-shot-deviation check."""
-    return [
-        (index, value)
-        for index, triple in enumerate(_TRIPLES)
-        if (value := _subgame_value(subtree, *triple)) is not None
-    ]
+    that passes the subgame's one-shot-deviation check.
+
+    The check is factored by node: Stage 4 compares each escalation choice
+    once with the user's best of escalating and dropping; Stage 3 compares
+    each (accepts, escalates) once with the insurer's other response; Stage
+    2 compares each (files, accepts, escalates) once with the user's other
+    filing choice. The game is finite with perfect information, so a
+    profile is subgame perfect exactly when both its triples pass here and
+    its Stage-1 choice is a best reply to their continuation payoffs.
+    """
+    no_claim, accept, drop, esc = subtree
+    best4 = esc.pi_U if esc.pi_U > drop.pi_U else drop.pi_U
+    passing = []
+    for escalates, deny in ((0, drop), (1, esc)):
+        if deny.pi_U < best4:  # Stage 4: the user would switch.
+            continue
+        for accepts, filed, other in ((0, deny, accept), (2, accept, deny)):
+            if filed.pi_I < other.pi_I:  # Stage 3: the insurer would switch.
+                continue
+            # Stage 2: each filing choice passes when the other is no better.
+            if no_claim.pi_U >= filed.pi_U:
+                passing.append((accepts + escalates, no_claim.pi_A))
+            if filed.pi_U >= no_claim.pi_U:
+                passing.append((4 + accepts + escalates, filed.pi_A))
+    return passing
+
+
+def is_subgame_perfect(tree: GameTree, profile: StrategyProfile) -> bool:
+    """True iff no player strictly gains from a single-node deviation: both
+    of the profile's triples are among `_passing`'s and its Stage-1 choice
+    is a best reply to their continuation payoffs."""
+    malicious, invalid_choices, valid_choices = _subgame_choices(profile)
+    invalid, valid = _leaf_table(tree)
+    honest = dict(_passing(invalid)).get(_TRIPLES.index(invalid_choices))
+    deviant = dict(_passing(valid)).get(_TRIPLES.index(valid_choices))
+    if honest is None or deviant is None:
+        return False
+    return deviant >= honest if malicious else honest >= deviant
 
 
 def brute_force_spe(tree: GameTree) -> tuple[StrategyProfile, ...]:
     """Every subgame-perfect pure profile, by the one-shot-deviation check.
 
     Independent of solve_spe: it checks the deviation property rather than
-    inducting backward. Each claim subgame's eight choice triples are
-    checked once; a profile whose subgame fails is never subgame perfect,
-    so only the (agent, invalid-claim triple, valid-claim triple)
+    inducting backward. `_passing` checks each claim subgame's nodes once,
+    factored by node; a profile whose subgame fails is never subgame
+    perfect, so only the (agent, invalid-claim triple, valid-claim triple)
     combinations whose two triples pass are visited, and each is kept when
     its Stage-1 choice is a best reply to the two continuation payoffs.
     Returned in enumeration order: by agent, claims when harmed, claims when
@@ -372,13 +356,16 @@ def brute_force_spe(tree: GameTree) -> tuple[StrategyProfile, ...]:
     """
     invalid, valid = _leaf_table(tree)
     deviants = _passing(valid)
-    positions = sorted(
-        _POSITION[malicious, i, v]
-        for i, honest in _passing(invalid)
-        for v, deviant in deviants
-        for malicious in (False, True)
-        if _stage1_ok(malicious, honest, deviant)
-    )
+    positions = []
+    for i, honest in _passing(invalid):
+        for v, deviant in deviants:
+            # Stage 1: staying honest, and deviating, each kept when it is
+            # a best reply.
+            if honest >= deviant:
+                positions.append(_POSITION[False, i, v])
+            if deviant >= honest:
+                positions.append(_POSITION[True, i, v])
+    positions.sort()
     return tuple([_ALL_PROFILES[position] for position in positions])
 
 

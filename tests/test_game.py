@@ -21,7 +21,15 @@ from insured_agents import (
     scale_params,
     solve_spe,
 )
-from insured_agents.game import _ALL_PROFILES, _leaf_table, is_subgame_perfect
+from insured_agents.game import (
+    _ALL_PROFILES,
+    _POSITION,
+    _TRIPLES,
+    StrategyProfile,
+    _leaf_table,
+    _subgame_choices,
+    is_subgame_perfect,
+)
 from insured_agents.money import MAX_AMOUNT
 
 from conftest import random_params, equilibrium_params
@@ -175,6 +183,18 @@ class TestSolveSpe:
             profile, _ = solve_spe(tree)
             assert profile in brute_force_spe(tree)
 
+    # Small amounts make ties, and ties are where the tie-breaks decide.
+    @given(
+        money=st.lists(st.integers(0, 4), min_size=9, max_size=9),
+        pi_honest=st.integers(-4, 4),
+    )
+    def test_matches_backward_induction_reference(self, money, pi_honest):
+        params = MechanismParams(*money, Pi_honest=pi_honest)
+        profile, payoffs = solve_spe(build_game(params))
+        assert profile == reference_backward_induction(params)
+        assert payoffs == leaf_payoffs(params, profile.outcome_path())
+        assert profile is _ALL_PROFILES[_ALL_PROFILES.index(profile)]
+
     def test_scale_invariance_of_chosen_actions(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
@@ -245,7 +265,8 @@ def reference_outcome(profile) -> TerminalPath:
 
 
 HONEST, MALICIOUS = AgentAction.HONEST, AgentAction.MALICIOUS
-DENY = InsurerResponse.DENY
+ACCEPT, DENY = InsurerResponse.ACCEPT, InsurerResponse.DENY
+DROP, ESCALATE = EscalationChoice.DROP, EscalationChoice.ESCALATE
 
 # Each decision node: the profile field it sets, the payoff its mover
 # maximizes, and the upstream choices that reach it.
@@ -277,6 +298,42 @@ def reference_subgame_perfect(params, profile) -> bool:
     return True
 
 
+def reference_backward_induction(params) -> StrategyProfile:
+    """Backward induction node by node, with every leaf read through
+    `leaf_payoffs` and each tie going to the compliant action: Honest,
+    NoClaim, Accept on a valid claim and Deny on an invalid one, Drop."""
+    def leaf(*path):
+        return leaf_payoffs(params, TerminalPath(*path))
+
+    fields, reached = {}, {}
+    for agent, validity, tie_response in (
+        (HONEST, "invalid", DENY), (MALICIOUS, "valid", ACCEPT),
+    ):
+        # Stage 4: the user escalates a denial only when it strictly pays.
+        dropped = leaf(agent, True, DENY, False)
+        escalated = leaf(agent, True, DENY, True)
+        escalates = escalated.pi_U > dropped.pi_U
+        denied = escalated if escalates else dropped
+        # Stage 3: the insurer's strictly better response, else the tie-break.
+        accepted = leaf(agent, True, ACCEPT)
+        if accepted.pi_I != denied.pi_I:
+            response = ACCEPT if accepted.pi_I > denied.pi_I else DENY
+        else:
+            response = tie_response
+        filed = accepted if response is ACCEPT else denied
+        # Stage 2: the user files only when filing strictly pays.
+        unfiled = leaf(agent, False)
+        claims = filed.pi_U > unfiled.pi_U
+        harm = "harmed" if agent is MALICIOUS else "unharmed"
+        fields[f"claims_when_{harm}"] = claims
+        fields[f"respond_{validity}"] = response
+        fields[f"escalate_{validity}"] = ESCALATE if escalates else DROP
+        reached[agent] = filed if claims else unfiled
+    # Stage 1: the agent deviates only when deviating strictly pays.
+    deviates = reached[MALICIOUS].pi_A > reached[HONEST].pi_A
+    return StrategyProfile(agent=MALICIOUS if deviates else HONEST, **fields)
+
+
 class TestOutcomePath:
     def test_every_profile_reaches_its_all_paths_member(self):
         assert len(set(_ALL_PROFILES)) == 2**7
@@ -284,6 +341,29 @@ class TestOutcomePath:
             path = profile.outcome_path()
             assert path == reference_outcome(profile)
             assert path is ALL_PATHS[ALL_PATHS.index(path)]
+
+
+class TestPositionTable:
+    def test_position_is_a_bijection_onto_the_enumeration(self):
+        # The solver answers with the profile at this table's position, so a
+        # wrong entry would make the solver and the oracle agree on it.
+        assert len(_POSITION) == 2 * 8 * 8
+        assert set(_POSITION) == {
+            (malicious, i, v)
+            for malicious in (False, True) for i in range(8) for v in range(8)
+        }
+        assert sorted(_POSITION.values()) == list(range(len(_ALL_PROFILES)))
+        for index, profile in enumerate(_ALL_PROFILES):
+            malicious, invalid, valid = _subgame_choices(profile)
+            key = (malicious, _TRIPLES.index(invalid), _TRIPLES.index(valid))
+            assert _POSITION[key] == index
+
+    def test_a_triples_index_is_its_bits(self):
+        # The solver and `_passing` index a triple as 4*files + 2*accepts +
+        # escalates.
+        assert _TRIPLES == tuple(
+            (bool(i & 4), bool(i & 2), bool(i & 1)) for i in range(8)
+        )
 
 
 class TestStageProperties:
