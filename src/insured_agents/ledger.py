@@ -40,7 +40,8 @@ on a fresh policy id, and leaves it retired: it checks every source against
 all it pays out, writes the wallets' net deltas and hands on the plan's
 transfers, with the ids and ticks put in, as an operation does. A source
 that holds less makes it change nothing, and the caller plays the
-operations instead.
+operations instead. With a count it settles that many such policies at
+once, for a sink that only counts.
 """
 
 from __future__ import annotations
@@ -238,20 +239,22 @@ def _claim_id(policy_id: str, number: int) -> str:
 
 
 class PlannedTransfers:
-    """The transfers of one applied plan as a sized view: its length is the
-    plan's number of moves, and iterating it builds each transfer's plain
-    tuple, escrow accounts included, in the plan's order. A sink that only
-    counts reads the length and builds nothing."""
+    """The transfers of `count` applications of one plan as a sized view: its
+    length is `count` times the plan's number of moves, and iterating the
+    view of one application builds each transfer's plain tuple, escrow
+    accounts included, in the plan's order. A sink that only counts reads
+    the length and builds nothing; it is the only sink a larger count goes to."""
 
-    __slots__ = ("moves", "accounts", "amounts", "tick", "policy_id", "claim")
+    __slots__ = ("moves", "accounts", "amounts", "tick", "policy_id", "claim", "count")
 
     def __init__(self, moves: tuple, accounts: tuple[AccountId, ...],
-                 amounts: tuple[int, ...], tick: int, policy_id: str, claim: int | None):
+                 amounts: tuple[int, ...], tick: int, policy_id: str, claim: int | None,
+                 count: int = 1):
         self.moves, self.accounts, self.amounts = moves, accounts, amounts
-        self.tick, self.policy_id, self.claim = tick, policy_id, claim
+        self.tick, self.policy_id, self.claim, self.count = tick, policy_id, claim, count
 
     def __len__(self) -> int:
-        return len(self.moves)
+        return len(self.moves) * self.count
 
     def __iter__(self) -> Iterator[tuple]:
         policy_id, amounts, tick = self.policy_id, self.amounts, self.tick
@@ -326,6 +329,12 @@ class Ledger:
     def defaulted(self) -> set[AccountId]:
         """Every party with a recorded shortfall."""
         return {s.party for s in self.shortfalls}
+
+    @property
+    def counting(self) -> bool:
+        """Whether the sink only counts (`TransferCount`), so that
+        `apply_plan` takes a count above 1."""
+        return isinstance(self.transfers, TransferCount)
 
     def total_supply(self) -> int:
         """Sum of every balance, escrows and sinks included."""
@@ -665,7 +674,7 @@ class Ledger:
 
     def apply_plan(self, plan: SettlementPlan, wallets: tuple[AccountId, ...],
                    policy_id: str, amounts: tuple[int, ...], tick: int,
-                   totals: tuple[list[int], list[int]]) -> list[int] | None:
+                   totals: tuple[list[int], list[int]], count: int = 1) -> list[int] | None:
         """Settle a fresh policy `policy_id` by `plan` at `amounts`, from
         `tick`, and leave it retired. `wallets` fill the plan's wallet
         slots: the agent's, the insurer's and the user's, then each layer-1
@@ -681,12 +690,24 @@ class Ledger:
         `PlannedTransfers` view with the ids and ticks put in: to the sink,
         or to an atomic block's journal, and a block that raises undoes the
         whole plan. A claim advances `claims_filed` as filing one does.
+
+        A `count` above 1 settles that many such policies at once, each
+        source checked against `count` times its gross outflow and each
+        wallet given `count` times its delta, which it returns. Their
+        transfers have no ids or ticks of their own, so only a sink that
+        counts (`TransferCount`) takes them, outside an atomic block; any
+        other raises ValueError before anything changes.
         """
         if policy_id in self.policies:
             return None
         balances = self.balances
         accounts = (*wallets, FEE_SINK)
         outflows, deltas = totals
+        if count != 1:
+            if not isinstance(self._log, TransferCount):
+                raise ValueError("only a counting sink takes a counted settlement")
+            outflows = [paid * count for paid in outflows]
+            deltas = [delta * count for delta in deltas]
         for account, paid in zip(accounts, outflows):
             if balances.get(account, 0) < paid:
                 return None
@@ -695,8 +716,9 @@ class Ledger:
                 balances[account] = balances.get(account, 0) + delta
         claim = None
         if plan.claim_state is not None:
-            self.claims_filed = claim = self.claims_filed + 1
-        self._log.extend(PlannedTransfers(plan.moves, accounts, amounts, tick, policy_id, claim))
+            self.claims_filed = claim = self.claims_filed + count
+        self._log.extend(PlannedTransfers(plan.moves, accounts, amounts, tick, policy_id, claim,
+                                          count))
         return deltas[:3]
 
     # -- internals --------------------------------------------------------

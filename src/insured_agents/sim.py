@@ -33,6 +33,13 @@ aborted episode leaves the ledger as it found it.
 `replay_game_path`, which criterion 6 checks against the game tree, settles
 its path as the only episode of a one-agent world through the same step.
 
+A pricing period whose episodes all settle exactly, read no posterior and
+are funded in full by the balances at its start (`_World._proven`) is
+counted: each episode still draws, then adds one to its agent's tally for
+its action's settlement and copies that settlement's record. The tallies
+reach the ledger as one `apply_plan` per (agent, settlement), with a count,
+when the period ends, and before anything that reads a real balance.
+
 Payoff accounting: each party's episode payoff is its ledger balance
 delta plus the exogenous components the ledger cannot carry (the user's
 real-world harm L, the agent's misbehavior gain G or honest-path payoff,
@@ -56,6 +63,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .game import (
+    ALL_PATHS,
     AgentAction,
     EscalationChoice,
     InsurerResponse,
@@ -422,10 +430,10 @@ class _Settlement(NamedTuple):
     """How an agent's episodes settle `path` under the pricing: the plan
     (None if there is none) and its totals with each amount a quoted premium
     changes at 0, listed in `linear` as (slot, field, times paid, net); the
-    record fields and the observation. If `exact` (gain and premium fixed by
-    the pricing) the fields are the whole record; otherwise they are at a
-    gain and premium of 0, and an episode sets its premium and adds its
-    deltas and gain to their payoffs."""
+    record's fields, at index 0, and the observation. If `exact` (gain and
+    premium fixed by the pricing) the fields are the whole record but its
+    index; otherwise they are at a gain and premium of 0, and an episode
+    sets its premium and adds its deltas and gain to their payoffs."""
 
     path: TerminalPath
     plan: SettlementPlan | None
@@ -443,9 +451,12 @@ class _AgentState:
     `max_quote`. `_price_terms` empties the rest: its solved profile where
     gain and premium are fixed, and each `_Settlement` it has played, keyed
     by its path's `id` (kept alive by the entry: a path hashes in Python)
-    and, if premiums are quoted, by which of P and the layer-1 shares are 0."""
+    and, if premiums are quoted, by which of P and the layer-1 shares are 0;
+    and, for a counted period, the settlement of each action, honest then
+    malicious, and the tally of each not yet applied."""
 
-    __slots__ = ("agent", "wallets", "counts", "gain", "max_quote", "profile", "settlements")
+    __slots__ = ("agent", "wallets", "counts", "gain", "max_quote", "profile", "settlements",
+                 "acted", "tally")
 
     def __init__(self, agent: AgentProfile, params: MechanismParams, insurer: AccountId,
                  user: AccountId) -> None:
@@ -456,6 +467,8 @@ class _AgentState:
         self.max_quote = max_quote(agent, params)
         self.profile: StrategyProfile | None = None
         self.settlements: dict = {}
+        self.acted: list[_Settlement | None] = [None, None]
+        self.tally = [0, 0]
 
 
 class _World:
@@ -465,11 +478,17 @@ class _World:
     The ledger keeps only open books: it counts its transfers, and each
     settled episode's policy retires, so the world's memory does not grow
     with the number of episodes.
+
+    `run` plays the episodes a pricing period at a time. A period it can
+    prove (`_proven`) is counted (`_count`): its episodes are tallied per
+    agent and settlement, and `_flush` applies each tally in one ledger
+    call. Any other episode is settled on its own by `run_episode`, after
+    the tallies are applied, so it sees the real balances.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        policy = config.policy
+        policy, population = config.policy, config.population
         # Whether any policy plays the solved game; if none does, no episode
         # solves it.
         self.solves = (
@@ -477,6 +496,16 @@ class _World:
             or policy.user is UserPolicy.RATIONAL_SPE
             or policy.insurer is InsurerPolicy.RATIONAL_SPE
         )
+        # Whether a period may be counted: every insured episode settles
+        # exactly (gain and premium fixed) and none reads a posterior, so
+        # its path follows from the agent's action alone.
+        self.countable = (
+            config.enforcement_enabled and config.pricing == "flat"
+            and not any(agent.gain.drawn for agent in population)
+            and (policy.insurer is not InsurerPolicy.RATIONAL_SPE
+                 or all(agent.audit_access_granted for agent in population))
+        )
+        self._counted_from: int | None = None  # the first episode tallied, if any is
         self.ledger = Ledger(transfers=TransferCount())
         insurer = AccountId(Role.INSURER_WALLET, _INSURER_ID)
         user = AccountId(Role.USER_WALLET, _USER_ID)
@@ -519,9 +548,24 @@ class _World:
             R=fixed.R, V_future=fixed.V_future, P=premium, Pi_honest=fixed.Pi_honest,
         )
 
+    def _pricing_until(self, index: int) -> int:
+        """Price the stack again if a certificate has expired by episode
+        `index`; return the first episode past the pricing it runs at."""
+        stack, episodes = self.stack, self.config.episodes
+        if stack is None:
+            return episodes
+        tick0 = index * _TICKS_PER_EPISODE
+        if tick0 >= stack.expires_at:
+            self._price_stack(tick0)
+        expiry = self.stack.expires_at
+        if expiry >= episodes * _TICKS_PER_EPISODE:
+            return episodes
+        return -int(-expiry // _TICKS_PER_EPISODE)
+
     def _price_stack(self, tick: int) -> None:
-        """Compose the stack of the certificates live at `tick` and price it;
-        it stays as priced until its `expires_at`."""
+        """Apply the tallies, then compose the stack of the certificates live
+        at `tick` and price it; it stays as priced until its `expires_at`."""
+        self._flush()
         spec, params = self.config.stack, self.config.params
         self.stack = compose_stack(
             spec.base_risk, spec.certificates, master=_INSURER_ID, tick=tick,
@@ -539,7 +583,7 @@ class _World:
             AccountId(Role.INSURER_WALLET, issuer) for issuer, _ in stack.premium_shares)
         for state in self.states:
             state.wallets = (*state.wallets[:3], *issuers)
-            state.profile, state.settlements = None, {}
+            state.profile, state.settlements, state.acted = None, {}, [None, None]
 
     def _amounts(self, premium: int) -> tuple[int, ...]:
         """An episode's amounts at `premium`: (L, S_A, P, B, F, R, claim
@@ -568,35 +612,35 @@ class _World:
 
     # -- per-episode decisions -------------------------------------------
 
-    def _agent_action(self, profile: StrategyProfile | None, gain: int,
-                      rng: _EpisodeStream) -> AgentAction:
-        """The agent's move at its drawn `gain`; `profile` is the solved
-        game, None when no episode solves one (enforcement off, or every
-        policy behavioral)."""
-        kind = self.config.policy.agent
-        enforced = self.config.enforcement_enabled
-        fixed = self.fixed_ep
-        if kind is AgentPolicy.ALWAYS_MALICIOUS:
-            return AgentAction.MALICIOUS
-        if kind is AgentPolicy.ALWAYS_HONEST:
-            return AgentAction.HONEST
-        if kind is AgentPolicy.RATIONAL_SPE:
-            if enforced:
-                return profile.agent
-            return AgentAction.MALICIOUS if gain > fixed.Pi_honest else AgentAction.HONEST
-        # Opportunistic: tempted with probability p, then weighs the net
-        # deviation payoff (deterrence applies only when enforcement is on).
-        if rng.random() >= self.config.policy.opportunistic_p:
-            return AgentAction.HONEST
-        net = gain - fixed.S_A - fixed.V_future if enforced else gain
-        return AgentAction.MALICIOUS if net > fixed.Pi_honest else AgentAction.HONEST
+    def _malicious(self, profile: StrategyProfile | None, gain: int,
+                   rng: _EpisodeStream) -> bool:
+        """Whether the agent misbehaves at its drawn `gain`; `profile` is the
+        solved game, None when no episode solves one (enforcement off, or
+        every policy behavioral)."""
+        config = self.config
+        kind = config.policy.agent
+        if kind is AgentPolicy.OPPORTUNISTIC:
+            # Tempted with probability p, then weighs the net deviation
+            # payoff (deterrence applies only when enforcement is on).
+            if rng.random() >= config.policy.opportunistic_p:
+                return False
+            fixed = self.fixed_ep
+            if config.enforcement_enabled:
+                gain -= fixed.S_A + fixed.V_future
+        elif kind is AgentPolicy.RATIONAL_SPE:
+            if config.enforcement_enabled:
+                return profile.agent is AgentAction.MALICIOUS
+            fixed = self.fixed_ep
+        else:
+            return kind is AgentPolicy.ALWAYS_MALICIOUS
+        return gain > fixed.Pi_honest
 
-    def _episode_path(self, profile: StrategyProfile | None, state: _AgentState, gain: int,
-                      rng: _EpisodeStream) -> TerminalPath:
-        """The solver's choices with the behavior policies written over them;
+    def _episode_path(self, profile: StrategyProfile | None, state: _AgentState,
+                      malicious: bool) -> TerminalPath:
+        """The path of `state`'s episode whose agent acts `malicious`ly: the
+        solver's choices with the behavior policies written over them;
         `profile` is None when every policy is behavioral and none reads it."""
         policy = self.config.policy
-        malicious = self._agent_action(profile, gain, rng) is AgentAction.MALICIOUS
         if policy.user is UserPolicy.RATIONAL_SPE:
             if malicious:
                 claims, escalation = profile.claims_when_harmed, profile.escalate_valid
@@ -608,30 +652,130 @@ class _World:
         if policy.insurer is not InsurerPolicy.RATIONAL_SPE:
             accepts = policy.insurer is InsurerPolicy.ALWAYS_ACCEPT
         else:
-            # Without audit access the insurer only has its posterior mean.
+            # Without audit access the insurer only has its posterior mean,
+            # alpha / (alpha + beta), which is at least 1/2 where alpha >= beta.
             alpha, beta = state.counts
-            valid = (malicious if state.agent.audit_access_granted
-                     else alpha / (alpha + beta) >= 0.5)
+            valid = malicious if state.agent.audit_access_granted else alpha >= beta
             response = profile.respond_valid if valid else profile.respond_invalid
             accepts = response is InsurerResponse.ACCEPT
         return path_of(malicious, claims, accepts, escalates)
 
     # -- episode ----------------------------------------------------------
 
+    def run(self) -> list[EpisodeRecord]:
+        """Every episode's record, in order, with the books settled: a
+        pricing period `_proven` is counted, and any other episode runs on
+        its own."""
+        records, index, episodes = [], 0, self.config.episodes
+        while index < episodes:
+            stop = self._pricing_until(index)
+            if self._proven(index, stop):
+                index = self._count(records, index, stop)
+            records += map(self.run_episode, range(index, stop))
+            index = stop
+        self._flush()
+        return records
+
+    def _proven(self, start: int, stop: int) -> bool:
+        """Whether episodes [start, stop), at one pricing, may be counted: the
+        world is `countable`, its sink only counts, and each wallet holds now
+        the episodes in that span that may touch it times the most any plan
+        at the pricing's amounts asks of its slot. Then every tally of them
+        is funded, in any order, as each episode would be in turn."""
+        if not (self.countable and self.ledger.counting):
+            return False
+        amounts, states = self.amounts, self.states
+        nonzero, asks = tuple(map(bool, amounts)), [0] * (len(states[0].wallets) + 1)
+        for path in ALL_PATHS:
+            plan = _settlement_plan(path, nonzero)
+            if plan is not None:
+                asks = list(map(max, asks, plan.totals(amounts)[0]))
+        n, need = len(states), {}
+        for k, state in enumerate(states):  # an agent's own episodes touch its wallet
+            need[state.wallets[0]] = len(range(start + (k - start) % n, stop, n)) * asks[0]
+        for wallet, ask in zip((*states[0].wallets[1:], FEE_SINK), asks[1:]):
+            # Every episode may touch the others; a wallet in two slots owes both.
+            need[wallet] = need.get(wallet, 0) + (stop - start) * ask
+        return all(self.ledger.balance(wallet) >= amount for wallet, amount in need.items())
+
+    def _count(self, records: list[EpisodeRecord], start: int, stop: int) -> int:
+        """Append the records of episodes [start, stop) of a proven period and
+        tally each insured one on its agent's settlement for its action.
+
+        An insured episode draws as `run_episode` would. At the first
+        settlement with no plan, the tallies are applied and that episode is
+        returned: it and the rest of the period run on their own. Otherwise
+        returns `stop`."""
+        states, n, new = self.states, len(self.states), object.__new__
+        episode_rng, misbehaves = self._episode_rng, self._malicious
+        premium = self.fixed_ep.P
+        self._counted_from = start
+        for index in range(start, stop):
+            state = states[index % n]
+            if premium > state.max_quote:  # excluded: it touches no book
+                records.append(self.run_episode(index))
+                continue
+            rng = episode_rng(index)
+            profile = state.profile
+            if profile is None and self.solves:
+                profile = state.profile = _solved_profile(
+                    self._episode_params(state.gain, premium))
+            malicious = misbehaves(profile, state.gain, rng)
+            settlement = state.acted[malicious]
+            if settlement is None:
+                settlement = self._settlement(state.agent,
+                                              self._episode_path(profile, state, malicious),
+                                              self.amounts, False, state.gain)
+                if settlement.plan is None:
+                    self._flush()
+                    return index
+                state.acted[malicious] = settlement
+            state.tally[malicious] += 1
+            record = new(EpisodeRecord)  # the settlement's record at this index
+            vars(record).update(settlement.fields)
+            record.index = index
+            records.append(record)
+        return stop
+
+    def _flush(self) -> None:
+        """Apply each agent's tally on each settlement in one ledger call,
+        and add its count to the agent's posterior. The period's proof funds
+        every tally, so a refusal is a fault in the proof."""
+        first = self._counted_from
+        if first is None:
+            return
+        self._counted_from = None
+        for state in self.states:
+            for settlement, count in zip(state.acted, state.tally):
+                if count:
+                    if self._apply(state, settlement, self.amounts, settlement.totals, first,
+                                   count) is None:
+                        raise AssertionError(f"a proven tally of {count} episodes was refused")
+                    state.counts[not settlement.observed] += count
+            state.tally = [0, 0]
+
+    def _apply(self, state: _AgentState, settlement: _Settlement, amounts: tuple[int, ...],
+               totals: tuple[list[int], list[int]], index: int,
+               count: int = 1) -> list[int] | None:
+        """Settle `count` of `state`'s episodes, from episode `index`, by
+        `settlement`'s plan at `amounts` and `totals`: the world's one
+        `Ledger.apply_plan` call, for a tally and a single episode alike."""
+        return self.ledger.apply_plan(settlement.plan, state.wallets, f"ep-{index}", amounts,
+                                      index * _TICKS_PER_EPISODE, totals, count)
+
     def run_episode(self, index: int) -> EpisodeRecord:
+        """Play episode `index` on its own and settle it on the ledger."""
         config = self.config
         state = self.states[index % len(self.states)]
         agent = state.agent
         rng = self._episode_rng(index)
         record = EpisodeRecord(index=index, agent_id=agent.id, insurer_id=_INSURER_ID)
-        tick0 = index * _TICKS_PER_EPISODE
-        if self.stack is not None and tick0 >= self.stack.expires_at:
-            self._price_stack(tick0)
+        self._pricing_until(index)
         gain = state.gain
         if gain is None:
             gain = min(agent.gain.draw(rng), MAX_AMOUNT // 8)
         if not config.enforcement_enabled:  # no policy, so no premium and no game
-            malicious = self._agent_action(None, gain, rng) is AgentAction.MALICIOUS
+            malicious = self._malicious(None, gain, rng)
             self._record_outcome(record, agent, path_of(malicious, False, False, False),
                                  gain, 0, None, None, [0, 0, 0])
             return record
@@ -651,7 +795,8 @@ class _World:
             if exact:
                 state.profile = profile
 
-        path = self._episode_path(profile, state, gain, rng)
+        malicious = self._malicious(profile, gain, rng)
+        path = self._episode_path(profile, state, malicious)
         key = (id(path), amounts[2] > 0, *map(bool, amounts[7:])) if quoted else id(path)
         settlement = state.settlements.get(key)
         if settlement is None:
@@ -684,9 +829,7 @@ class _World:
             plan.resolution_ticks, totals[1][:3] if exact else [0, 0, 0])
         # Every field but the index is the same in each episode it settles,
         # and so are the premium and the payoffs if it is exact.
-        return _Settlement(path, plan, totals, linear, {
-            name: value for name, value in vars(record).items() if name != "index"
-        }, observed, exact)
+        return _Settlement(path, plan, totals, linear, vars(record), observed, exact)
 
     def _record_outcome(self, record: EpisodeRecord, agent: AgentProfile, path: TerminalPath,
                         gain: int, premium: int, claim_state: ClaimState | None,
@@ -728,10 +871,10 @@ class _World:
                     outflows[slot] += paid * amounts[field]
                     deltas[slot] += net * amounts[field]
                 totals = outflows, deltas
-            deltas = ledger.apply_plan(plan, state.wallets, f"ep-{index}", amounts,
-                                       index * _TICKS_PER_EPISODE, totals)
+            deltas = self._apply(state, settlement, amounts, totals, index)
             if deltas is not None:
                 vars(record).update(settlement.fields)
+                record.index = index
                 if not settlement.exact:
                     record.premium_paid = amounts[2]
                     record.payoff_agent += deltas[0] + (gain if record.misbehaved else 0)
@@ -874,7 +1017,7 @@ def run_scenario_with_records(
     """Run every episode and aggregate; deterministic given (config, seed)."""
     world = _World(config)
     supply_before = world.ledger.total_supply()
-    records = [world.run_episode(i) for i in range(config.episodes)]
+    records = world.run()
     supply_after = world.ledger.total_supply()
     if supply_before != supply_after:  # a raise, so that `python -O` keeps the check
         raise AssertionError("ledger conservation violated in scenario")

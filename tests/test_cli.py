@@ -393,7 +393,8 @@ def test_unwritable_output_exits_two_before_any_episode(command, flag, scenario_
     def no_episode(*args):
         raise AssertionError("an episode ran")
 
-    monkeypatch.setattr(sim._World, "run_episode", no_episode)
+    # Every episode, counted or run on its own, first derives its stream.
+    monkeypatch.setattr(sim._World, "_episode_rng", no_episode)
     outputs = {"--out": tmp_path / "out", flag: tmp_path / "missing" / "file"}
     if command == "simulate":
         argv = ["simulate", str(scenario_file)]

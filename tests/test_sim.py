@@ -38,7 +38,7 @@ from insured_agents import (
 from insured_agents import market, sim
 from insured_agents.game import _ALL_PROFILES, InsurerResponse
 from insured_agents.ledger import (
-    AccountId, Ledger, LedgerError, PlannedTransfers, Role, WrongState,
+    AccountId, Ledger, LedgerError, PlannedTransfers, Role, TransferCount, WrongState,
 )
 from insured_agents.market import (
     Certificate,
@@ -1243,6 +1243,52 @@ class TestSettlementPlans:
         assert ledger.apply_plan(plan, wallets, "ep-1", amounts, 5, totals) is not None
         assert len(ledger.transfers) == len(before[1]) + len(plan.moves)
 
+    @pytest.mark.parametrize("path", ALL_PATHS, ids=lambda path: path.describe())
+    def test_a_counted_plan_is_its_count_of_single_plans(self, path):
+        ep = self.PARAMS
+        amounts = (ep.L, ep.S_A, ep.P, ep.B, ep.F, ep.R, self.CLAIM_BOND)
+        plan = sim._settlement_plan(path, tuple(map(bool, amounts)))
+        totals = plan.totals(amounts)
+        wallets = (AccountId(Role.AGENT_WALLET, "a0"), AccountId(Role.INSURER_WALLET, "insurer-0"),
+                   AccountId(Role.USER_WALLET, "user-0"))
+        counted, single = self.funded({}, TransferCount()), self.funded({}, TransferCount())
+        deltas = counted.apply_plan(plan, wallets, "ep-0", amounts, 0, totals, 3)
+        assert deltas == [3 * delta for delta in totals[1][:3]]
+        for index in range(3):
+            assert single.apply_plan(plan, wallets, f"ep-{index}", amounts, 5 * index,
+                                     totals) is not None
+        assert counted.balances == single.balances
+        assert len(counted.transfers) == len(single.transfers) == 3 * len(plan.moves)
+        assert counted.claims_filed == single.claims_filed == 3 * path.claimed
+
+    def test_a_counted_plan_is_refused_whole(self):
+        # Each source is checked against count times its gross outflow; a
+        # sink that lists transfers, or an atomic block's journal, cannot
+        # take a count above 1. Either way nothing changes.
+        ep, path = self.PARAMS, ALL_PATHS[7]
+        amounts = (ep.L, ep.S_A, ep.P, ep.B, ep.F, ep.R, self.CLAIM_BOND)
+        plan = sim._settlement_plan(path, tuple(map(bool, amounts)))
+        totals = plan.totals(amounts)
+        wallets = (AccountId(Role.AGENT_WALLET, "a0"), AccountId(Role.INSURER_WALLET, "insurer-0"),
+                   AccountId(Role.USER_WALLET, "user-0"))
+        insurer = 3 * totals[0][1]
+        ledger = self.funded({"insurer": insurer - 1}, TransferCount())
+        before = ledger_state(ledger)
+        assert ledger.apply_plan(plan, wallets, "ep-0", amounts, 0, totals, 3) is None
+        assert ledger_state(ledger) == before
+        with pytest.raises(RuntimeError):
+            with ledger.atomic():
+                with pytest.raises(ValueError, match="counting sink"):
+                    ledger.apply_plan(plan, wallets, "ep-0", amounts, 0, totals, 2)
+                raise RuntimeError
+        listing = self.funded({})
+        before = ledger_state(listing)
+        with pytest.raises(ValueError, match="counting sink"):
+            listing.apply_plan(plan, wallets, "ep-0", amounts, 0, totals, 2)
+        assert ledger_state(listing) == before
+        assert ledger.apply_plan(plan, wallets, "ep-0", amounts, 0, totals, 2) is not None
+        assert ledger.claims_filed == 2 and len(ledger.transfers) == 2 * len(plan.moves)
+
     #: Wallets that hold less than the plan pays out: the agent cannot post
     #: its deductible and premium, the insurer cannot post its stake or pay a
     #: verdict's fee and penalty, the user cannot pay the verifier's fee.
@@ -1256,8 +1302,8 @@ class TestSettlementPlans:
         "user": {"user": units(5 + 20 + 1)},
     }
 
-    def funded(self, short: dict) -> Ledger:
-        ledger = Ledger(transfers=[])
+    def funded(self, short: dict, transfers=None) -> Ledger:
+        ledger = Ledger(transfers=[] if transfers is None else transfers)
         for role, owner in ((Role.AGENT_WALLET, "a0"), (Role.INSURER_WALLET, "insurer-0"),
                             (Role.USER_WALLET, "user-0")):
             key = role.value.split("_")[0]
@@ -1501,6 +1547,188 @@ class TestSettlementTable:
         assert len(counting.ledger.transfers) == len(listing.ledger.transfers) >= 5 * 60
 
 
+class TestCountedPeriods:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(doc=scenario_docs())
+    @with_stacked_examples
+    # Counted worlds whose every episode is disputed, or misbehaves when
+    # tempted and is caught, through a stack that is priced again.
+    @example(doc=scenario_doc(episodes=30, claim_bond=1, policies={
+        "agent": "always_malicious", "user": "always_claim", "insurer": "always_deny"}))
+    @example(doc=scenario_doc(
+        episodes=30, params={**scenario_doc()["params"], "Pi_honest": 100},
+        population=[{"id": "a0", "gain": {"kind": "fixed", "mean": 250}},
+                    {"id": "a1", "theta": 0.4, "gain": {"kind": "fixed", "mean": 250}}],
+        policies={"agent": "opportunistic", "opportunistic_p": 0.5, "user": "always_claim"},
+        stack={"base_risk": 0.1, "loading": 0.2, "certificates": _TWO_CERTIFICATES}))
+    def test_a_counted_world_matches_one_flushed_after_every_episode(self, doc):
+        self.mark(self.check(doc))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(doc=capped_scenario_docs())
+    @with_capped_examples
+    def test_a_counted_world_matches_one_flushed_after_every_episode_as_wallets_run_dry(
+            self, doc):
+        self.mark(self.check(doc))
+
+    @staticmethod
+    def mark(periods: list[tuple[int, int, bool]]) -> None:
+        event("counted period" if any(proven for *_, proven in periods)
+              else "flushed per episode")
+
+    @staticmethod
+    def check(doc) -> list[tuple[int, int, bool]]:
+        """Run `doc` as `run_scenario_with_records` does, and as a world that
+        settles every episode on its own (`run_episode`, a flush of one
+        episode); both must give the same bytes, records and books. Returns
+        each period the counted run tried to prove, as (start, stop, proven)."""
+        config = scenario_from_dict(doc)
+        periods, prove = [], _World._proven
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_World, "_proven", lambda world, start, stop: (
+                periods.append((start, stop, prove(world, start, stop))) or periods[-1][2]))
+            report, records = run_scenario_with_records(config)
+            counted = _World(config)
+            assert counted.run() == records
+        flushed = _World(config)
+        assert [flushed.run_episode(index) for index in range(config.episodes)] == records
+        assert sim._aggregate(config, records).to_json() == report.to_json()
+        assert counted.ledger.balances == flushed.ledger.balances
+        assert len(counted.ledger.transfers) == len(flushed.ledger.transfers)
+        assert counted.ledger.claims_filed == flushed.ledger.claims_filed
+        assert [s.counts for s in counted.states] == [s.counts for s in flushed.states]
+        counted.ledger.check_invariants()
+        flushed.ledger.check_invariants()
+        return periods[len(periods) // 2:]  # the second run's, `counted`
+
+    def test_a_stack_that_expires_mid_run_flushes_and_counts_again(self, monkeypatch):
+        # The code certificate expires at tick 40: episodes 0-7 are one
+        # period and 8-29 the next, and each is counted. The first period's
+        # tallies are applied before the stack is priced again.
+        doc = scenario_doc(episodes=30, population=_TWO_AGENTS,
+                           params={**scenario_doc()["params"], "Pi_honest": 200},
+                           stack={"base_risk": 0.1, "loading": 0.2,
+                                  "certificates": _TWO_CERTIFICATES})
+        assert self.check(doc) == [(0, 8, True), (8, 30, True)]
+        events, apply, compose = [], Ledger.apply_plan, sim.compose_stack
+        monkeypatch.setattr(Ledger, "apply_plan", lambda ledger, *args: (
+            events.append(args[6]) or apply(ledger, *args)))
+        monkeypatch.setattr(sim, "compose_stack", lambda *args, **kwargs: (
+            events.append(f"tick {kwargs['tick']}") or compose(*args, **kwargs)))
+        _, records = run_scenario_with_records(scenario_from_dict(doc))
+        assert not any(r.excluded or r.aborted for r in records)
+        split = events.index("tick 40")
+        assert events[0] == "tick 0" and sum(events[1:split]) == 8
+        assert sum(events[split + 1:]) == 22 and len(events) <= 2 + 2 * 4
+
+    @pytest.mark.parametrize("short", [0, 1], ids=["funded", "one unit short"])
+    def test_a_world_funded_short_of_the_proof_settles_every_episode(self, short,
+                                                                      monkeypatch):
+        # One agent, so every episode touches every wallet: each must hold the
+        # episodes times the most any plan at these amounts asks of it.
+        doc = scenario_doc(episodes=40, policies={"agent": "opportunistic",
+                                                  "opportunistic_p": 0.5})
+        config = scenario_from_dict(doc)
+        world = _World(config)
+        nonzero = tuple(map(bool, world.amounts))
+        plans = [sim._settlement_plan(path, nonzero) for path in ALL_PATHS]
+        asks = [max(plan.totals(world.amounts)[0][slot] for plan in plans) for slot in range(3)]
+        need = config.episodes * max(asks)
+        monkeypatch.setattr(sim, "_funding", lambda config: need - short)
+        counts, apply = [], Ledger.apply_plan
+        monkeypatch.setattr(Ledger, "apply_plan", lambda ledger, *args: (
+            counts.append(args[6]) or apply(ledger, *args)))
+        assert self.check(doc) == [(0, 40, not short)]
+        assert (max(counts) > 1) == (not short)
+        assert not any(r.aborted for r in run_scenario_with_records(config)[1])
+
+    def test_a_settlement_with_no_plan_stops_the_count_for_its_period(self, monkeypatch):
+        # Ten live certificates give more nonzero amounts than a plan has
+        # markers for: the first period stops counting at its first insured
+        # episode, which takes the checked path with every one after it.
+        # Eight certificates expire at tick 100, and the rest is counted.
+        doc = scenario_doc(episodes=30, params={**scenario_doc()["params"], "Pi_honest": 200},
+                           stack={"base_risk": 0.1, "certificates": _MANY_CERTIFICATES})
+        counts, apply = [], Ledger.apply_plan
+        monkeypatch.setattr(Ledger, "apply_plan", lambda ledger, *args: (
+            counts.append(args[6]) or apply(ledger, *args)))
+        assert self.check(doc) == [(0, 20, True), (20, 30, True)]
+        _, records = run_scenario_with_records(scenario_from_dict(doc))
+        assert not any(r.excluded or r.aborted for r in records)
+        assert counts[-1] == 10  # one agent, one settlement: the second period's
+
+    def test_a_checked_episode_sees_every_tally_applied(self, monkeypatch):
+        # Misbehavior is left unplanned: the honest episodes counted before
+        # the first malicious one reach the books before it is played.
+        doc = scenario_doc(episodes=40, params={**scenario_doc()["params"], "Pi_honest": 100},
+                           population=[{"id": "a0", "gain": {"kind": "fixed", "mean": 250}}],
+                           policies={"agent": "opportunistic", "opportunistic_p": 0.5})
+        plan = sim._settlement_plan
+        monkeypatch.setattr(sim, "_settlement_plan", lambda path, nonzero: (
+            None if path.agent is AgentAction.MALICIOUS else plan(path, nonzero)))
+        assert self.check(doc) == [(0, 40, True)]
+        worlds, events = [], []
+        run, play, apply = _World.run, sim._play_episode, Ledger.apply_plan
+
+        def checked(ledger, *args):
+            world = worlds[-1]
+            if ledger is world.ledger:
+                events.append((world._counted_from, [list(s.tally) for s in world.states]))
+            return play(ledger, *args)
+
+        monkeypatch.setattr(_World, "run", lambda world: worlds.append(world) or run(world))
+        monkeypatch.setattr(sim, "_play_episode", checked)
+        monkeypatch.setattr(Ledger, "apply_plan", lambda ledger, *args: (
+            events.append(args[6]) or apply(ledger, *args)))
+        _, records = run_scenario_with_records(scenario_from_dict(doc))
+        # One call applies the honest tally, then the first malicious episode
+        # is played; every later episode settles on its own.
+        malicious = next(r.index for r in records if r.misbehaved)
+        assert malicious > 1 and events[0] == malicious and isinstance(events[1], tuple)
+        played = [e for e in events if isinstance(e, tuple)]
+        assert played == [(None, [[0, 0]])] * sum(r.misbehaved for r in records)
+        assert events[1:].count(1) == len(records) - malicious - len(played)
+
+    def test_a_rational_insurer_without_audit_access_is_never_counted(self, monkeypatch):
+        # Its response reads the posterior, which each episode moves.
+        doc = scenario_doc(episodes=40, population=[
+            {"id": "a0", "theta": 0.1}, {"id": "a1", "theta": 0.4, "audit_access": False}],
+            policies={"agent": "opportunistic", "opportunistic_p": 0.5})
+        counts, apply = [], Ledger.apply_plan
+        monkeypatch.setattr(Ledger, "apply_plan", lambda ledger, *args: (
+            counts.append(args[6]) or apply(ledger, *args)))
+        assert self.check(doc) == [(0, 40, False)]
+        assert counts and set(counts) == {1}
+
+    def test_a_counted_baseline_applies_one_tally_per_agent_and_settlement(
+            self, monkeypatch):
+        def refuse(view):
+            raise AssertionError("a counted settlement iterated a planned transfer")
+
+        calls, apply = [], Ledger.apply_plan
+        monkeypatch.setattr(Ledger, "apply_plan", lambda ledger, *args: (
+            calls.append(args) or apply(ledger, *args)))
+        monkeypatch.setattr(PlannedTransfers, "__iter__", refuse)
+        config = scenario_from_dict({**json.loads(BASELINE.read_text()), "episodes": 2000})
+        _, records = run_scenario_with_records(config)
+        insured = [r for r in records if not r.excluded]
+        settlements = {(r.agent_id, r.action, r.claim_state) for r in insured}
+        assert len(insured) == 2000 and not any(r.aborted for r in records)
+        assert 0 < len(calls) <= len(settlements)
+        assert sum(args[6] for args in calls) == len(insured)
+
+    def test_an_experience_priced_world_applies_each_insured_episode(self, monkeypatch):
+        calls, apply = [], Ledger.apply_plan
+        monkeypatch.setattr(Ledger, "apply_plan", lambda ledger, *args: (
+            calls.append(args) or apply(ledger, *args)))
+        config = TestEpisodeHotPath.experience_priced({"agent": "opportunistic",
+                                                       "opportunistic_p": 0.5})
+        _, records = run_scenario_with_records(config)
+        insured = sum(not (r.excluded or r.aborted) for r in records)
+        assert insured > 0 and len(calls) == insured
+        assert {args[6] for args in calls} == {1}
+
+
 class TestEpisodeHotPath:
     @staticmethod
     def count_validations(monkeypatch) -> list[MechanismParams]:
@@ -1638,9 +1866,34 @@ class TestEpisodePath:
                 action = fixed_actions.get(agent_policy, profile.agent)
                 expected = reference_episode_path(profile, policy, agent, action, posterior)
                 # None for the RNG: none of these agent policies draws.
-                assert world._episode_path(profile, state, ep.G, None) == expected, (
+                malicious = world._malicious(profile, ep.G, None)
+                assert world._episode_path(profile, state, malicious) == expected, (
                     profile, policy, audit, posterior,
                 )
+
+    @pytest.mark.parametrize("alpha, beta, valid", [
+        (7, 7, True), (8, 7, True), (7, 8, False),
+        (2**52 - 1, 2**52 - 1, True), (2**52 - 1, 2**52 - 2, True), (2**52 - 2, 2**52 - 1, False),
+    ])
+    def test_without_audit_access_a_claim_is_valid_where_alpha_is_at_least_beta(
+            self, alpha, beta, valid):
+        # The posterior mean alpha / (alpha + beta) is at least 1/2 exactly
+        # where alpha >= beta; the insurer answers an honest agent's claim as
+        # a valid one there, and accepts it.
+        agent = AgentProfile(id="a0", audit_access_granted=False)
+        world = _World(make_config(episodes=1, population=(agent,)))
+        state = world.states[0]
+        state.counts = [alpha, beta]
+        profile = next(p for p in _ALL_PROFILES if p.claims_when_unharmed
+                       and p.respond_valid is InsurerResponse.ACCEPT
+                       and p.respond_invalid is InsurerResponse.DENY)
+        path = world._episode_path(profile, state, False)
+        assert path.claimed and (path.response is InsurerResponse.ACCEPT) is valid
+        assert (alpha / (alpha + beta) >= 0.5) is valid
+
+    @given(alpha=st.integers(1, 2**52 - 1), beta=st.integers(1, 2**52 - 1))
+    def test_the_count_comparison_is_the_posterior_mean_threshold(self, alpha, beta):
+        assert (alpha >= beta) is (alpha / (alpha + beta) >= 0.5)
 
 
 class TestOnePremiumPerEpisode:
