@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 
 from .game import build_game, brute_force_spe, solve_spe
@@ -101,8 +102,29 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_output(path: str):
-    return open(path, "w", encoding="utf-8", newline="\n")
+@contextlib.contextmanager
+def _open_outputs(*paths: str):
+    """`paths` opened for writing, each emptied; or the first OSError, with
+    none of them created or emptied."""
+    fds, created = [], []
+    try:
+        for path in paths:
+            try:
+                fds.append(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                created.append(path)
+            except FileExistsError:  # emptied only once every path is open
+                fds.append(os.open(path, os.O_WRONLY))
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        for path in created:
+            os.unlink(path)
+        raise
+    with contextlib.ExitStack() as files:
+        for fd in fds:
+            if stat.S_ISREG(os.fstat(fd).st_mode):  # a terminal or a pipe has nothing to empty
+                os.ftruncate(fd, 0)
+        yield [files.enter_context(open(fd, "w", encoding="utf-8", newline="\n")) for fd in fds]
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -116,12 +138,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # Outputs open before the run: an unwritable path fails before any episode.
-    with contextlib.ExitStack() as outputs:
-        out = outputs.enter_context(_open_output(args.out))
-        log = log_path and outputs.enter_context(_open_output(log_path))
+    with _open_outputs(args.out, *([log_path] if log_path else [])) as (out, *logs):
         report, records = run_scenario_with_records(config)
         out.write(report.to_json())
-        if log:
+        for log in logs:
             for record in records:
                 log.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
     print(f"wrote {args.out}")
@@ -159,7 +179,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with _open_output(args.out) as fh:
+    with _open_outputs(args.out) as (fh,):
         rows = sweep(config, grid, jobs=args.jobs)
         fh.write(_csv(grid, rows))
     print(f"wrote {args.out}")

@@ -21,24 +21,24 @@ solved once per distinct episode parameter set and kept in a bounded memo
 holds the largest quote it buys at (`market.max_quote`), so a purchase is
 one comparison, and the `_Settlement` of each path it plays under the
 pricing. A drawn gain and a quoted premium stay ints: params are built
-only to key a game to solve, or for the checked path. `_World._settle`
+only to key a game to solve, or for the checked path. `_World._apply`
 applies an episode's plan, layer-1 premium shares included, in one
-`Ledger.apply_plan` call. The plan (`_settlement_plan`) is recorded once per path and pattern
-of zero amounts from a real `_play_episode` on a scratch ledger, so there
-is one choreography. An episode whose wallets cannot fund its plan, or
-whose amounts are too many to plan, takes the checked path: `_play_episode`
-underwrites it, `play_path` drives the path and the policy retires, in one
-atomic block, so shortfalls and clamps are as they always were and an
-aborted episode leaves the ledger as it found it.
+`Ledger.apply_plan` call. The plan (`_settlement_plan`) is recorded once
+per path and pattern of zero amounts from a real `_play_episode` on a
+scratch ledger, so there is one choreography. An episode whose wallets
+cannot fund its plan, or whose amounts are too many to plan, takes the
+checked path: `_play_episode` underwrites it, `play_path` drives the path
+and the policy retires, in one atomic block, so shortfalls and clamps are
+as they always were and an aborted episode leaves the ledger as it found it.
 `replay_game_path`, which criterion 6 checks against the game tree, settles
 its path as the only episode of a one-agent world through the same step.
 
-A pricing period whose episodes all settle exactly, read no posterior and
-are funded in full by the balances at its start (`_World._proven`) is
-counted: each episode still draws, then adds one to its agent's tally for
-its action's settlement and copies that settlement's record. The tallies
-reach the ledger as one `apply_plan` per (agent, settlement), with a count,
-when the period ends, and before anything that reads a real balance.
+Every episode is decided in one loop, `_World._play`. A pricing period
+whose episodes all settle exactly, read no posterior and are funded in
+full by the balances at its start (`_World._proven`) is counted: a planned
+settlement then goes to its agent's tally, and the tallies reach the
+ledger as one `apply_plan` per (agent, settlement), with a count, when the
+period ends, and before anything that reads a real balance.
 
 Payoff accounting: each party's episode payoff is its ledger balance
 delta plus the exogenous components the ledger cannot carry (the user's
@@ -443,6 +443,13 @@ class _Settlement(NamedTuple):
     observed: bool = False
     exact: bool = False
 
+    def record(self, index: int) -> EpisodeRecord:
+        """Episode `index`'s record: a copy of the fields, without `__init__`."""
+        record = object.__new__(EpisodeRecord)
+        vars(record).update(self.fields)
+        record.index = index
+        return record
+
 
 class _AgentState:
     """A population member in a world: its `AgentProfile`, settlement wallets
@@ -450,13 +457,13 @@ class _AgentState:
     counts [alpha, beta], gain where no draw changes it (else None) and
     `max_quote`. `_price_terms` empties the rest: its solved profile where
     gain and premium are fixed, and each `_Settlement` it has played, keyed
-    by its path's `id` (kept alive by the entry: a path hashes in Python)
-    and, if premiums are quoted, by which of P and the layer-1 shares are 0;
-    and, for a counted period, the settlement of each action, honest then
-    malicious, and the tally of each not yet applied."""
+    by its action in a `countable` world, else by its path's `id` (kept
+    alive by the entry: a path hashes in Python) and, if premiums are
+    quoted, by which of P and the layer-1 shares are 0. `tally` counts a
+    counted period's episodes per key until they are applied."""
 
     __slots__ = ("agent", "wallets", "counts", "gain", "max_quote", "profile", "settlements",
-                 "acted", "tally")
+                 "tally")
 
     def __init__(self, agent: AgentProfile, params: MechanismParams, insurer: AccountId,
                  user: AccountId) -> None:
@@ -467,8 +474,7 @@ class _AgentState:
         self.max_quote = max_quote(agent, params)
         self.profile: StrategyProfile | None = None
         self.settlements: dict = {}
-        self.acted: list[_Settlement | None] = [None, None]
-        self.tally = [0, 0]
+        self.tally: dict = {}
 
 
 class _World:
@@ -479,11 +485,10 @@ class _World:
     settled episode's policy retires, so the world's memory does not grow
     with the number of episodes.
 
-    `run` plays the episodes a pricing period at a time. A period it can
-    prove (`_proven`) is counted (`_count`): its episodes are tallied per
-    agent and settlement, and `_flush` applies each tally in one ledger
-    call. Any other episode is settled on its own by `run_episode`, after
-    the tallies are applied, so it sees the real balances.
+    `run` plays a pricing period at a time, in one `_play` call. A period
+    it can prove (`_proven`) is counted: each agent's `tally` counts its
+    episodes per settlement, and `_flush` applies each in one ledger call.
+    Any other episode is settled at once, after the tallies, on real balances.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -506,6 +511,16 @@ class _World:
                  or all(agent.audit_access_granted for agent in population))
         )
         self._counted_from: int | None = None  # the first episode tallied, if any is
+        # `_malicious`'s terms, read once: the chance the agent is tempted (None:
+        # always) and the gain above which it misbehaves (None: as the game says).
+        p, enforced = config.params, config.enforcement_enabled
+        self._agent_rule = {
+            AgentPolicy.OPPORTUNISTIC: (policy.opportunistic_p, p.Pi_honest + (
+                p.S_A + p.V_future if enforced else 0)),
+            AgentPolicy.RATIONAL_SPE: (None, None if enforced else p.Pi_honest),
+            AgentPolicy.ALWAYS_HONEST: (None, math.inf),
+            AgentPolicy.ALWAYS_MALICIOUS: (None, -math.inf),
+        }[policy.agent]
         self.ledger = Ledger(transfers=TransferCount())
         insurer = AccountId(Role.INSURER_WALLET, _INSURER_ID)
         user = AccountId(Role.USER_WALLET, _USER_ID)
@@ -583,7 +598,7 @@ class _World:
             AccountId(Role.INSURER_WALLET, issuer) for issuer, _ in stack.premium_shares)
         for state in self.states:
             state.wallets = (*state.wallets[:3], *issuers)
-            state.profile, state.settlements, state.acted = None, {}, [None, None]
+            state.profile, state.settlements = None, {}
 
     def _amounts(self, premium: int) -> tuple[int, ...]:
         """An episode's amounts at `premium`: (L, S_A, P, B, F, R, claim
@@ -617,23 +632,12 @@ class _World:
         """Whether the agent misbehaves at its drawn `gain`; `profile` is the
         solved game, None when no episode solves one (enforcement off, or
         every policy behavioral)."""
-        config = self.config
-        kind = config.policy.agent
-        if kind is AgentPolicy.OPPORTUNISTIC:
-            # Tempted with probability p, then weighs the net deviation
-            # payoff (deterrence applies only when enforcement is on).
-            if rng.random() >= config.policy.opportunistic_p:
-                return False
-            fixed = self.fixed_ep
-            if config.enforcement_enabled:
-                gain -= fixed.S_A + fixed.V_future
-        elif kind is AgentPolicy.RATIONAL_SPE:
-            if config.enforcement_enabled:
-                return profile.agent is AgentAction.MALICIOUS
-            fixed = self.fixed_ep
-        else:
-            return kind is AgentPolicy.ALWAYS_MALICIOUS
-        return gain > fixed.Pi_honest
+        tempted, threshold = self._agent_rule
+        if tempted is not None and rng.random() >= tempted:
+            return False
+        if threshold is None:  # a rational agent under enforcement plays the game
+            return profile.agent is AgentAction.MALICIOUS
+        return gain > threshold
 
     def _episode_path(self, profile: StrategyProfile | None, state: _AgentState,
                       malicious: bool) -> TerminalPath:
@@ -664,17 +668,23 @@ class _World:
 
     def run(self) -> list[EpisodeRecord]:
         """Every episode's record, in order, with the books settled: a
-        pricing period `_proven` is counted, and any other episode runs on
-        its own."""
+        pricing period at a time, counted if it is `_proven`."""
         records, index, episodes = [], 0, self.config.episodes
         while index < episodes:
             stop = self._pricing_until(index)
             if self._proven(index, stop):
-                index = self._count(records, index, stop)
-            records += map(self.run_episode, range(index, stop))
+                self._counted_from = index
+            self._play(records, index, stop)
             index = stop
         self._flush()
         return records
+
+    def run_episode(self, index: int) -> EpisodeRecord:
+        """Play episode `index` on its own and settle it on the ledger."""
+        records: list[EpisodeRecord] = []
+        self._pricing_until(index)
+        self._play(records, index, index + 1)
+        return records[0]
 
     def _proven(self, start: int, stop: int) -> bool:
         """Whether episodes [start, stop), at one pricing, may be counted: the
@@ -698,117 +708,92 @@ class _World:
             need[wallet] = need.get(wallet, 0) + (stop - start) * ask
         return all(self.ledger.balance(wallet) >= amount for wallet, amount in need.items())
 
-    def _count(self, records: list[EpisodeRecord], start: int, stop: int) -> int:
-        """Append the records of episodes [start, stop) of a proven period and
-        tally each insured one on its agent's settlement for its action.
-
-        An insured episode draws as `run_episode` would. At the first
-        settlement with no plan, the tallies are applied and that episode is
-        returned: it and the rest of the period run on their own. Otherwise
-        returns `stop`."""
-        states, n, new = self.states, len(self.states), object.__new__
-        episode_rng, misbehaves = self._episode_rng, self._malicious
-        premium = self.fixed_ep.P
-        self._counted_from = start
+    def _play(self, records: list[EpisodeRecord], start: int, stop: int) -> None:
+        """Decide episodes [start, stop), at one pricing, appending their records.
+        A counted period tallies each planned settlement and copies its record
+        until one has no plan; then the tallies are applied, and `_settle`
+        settles the rest, as it does every episode of any other period."""
+        config, states, fixed, amounts = self.config, self.states, self.fixed_ep, self.amounts
+        n, stream, malicious_at = len(states), self._episode_rng, self._malicious
+        quoted, enforced = config.pricing == "experience", config.enforcement_enabled
+        premium, solves, countable = fixed.P, self.solves, self.countable
+        counting = self._counted_from is not None
         for index in range(start, stop):
             state = states[index % n]
-            if premium > state.max_quote:  # excluded: it touches no book
-                records.append(self.run_episode(index))
+            rng = stream(index)
+            gain = state.gain
+            if gain is None:
+                gain = min(state.agent.gain.draw(rng), MAX_AMOUNT // 8)
+            if not enforced:  # no policy, so no premium and no game
+                record = EpisodeRecord(index=index, agent_id=state.agent.id, insurer_id=_INSURER_ID)
+                path = path_of(malicious_at(None, gain, rng), False, False, False)
+                self._record_outcome(record, state.agent, path, gain, 0, None, None, [0, 0, 0])
+                records.append(record)
                 continue
-            rng = episode_rng(index)
-            profile = state.profile
-            if profile is None and self.solves:
-                profile = state.profile = _solved_profile(
-                    self._episode_params(state.gain, premium))
-            malicious = misbehaves(profile, state.gain, rng)
-            settlement = state.acted[malicious]
+            if quoted:
+                alpha, beta = state.counts
+                premium = loaded_premium(alpha, alpha + beta, fixed.L, config.loading)
+                amounts = self._amounts(premium)
+            if premium > state.max_quote:
+                records.append(EpisodeRecord(index=index, agent_id=state.agent.id, excluded=True,
+                                             insurer_id=_INSURER_ID))
+                continue
+            profile = state.profile  # kept only where the pricing fixes gain and premium
+            if profile is None and solves:
+                profile = _solved_profile(self._episode_params(gain, premium))
+                if state.gain is not None and not quoted:
+                    state.profile = profile
+            malicious = malicious_at(profile, gain, rng)
+            if countable:  # the path follows from the action alone
+                key = malicious
+            else:
+                path = self._episode_path(profile, state, malicious)
+                key = (id(path), amounts[2] > 0, *map(bool, amounts[7:])) if quoted else id(path)
+            settlement = state.settlements.get(key)
             if settlement is None:
-                settlement = self._settlement(state.agent,
-                                              self._episode_path(profile, state, malicious),
-                                              self.amounts, False, state.gain)
-                if settlement.plan is None:
-                    self._flush()
-                    return index
-                state.acted[malicious] = settlement
-            state.tally[malicious] += 1
-            record = new(EpisodeRecord)  # the settlement's record at this index
-            vars(record).update(settlement.fields)
-            record.index = index
-            records.append(record)
-        return stop
+                settlement = state.settlements[key] = self._settlement(
+                    state.agent, self._episode_path(profile, state, malicious), amounts, quoted,
+                    None if quoted else state.gain)  # exact where gain and premium are fixed
+            if counting:
+                if settlement.plan is not None:
+                    state.tally[key] = state.tally.get(key, 0) + 1
+                    records.append(settlement.record(index))
+                    continue
+                self._flush()
+                counting = False
+            try:
+                records.append(self._settle(state, settlement, gain, amounts, index))
+            except LedgerError:
+                records.append(EpisodeRecord(index=index, agent_id=state.agent.id, aborted=True,
+                                             insurer_id=_INSURER_ID))
 
     def _flush(self) -> None:
         """Apply each agent's tally on each settlement in one ledger call,
         and add its count to the agent's posterior. The period's proof funds
         every tally, so a refusal is a fault in the proof."""
-        first = self._counted_from
-        if first is None:
-            return
-        self._counted_from = None
+        first, self._counted_from = self._counted_from, None
         for state in self.states:
-            for settlement, count in zip(state.acted, state.tally):
-                if count:
-                    if self._apply(state, settlement, self.amounts, settlement.totals, first,
-                                   count) is None:
-                        raise AssertionError(f"a proven tally of {count} episodes was refused")
-                    state.counts[not settlement.observed] += count
-            state.tally = [0, 0]
+            for key, count in state.tally.items():
+                settlement = state.settlements[key]
+                if self._apply(state, settlement, self.amounts, first, count) is None:
+                    raise AssertionError(f"a proven tally of {count} episodes was refused")
+                state.counts[not settlement.observed] += count
+            state.tally.clear()
 
     def _apply(self, state: _AgentState, settlement: _Settlement, amounts: tuple[int, ...],
-               totals: tuple[list[int], list[int]], index: int,
-               count: int = 1) -> list[int] | None:
+               index: int, count: int = 1) -> list[int] | None:
         """Settle `count` of `state`'s episodes, from episode `index`, by
-        `settlement`'s plan at `amounts` and `totals`: the world's one
-        `Ledger.apply_plan` call, for a tally and a single episode alike."""
+        `settlement`'s plan at `amounts`: the world's one `Ledger.apply_plan`
+        call, for a tally and a single episode alike."""
+        totals = settlement.totals
+        if settlement.linear:  # the totals at each quoted amount
+            outflows, nets = totals[0][:], totals[1][:]
+            for slot, field, paid, net in settlement.linear:
+                outflows[slot] += paid * amounts[field]
+                nets[slot] += net * amounts[field]
+            totals = outflows, nets
         return self.ledger.apply_plan(settlement.plan, state.wallets, f"ep-{index}", amounts,
                                       index * _TICKS_PER_EPISODE, totals, count)
-
-    def run_episode(self, index: int) -> EpisodeRecord:
-        """Play episode `index` on its own and settle it on the ledger."""
-        config = self.config
-        state = self.states[index % len(self.states)]
-        agent = state.agent
-        rng = self._episode_rng(index)
-        record = EpisodeRecord(index=index, agent_id=agent.id, insurer_id=_INSURER_ID)
-        self._pricing_until(index)
-        gain = state.gain
-        if gain is None:
-            gain = min(agent.gain.draw(rng), MAX_AMOUNT // 8)
-        if not config.enforcement_enabled:  # no policy, so no premium and no game
-            malicious = self._malicious(None, gain, rng)
-            self._record_outcome(record, agent, path_of(malicious, False, False, False),
-                                 gain, 0, None, None, [0, 0, 0])
-            return record
-        counts, amounts, premium = state.counts, self.amounts, self.fixed_ep.P
-        quoted = config.pricing == "experience"
-        if quoted:
-            alpha, beta = counts
-            premium = loaded_premium(alpha, alpha + beta, self.fixed_ep.L, config.loading)
-            amounts = self._amounts(premium)
-        if premium > state.max_quote:
-            record.excluded = True
-            return record
-        exact = state.gain is not None and not quoted  # the pricing fixes gain and premium
-        profile = state.profile  # set only where exact
-        if profile is None and self.solves:
-            profile = _solved_profile(self._episode_params(gain, premium))
-            if exact:
-                state.profile = profile
-
-        malicious = self._malicious(profile, gain, rng)
-        path = self._episode_path(profile, state, malicious)
-        key = (id(path), amounts[2] > 0, *map(bool, amounts[7:])) if quoted else id(path)
-        settlement = state.settlements.get(key)
-        if settlement is None:
-            settlement = state.settlements[key] = self._settlement(
-                agent, path, amounts, quoted, gain if exact else None)
-        try:
-            observed = self._settle(record, state, settlement, gain, amounts, index)
-        except LedgerError:
-            record.aborted = True
-            return record
-        counts[not observed] += 1  # alpha counts a misbehavior observed, beta a clean episode
-        return record
 
     def _settlement(self, agent: AgentProfile, path: TerminalPath, amounts: tuple[int, ...],
                     quoted: bool, gain: int | None = None) -> _Settlement:
@@ -855,41 +840,36 @@ class _World:
         )
         return _caught(path) or (misbehaved and agent.audit_access_granted)
 
-    def _settle(self, record: EpisodeRecord, state: _AgentState, settlement: _Settlement,
-                gain: int, amounts: tuple[int, ...], index: int) -> bool:
-        """Settle episode `index` by `settlement` at `gain` and `amounts`
-        (L, S_A, P, B, F, R, claim bond, each layer-1 share) in one ledger
-        call, fill in `record`, return whether the insurer saw misbehavior.
-        With no plan, or one a wallet cannot fund, `_play_episode` plays it
-        through the checked operations at params built for it."""
+    def _settle(self, state: _AgentState, settlement: _Settlement, gain: int,
+                amounts: tuple[int, ...], index: int) -> EpisodeRecord:
+        """Settle episode `index` by `settlement` at `gain` and `amounts` in
+        one ledger call, count it in the agent's posterior and return its
+        record. With no plan, or one a wallet cannot fund, `_play_episode`
+        plays it through the checked operations at params built for it."""
         ledger, plan, path = self.ledger, settlement.plan, settlement.path
         if plan is not None:
-            totals = settlement.totals
-            if settlement.linear:
-                outflows, deltas = totals[0][:], totals[1][:]
-                for slot, field, paid, net in settlement.linear:
-                    outflows[slot] += paid * amounts[field]
-                    deltas[slot] += net * amounts[field]
-                totals = outflows, deltas
-            deltas = self._apply(state, settlement, amounts, totals, index)
+            deltas = self._apply(state, settlement, amounts, index)
             if deltas is not None:
-                vars(record).update(settlement.fields)
-                record.index = index
+                record = settlement.record(index)
                 if not settlement.exact:
                     record.premium_paid = amounts[2]
                     record.payoff_agent += deltas[0] + (gain if record.misbehaved else 0)
                     record.payoff_insurer += deltas[1]
                     record.payoff_user += deltas[2]
-                return settlement.observed
+                state.counts[not settlement.observed] += 1
+                return record
         agent, parties = state.agent, state.wallets[:3]  # their deltas are the payoffs
         before = [ledger.balance(w) for w in parties]
         _, claim = _play_episode(ledger, self.stack, agent.id,
                                  self._episode_params(gain, amounts[2]), path,
                                  self.config.claim_bond, index, amounts[7:])
         deltas = [ledger.balance(w) - b for w, b in zip(parties, before)]
+        record = EpisodeRecord(index=index, agent_id=agent.id, insurer_id=_INSURER_ID)
         ticks = None if claim is None else claim.resolved_tick - claim.filed_tick
-        return self._record_outcome(record, agent, path, gain, amounts[2],
-                                    claim and claim.state, ticks, deltas)
+        observed = self._record_outcome(record, agent, path, gain, amounts[2],
+                                        claim and claim.state, ticks, deltas)
+        state.counts[not observed] += 1  # alpha counts a misbehavior observed, beta a clean episode
+        return record
 
 
 def _play_episode(
@@ -1139,9 +1119,8 @@ def replay_game_path(
     config = ScenarioConfig(seed=0, episodes=1, params=params,
                             population=(AgentProfile(id="agent"),), claim_bond=claim_bond)
     world, agent = _World(config), config.population[0]
-    record = EpisodeRecord(index=0, agent_id=agent.id)
-    world._settle(record, world.states[0], world._settlement(agent, path, world.amounts, False),
-                  params.G, world.amounts, 0)
+    record = world._settle(world.states[0], world._settlement(agent, path, world.amounts, False),
+                           params.G, world.amounts, 0)
     return record.payoff_agent, record.payoff_insurer, record.payoff_user
 
 

@@ -409,6 +409,25 @@ def test_unwritable_output_exits_two_before_any_episode(command, flag, scenario_
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("before", [None, "an earlier report\n"], ids=["absent", "present"])
+@pytest.mark.parametrize("unwritable", ["--out", "--episodes-log"])
+def test_a_failed_open_creates_and_empties_no_output(unwritable, before, scenario_file,
+                                                     tmp_path, capsys):
+    # One output's directory is missing: the other output is neither
+    # created nor emptied, whichever of the two is opened first.
+    outputs = {"--out": tmp_path / "report.json", "--episodes-log": tmp_path / "log.jsonl"}
+    outputs[unwritable] = tmp_path / "missing" / outputs[unwritable].name
+    (kept,) = (path for flag, path in outputs.items() if flag != unwritable)
+    if before is not None:
+        kept.write_text(before)
+    argv = ["simulate", str(scenario_file)]
+    for flag, path in outputs.items():
+        argv += [flag, str(path)]
+    assert main(argv) == 2
+    assert str(tmp_path / "missing") in capsys.readouterr().err
+    assert (kept.read_text() if kept.exists() else None) == before
+
+
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize("content", [
     pytest.param(b'{"schema_version": 1, "seed": "\xff"}', id="not-utf8"),

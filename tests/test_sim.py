@@ -878,10 +878,12 @@ _MANY_CERTIFICATES[1]["issuer"] = "i0"
 
 
 @st.composite
-def scenario_docs(draw) -> dict:
+def scenario_docs(draw, countable: bool = False) -> dict:
     """Valid scenario documents over every policy, both pricings, both gain
     kinds, a claim bond, stacks of none, two and ten certificates, some of
-    which expire, and enforcement, at most 60 episodes."""
+    which expire, and enforcement, at most 60 episodes. If `countable`, only
+    worlds whose periods `_World` may count: enforcement on, flat pricing,
+    every gain fixed, and a behavioral insurer or full audit access."""
     def pick(*options):
         return draw(st.sampled_from(options))
 
@@ -889,18 +891,23 @@ def scenario_docs(draw) -> dict:
               "P": pick(0, 1), "Pi_honest": pick(5, 200, 200)}  # 5 buys few policies
     population = [
         {"id": f"a{i}", "theta": pick(0.0, 0.1, 0.4, 0.9), "audit_access": draw(st.booleans()),
-         "gain": {"kind": pick("fixed", "geometric"), "mean": pick(10, 40, 250)}}
+         "gain": {"kind": "fixed" if countable else pick("fixed", "geometric"),
+                  "mean": pick(10, 40, 250)}}
         for i in range(draw(st.integers(1, 2)))
     ]
+    seed, episodes = draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 60))
+    policies = {"agent": pick(*(p.value for p in AgentPolicy)),
+                "user": pick(*(p.value for p in UserPolicy)),
+                "insurer": pick(*(p.value for p in InsurerPolicy)),
+                "opportunistic_p": pick(0.5, 1.0)}
+    if countable and policies["insurer"] == InsurerPolicy.RATIONAL_SPE.value:
+        # A rational insurer reads the posterior of an agent without audit access.
+        for agent in population:
+            agent["audit_access"] = True
     return scenario_doc(
-        seed=draw(st.integers(0, 2**64 - 1)), episodes=draw(st.integers(1, 60)),
-        params=params, population=population,
-        policies={"agent": pick(*(p.value for p in AgentPolicy)),
-                  "user": pick(*(p.value for p in UserPolicy)),
-                  "insurer": pick(*(p.value for p in InsurerPolicy)),
-                  "opportunistic_p": pick(0.5, 1.0)},
-        enforcement_enabled=pick(True, True, False), claim_bond=pick(0, 1),
-        pricing=pick("flat", "experience"), loading=pick(0.0, 0.2),
+        seed=seed, episodes=episodes, params=params, population=population, policies=policies,
+        enforcement_enabled=countable or pick(True, True, False), claim_bond=pick(0, 1),
+        pricing="flat" if countable else pick("flat", "experience"), loading=pick(0.0, 0.2),
         stack=pick(None, {"base_risk": 0.1, "loading": 0.2, "certificates": _TWO_CERTIFICATES},
                    {"base_risk": 0.1}, {"base_risk": 0.1, "certificates": _MANY_CERTIFICATES}),
     )
@@ -923,6 +930,11 @@ def capped(doc: dict) -> dict:
 def capped_scenario_docs():
     """`scenario_docs` draws, each `capped`."""
     return scenario_docs().map(capped)
+
+
+def countable_scenario_docs():
+    """`scenario_docs` draws of worlds whose periods may be counted."""
+    return scenario_docs(countable=True)
 
 
 @contextlib.contextmanager
@@ -1344,9 +1356,8 @@ class TestSettlementPlans:
         state = world.states[0]
         agent, parties = state.agent, state.wallets[:3]
         before = [world.ledger.balance(w) for w in parties]
-        record = sim.EpisodeRecord(index=index, agent_id=agent.id)
-        world._settle(record, state, world._settlement(agent, path, amounts, True),
-                      world.fixed_ep.G, amounts, index)
+        record = world._settle(state, world._settlement(agent, path, amounts, True),
+                               world.fixed_ep.G, amounts, index)
         return record, [world.ledger.balance(w) - b for w, b in zip(parties, before)]
 
     @pytest.mark.parametrize("short", sorted(SHORT))
@@ -1571,6 +1582,11 @@ class TestCountedPeriods:
             self, doc):
         self.mark(self.check(doc))
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(doc=countable_scenario_docs())
+    def test_a_countable_world_matches_one_flushed_after_every_episode(self, doc):
+        self.mark(self.check(doc))
+
     @staticmethod
     def mark(periods: list[tuple[int, int, bool]]) -> None:
         event("counted period" if any(proven for *_, proven in periods)
@@ -1673,7 +1689,7 @@ class TestCountedPeriods:
         def checked(ledger, *args):
             world = worlds[-1]
             if ledger is world.ledger:
-                events.append((world._counted_from, [list(s.tally) for s in world.states]))
+                events.append((world._counted_from, [dict(s.tally) for s in world.states]))
             return play(ledger, *args)
 
         monkeypatch.setattr(_World, "run", lambda world: worlds.append(world) or run(world))
@@ -1686,7 +1702,7 @@ class TestCountedPeriods:
         malicious = next(r.index for r in records if r.misbehaved)
         assert malicious > 1 and events[0] == malicious and isinstance(events[1], tuple)
         played = [e for e in events if isinstance(e, tuple)]
-        assert played == [(None, [[0, 0]])] * sum(r.misbehaved for r in records)
+        assert played == [(None, [{}])] * sum(r.misbehaved for r in records)
         assert events[1:].count(1) == len(records) - malicious - len(played)
 
     def test_a_rational_insurer_without_audit_access_is_never_counted(self, monkeypatch):
@@ -1716,6 +1732,27 @@ class TestCountedPeriods:
         assert len(insured) == 2000 and not any(r.aborted for r in records)
         assert 0 < len(calls) <= len(settlements)
         assert sum(args[6] for args in calls) == len(insured)
+
+    @pytest.mark.parametrize("doc", [
+        {**json.loads(BASELINE.read_text()), "episodes": 2000},
+        scenario_doc(episodes=30, population=_TWO_AGENTS,
+                     params={**scenario_doc()["params"], "Pi_honest": 200},
+                     stack={"base_risk": 0.1, "loading": 0.2, "certificates": _TWO_CERTIFICATES}),
+    ], ids=["baseline", "stack priced twice"])
+    def test_a_counted_run_builds_each_settlement_once_per_pricing(self, doc, monkeypatch):
+        # The loop looks a counted episode's settlement up by its action: no
+        # episode builds one that its agent already has at the same amounts.
+        built, build = [], _World._settlement
+        monkeypatch.setattr(_World, "_settlement", lambda world, agent, path, amounts, *args: (
+            built.append((agent.id, path.agent, amounts))
+            or build(world, agent, path, amounts, *args)))
+        counts, apply = [], Ledger.apply_plan
+        monkeypatch.setattr(Ledger, "apply_plan", lambda ledger, *args: (
+            counts.append(args[6]) or apply(ledger, *args)))
+        _, records = run_scenario_with_records(scenario_from_dict(doc))
+        assert max(counts) > 1  # counted
+        assert not any(r.aborted for r in records)
+        assert 0 < len(built) == len(set(built))
 
     def test_an_experience_priced_world_applies_each_insured_episode(self, monkeypatch):
         calls, apply = [], Ledger.apply_plan
